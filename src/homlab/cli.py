@@ -35,15 +35,16 @@ offending field path. Modes:
 
 Ranges are ``{"min": a, "max": b, "n": k}``. All emitted rates are
 divided by the model plateau; every artifact gets the parameters echoed
-into a JSON sidecar or report. Outputs are written atomically and are
-byte-identical for identical configurations (nothing in the pipeline is
-randomized). Exit codes: 0 success, 2 validation error, 3 averaging
+into a JSON sidecar or report. A run's files are renamed into place only
+after all of them are written, and are byte-identical for identical
+configurations (nothing in the pipeline is randomized). Exit codes: 0 success, 2 validation error, 3 averaging
 regime violation, 1 I/O failure.
 """
 
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import math
 import numbers
@@ -127,7 +128,10 @@ def _check_keys(cfg: dict, path: str, required: tuple, optional: tuple) -> None:
 def _as_number(value, path: str) -> float:
     if isinstance(value, bool) or not isinstance(value, numbers.Real):
         raise ConfigError(f"{path}: expected a number")
-    out = float(value)
+    try:
+        out = float(value)
+    except OverflowError:
+        raise ConfigError(f"{path}: number out of range") from None
     if not math.isfinite(out):
         raise ConfigError(f"{path}: expected a finite number")
     return out
@@ -156,7 +160,7 @@ def parse_angle(value, path: str = "theta") -> float:
     if isinstance(value, bool):
         raise ConfigError(f"{path}: expected an angle, got a boolean")
     if isinstance(value, numbers.Real):
-        return float(value)
+        return _as_number(value, path)
     if not isinstance(value, str):
         raise ConfigError(f"{path}: expected a number or a 'pi'-style string")
     text = value.strip().lower().replace(" ", "").replace("*", "")
@@ -176,10 +180,14 @@ def parse_angle(value, path: str = "theta") -> float:
                 den = float(tail[1:])
                 if den == 0.0:
                     raise ValueError
-            return coef * math.pi / den
-        return float(text)
+            angle = coef * math.pi / den
+        else:
+            angle = float(text)
     except ValueError:
         raise ConfigError(f"{path}: cannot parse angle {value!r}") from None
+    if not math.isfinite(angle):
+        raise ConfigError(f"{path}: expected a finite angle, got {value!r}")
+    return angle
 
 
 # ----- Model parsing -----
@@ -292,27 +300,25 @@ def _parse_stem(cfg, default: str) -> str:
 # ----- Serialization -----
 
 
-def _fmt(x) -> str:
-    return "%.12g" % float(x)
+# Every number is written with ``%.12g``, through one ``%`` call per surface
+# row (or per curve) on a template, so all float conversions of a row run
+# inside one C-level call.
 
 
 def curve_csv(curve: RateCurve, label: str = "delay") -> str:
     scaled = np.asarray(curve.values, dtype=float) / curve.plateau
-    lines = [f"{label},rate_rescaled"]
-    lines.extend(f"{_fmt(x)},{_fmt(y)}" for x, y in zip(curve.axis, scaled))
-    return "\n".join(lines) + "\n"
+    pairs = np.column_stack((curve.axis, scaled)).ravel().tolist()
+    return f"{label},rate_rescaled\n" + ("%.12g,%.12g\n" * len(curve.axis)) % tuple(pairs)
 
 
 def surface_csv(surface: RateSurface, labels=("tau1", "tau2")) -> str:
     scaled = np.asarray(surface.values, dtype=float) / surface.plateau
-    lines = [f"{labels[0]},{labels[1]},rate_rescaled"]
-    for i, t1 in enumerate(surface.tau1_axis):
-        row = scaled[i]
-        lines.extend(
-            f"{_fmt(t1)},{_fmt(t2)},{_fmt(y)}"
-            for t2, y in zip(surface.tau2_axis, row)
-        )
-    return "\n".join(lines) + "\n"
+    # "\0" marks where each line's tau1 prefix goes; axis strings never contain it
+    body = "".join("\0%.12g,%%.12g\n" % t2 for t2 in surface.tau2_axis.tolist())
+    parts = [f"{labels[0]},{labels[1]},rate_rescaled\n"]
+    for t1, row in zip(surface.tau1_axis.tolist(), scaled.tolist()):
+        parts.append(body.replace("\0", "%.12g," % t1) % tuple(row))
+    return "".join(parts)
 
 
 def _json_text(obj) -> str:
@@ -351,24 +357,31 @@ def _range_dict(axis: np.ndarray) -> dict:
     return {"min": float(axis[0]), "max": float(axis[-1]), "n": int(axis.size)}
 
 
-def _atomic_write(path: Path, text: str) -> None:
-    tmp = path.with_name(path.name + ".tmp")
-    try:
-        tmp.write_text(text, encoding="utf-8")
-        os.replace(tmp, path)
-    except OSError:
-        tmp.unlink(missing_ok=True)
-        raise
+_TMP_SERIAL = itertools.count()
 
 
 def _write_artifacts(out_dir: Path, artifacts) -> list[Path]:
+    """Write a set of files: every temp file first, then rename them all.
+
+    Temp names carry the process id and a per-process serial, so runs
+    writing into one directory at the same time never share a temp file.
+    A failure while writing removes every temp file of the set and leaves
+    every target as it was.
+    """
     out_dir.mkdir(parents=True, exist_ok=True)
-    written = []
-    for name, text in artifacts:
-        target = out_dir / name
-        _atomic_write(target, text)
-        written.append(target)
-    return written
+    staged = []
+    try:
+        for name, text in artifacts:
+            tmp = out_dir / f".{name}.{os.getpid()}.{next(_TMP_SERIAL)}.tmp"
+            staged.append((tmp, out_dir / name))
+            tmp.write_text(text, encoding="utf-8")
+        for tmp, target in staged:
+            os.replace(tmp, target)
+    finally:
+        # no-op after a full set of renames
+        for tmp, _ in staged:
+            tmp.unlink(missing_ok=True)
+    return [target for _, target in staged]
 
 
 # ----- Mode pipelines (pure: config -> artifact list) -----
@@ -467,6 +480,8 @@ def _build_coarse(cfg: dict) -> list:
             raise ConfigError(f"{key}: only meaningful together with 'window'")
     theta = parse_angle(cfg.get("theta", 0.0), "theta")
     window_n = _as_int(cfg["window_n"], "window_n") if "window_n" in cfg else None
+    if window_n is not None and window_n < 2:
+        raise ConfigError("window_n: need at least 2 nodes")
 
     if source == "bp":
         plateau = bp_plateau()

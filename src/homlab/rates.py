@@ -558,9 +558,13 @@ def _check_window(window: float, carrier: float, envelope: float) -> None:
         )
 
 
-def _auto_nodes(window: float, carrier: float) -> int:
-    # fastest fringe sweeps 4 * carrier * window radians across the window
-    return max(48, int(math.ceil(2.0 * carrier * window)) + 16)
+def _window_nodes(n: int | None, window: float, carrier: float) -> int:
+    if n is None:
+        # fastest fringe sweeps 4 * carrier * window radians across the window
+        return max(48, int(math.ceil(2.0 * carrier * window)) + 16)
+    if n < 2:
+        raise ValueError(f"need at least 2 averaging nodes, got n = {n}")
+    return n
 
 
 def _curve_callable(rate):
@@ -584,7 +588,8 @@ def coarse_grain_curve(rate, tau, window: float, *, carrier: float,
     scale: at least twenty carrier radians wide, at most a fifth of the
     envelope time. Outside that band the average would either keep
     carrier fringes or wash out the envelope, so the call is rejected
-    with a ``RegimeError`` naming the violated bound.
+    with a ``RegimeError`` naming the violated bound. ``n`` (at least 2)
+    overrides the automatic Gauss-Legendre node count.
     """
     _check_window(window, carrier, envelope)
     f, support = _curve_callable(rate)
@@ -593,7 +598,7 @@ def coarse_grain_curve(rate, tau, window: float, *, carrier: float,
         lo, hi = support
         if np.min(t) - 0.5 * window < lo or np.max(t) + 0.5 * window > hi:
             raise ValueError("tabulated curve does not cover the averaging window")
-    return _as_rate(box_average_curve(f, t, window, n=n or _auto_nodes(window, carrier)))
+    return _as_rate(box_average_curve(f, t, window, n=_window_nodes(n, window, carrier)))
 
 
 def coarse_grain_surface(rate2, tau1, tau2, window: float, *, carrier: float,
@@ -609,5 +614,5 @@ def coarse_grain_surface(rate2, tau1, tau2, window: float, *, carrier: float,
     if not callable(rate2):
         raise TypeError("rate2 must be callable on (tau1, tau2)")
     return _as_rate(
-        box_average_surface(rate2, tau1, tau2, window, n=n or _auto_nodes(window, carrier))
+        box_average_surface(rate2, tau1, tau2, window, n=_window_nodes(n, window, carrier))
     )

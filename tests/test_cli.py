@@ -1,20 +1,31 @@
 """Command-line front end: configs, presets, artifacts and exit codes."""
 
+import hashlib
 import json
 import math
+import os
+import pathlib
 
 import numpy as np
 import pytest
 
 from homlab.cli import (
     ConfigError,
+    curve_csv,
     main,
     parse_angle,
     run_figure,
     run_scenario,
+    surface_csv,
 )
 from homlab.figures import FIGURE_PRESETS, build_figure, chi2_for_eta_b, theta_tag
-from homlab.rates import mhom_cp_coarse_analytic
+from homlab.rates import (
+    RateCurve,
+    RateSurface,
+    coarse_grain_curve,
+    coarse_grain_surface,
+    mhom_cp_coarse_analytic,
+)
 from homlab.spectra import CoherentSpectrum
 
 
@@ -138,6 +149,108 @@ def test_parse_angle_rejects_junk():
         parse_angle("two pies", "theta")
     with pytest.raises(ConfigError):
         parse_angle(None, "theta")
+
+
+# ----- CSV formatting -----
+
+
+def _fmt(x):
+    return "%.12g" % float(x)
+
+
+def _reference_csv(obj, labels):
+    """Per-value formatter the row-template writers must match byte for byte."""
+    if isinstance(obj, RateCurve):
+        scaled = np.asarray(obj.values, dtype=float) / obj.plateau
+        lines = [f"{labels[0]},rate_rescaled"]
+        lines.extend(f"{_fmt(x)},{_fmt(y)}" for x, y in zip(obj.axis, scaled))
+        return "\n".join(lines) + "\n"
+    scaled = np.asarray(obj.values, dtype=float) / obj.plateau
+    lines = [f"{labels[0]},{labels[1]},rate_rescaled"]
+    for i, t1 in enumerate(obj.tau1_axis):
+        lines.extend(
+            f"{_fmt(t1)},{_fmt(t2)},{_fmt(y)}"
+            for t2, y in zip(obj.tau2_axis, scaled[i])
+        )
+    return "\n".join(lines) + "\n"
+
+
+# signed zero, subnormal, tiny, huge, inexact sums, integers, and values
+# whose 13th significant digit decides the rounding of the 12th
+EDGE_VALUES = [
+    -0.0, 0.0, 5e-324, 1e-300, 1e16, 0.1 + 0.2, 3.0, 12345678901234.0,
+    0.1234567890125, 0.1234567890135, 9.9999999999995, 999999999999.5,
+    1.0000000000005, 2.0 / 3.0, 1e-5, 123456.789, float("inf"), float("nan"),
+]
+ODD_LABELS = [("delay", "tau2"), ("x%d", "50%"), ("τ1", "a,b"), ("", "\0")]
+
+
+@pytest.mark.parametrize("plateau", [1.0, 0.3])
+@pytest.mark.parametrize("labels", ODD_LABELS)
+def test_curve_csv_matches_reference(labels, plateau):
+    axis = np.array([-v if math.isfinite(v) else -1.5 for v in EDGE_VALUES])
+    curve = RateCurve(axis, np.array(EDGE_VALUES), plateau)
+    assert curve_csv(curve, labels[0]) == _reference_csv(curve, labels)
+    empty = RateCurve(np.array([]), np.array([]), plateau)
+    assert curve_csv(empty, labels[0]) == _reference_csv(empty, labels)
+
+
+@pytest.mark.parametrize("plateau", [1.0, 0.3])
+@pytest.mark.parametrize("labels", ODD_LABELS)
+def test_surface_csv_matches_reference(labels, plateau):
+    finite = [v for v in EDGE_VALUES if math.isfinite(v)]
+    t1 = np.array(finite[:7]) - 0.5
+    t2 = np.array(finite[5:])
+    values = np.abs(np.add.outer(t1, t2)) * 1e-3
+    values[0, :] = finite[: t2.size]
+    values[:, 0] = finite[-t1.size:]
+    surface = RateSurface(t1, t2, values, plateau)
+    assert surface_csv(surface, labels) == _reference_csv(surface, labels)
+    single = RateSurface(np.array([-0.0]), np.array([5e-324]), np.array([[0.1 + 0.2]]), plateau)
+    assert surface_csv(single, labels) == _reference_csv(single, labels)
+
+
+def test_csv_writers_match_reference_on_presets():
+    for preset in FIGURE_PRESETS:
+        for ds in build_figure(preset).datasets:
+            if ds.kind == "curve":
+                assert curve_csv(ds.curve, ds.labels[0]) == _reference_csv(ds.curve, ds.labels)
+            else:
+                assert surface_csv(ds.surface, ds.labels) == _reference_csv(ds.surface, ds.labels)
+
+
+# SHA-256 of every CSV the figure presets write, pinned when the per-value
+# formatter was replaced; any change to these bytes must be deliberate.
+PRESET_CSV_SHA256 = {
+    "fig2_bp.csv": "b925a3bb1eb685db87627136eb1d22a6f82add25a3921526699db5b40065ae5b",
+    "fig2_cp.csv": "db7c1fd96b277212652688024a54ed3a9bcc0cfb12983dd79ff529f93b4c5709",
+    "fig2_cp_coarse.csv": "21dcec58829f7b2604e1799ec1800fdca9b5a1d7ae8aee06964c27b82e5bb8f8",
+    "fig3_theta0.csv": "a96175f9994efadc5793a891b821490dad0ea0e631b914136824f72677bd6998",
+    "fig3_theta_pi2.csv": "2548b4bca555b6fe34c465585d214a34fb622e917b617a140a4592a86805646b",
+    "fig4.csv": "bd57a5b13eccaf17fff18eba5d2511e2b47c5e97fa1987eec60aa50f57c4a207",
+    "fig5_bp.csv": "63c786702fa4e9f1d2d92209dd00ed6809b948c48ee2bb1f8191bc369a4205a8",
+    "fig5_cp.csv": "460c8afe6216acfcc6bbce9bca715b665a0bde5b239d4ac5fe346c3640a29b6a",
+    "fig6_bp.csv": "f36eacdb0f0ad8e4f1ecd9789c020aa5bd454ecc2fe7d3f6528c07d5a1b227b6",
+    "fig6_cp.csv": "8a806277609b97bba6397f1602678aafbf6a45684bb3e40d0f5e10966a369bf0",
+    "fig7_eta00.csv": "63c786702fa4e9f1d2d92209dd00ed6809b948c48ee2bb1f8191bc369a4205a8",
+    "fig7_eta03.csv": "7d7b4f7553c9a89487e342e6222add5e874bfd3de757c28dc689d8619d853046",
+    "fig7_eta06.csv": "be23098dd7bf3252b9d695d0a9e4bb1da23027dcdbfa7dfc649a251bb0cf889f",
+    "fig7_eta09.csv": "401ece8375f145f8cca5bd82764964c78dc2c4c2b7af2e8035dc8f8e5ff1ce2a",
+    "fig8_eta00.csv": "f36eacdb0f0ad8e4f1ecd9789c020aa5bd454ecc2fe7d3f6528c07d5a1b227b6",
+    "fig8_eta03.csv": "c06025b2036bee91a4fe27aadfcadc7a61262bbabd04bb0f41a2f4ac50920d51",
+    "fig8_eta06.csv": "a8cd3fbc001fe5cd8b5c53cb0115b2bdc4c9611509a2064f378f63b5b24dd809",
+    "fig8_eta09.csv": "87984065e4ff211a8acc4c1ac9a6efe320c981870fbdbdc0691e67b5ab39567a",
+}
+
+
+def test_preset_csv_golden_hashes(tmp_path):
+    written = {}
+    for preset in FIGURE_PRESETS:
+        out = tmp_path / preset
+        assert main(["figure", preset, "--out", str(out)]) == 0
+        for path in out.glob("*.csv"):
+            written[path.name] = hashlib.sha256(path.read_bytes()).hexdigest()
+    assert written == PRESET_CSV_SHA256
 
 
 # ----- figure subcommand -----
@@ -454,3 +567,128 @@ def test_coarse_theta_without_window_rejected(tmp_path):
     }
     with pytest.raises(ConfigError, match="window"):
         run_scenario(payload, tmp_path)
+
+
+@pytest.mark.parametrize("window_n", [0, 1, -3])
+def test_coarse_window_n_below_two_rejected(tmp_path, capsys, window_n):
+    payload = {
+        "version": 1,
+        "mode": "coarse",
+        "source": "cp",
+        "pulse": {"omega0": 500.0, "d_omega": 0.5},
+        "window": 0.2,
+        "window_n": window_n,
+        "tau1": {"min": -1.0, "max": 1.0, "n": 5},
+        "tau2": {"min": -1.0, "max": 1.0, "n": 5},
+    }
+    cfg = write_config(tmp_path, payload)
+    out = tmp_path / "out"
+    assert main(["run", cfg, "--out", str(out)]) == 2
+    assert "window_n" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("n", [0, 1, -3])
+def test_coarse_grain_rejects_fewer_than_two_nodes(n):
+    pulse = CoherentSpectrum(omega0=500.0, d_omega=0.5)
+    tau = np.linspace(-1.0, 1.0, 5)
+    with pytest.raises(ValueError, match="at least 2"):
+        coarse_grain_curve(lambda t: np.ones_like(t), tau, 0.2,
+                           carrier=500.0, envelope=0.7, n=n)
+    with pytest.raises(ValueError, match="at least 2"):
+        coarse_grain_surface(lambda a, b: mhom_cp_coarse_analytic(a, b, pulse),
+                             tau[:, None], tau[None, :], 0.2,
+                             carrier=500.0, envelope=0.7, n=n)
+
+
+def test_huge_integer_literal_rejected_with_path(tmp_path, capsys):
+    cfg = tmp_path / "config.json"
+    text = json.dumps(HOM_BP).replace('"omega0": 5.0', '"omega0": 1' + "0" * 400)
+    cfg.write_text(text)
+    assert main(["run", str(cfg), "--out", str(tmp_path / "o")]) == 2
+    assert "spectrum.omega0" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize(
+    "theta", ["1" + "0" * 400, "1e400", '"1e999"', '"1e308pi"'],
+    ids=["int400", "float1e400", "str1e999", "str1e308pi"],
+)
+def test_non_finite_angle_rejected_with_path(tmp_path, capsys, theta):
+    cfg = tmp_path / "config.json"
+    payload = {
+        "version": 1,
+        "mode": "mhom",
+        "source": "bp",
+        "spectrum": {"omega0": 5.0, "d_omega_plus": 0.2, "d_omega_minus": 1.0},
+        "theta": "THETA",
+        "tau1": {"min": -1.0, "max": 1.0, "n": 3},
+        "tau2": {"min": -1.0, "max": 1.0, "n": 3},
+    }
+    cfg.write_text(json.dumps(payload).replace('"THETA"', theta))
+    assert main(["run", str(cfg), "--out", str(tmp_path / "o")]) == 2
+    assert "theta" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
+# ----- artifact writes -----
+
+QPS = {
+    "version": 1,
+    "mode": "qps",
+    "target": {"r": 2.0, "gamma": 0.8, "vartheta": 2.2},
+    "spectrum": {"omega0": 5.0, "d_omega_plus": 0.2, "d_omega_minus": 1.0},
+    "surface_n": 21,
+}
+
+
+def _fail_on_second_write(monkeypatch):
+    real = pathlib.Path.write_text
+    calls = []
+
+    def write_text(self, *args, **kwargs):
+        calls.append(self)
+        if len(calls) == 2:
+            raise OSError("disk full")
+        return real(self, *args, **kwargs)
+
+    monkeypatch.setattr(pathlib.Path, "write_text", write_text)
+
+
+def test_failed_write_leaves_no_partial_set(tmp_path, monkeypatch):
+    _fail_on_second_write(monkeypatch)
+    with pytest.raises(OSError, match="disk full"):
+        run_scenario(QPS, tmp_path)
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_failed_write_leaves_old_targets_untouched(tmp_path, monkeypatch):
+    run_scenario(QPS, tmp_path)
+    before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+    _fail_on_second_write(monkeypatch)
+    with pytest.raises(OSError, match="disk full"):
+        run_scenario(dict(QPS, target={"r": 3.0, "gamma": 0.5, "vartheta": 1.0}), tmp_path)
+    assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
+
+
+def test_artifacts_keep_default_file_mode(tmp_path):
+    umask = os.umask(0)
+    os.umask(umask)
+    for path in run_scenario(HOM_BP, tmp_path):
+        assert path.stat().st_mode & 0o777 == 0o666 & ~umask
+
+
+def test_temp_names_are_unique_per_write(tmp_path, monkeypatch):
+    real = pathlib.Path.write_text
+    names = []
+
+    def write_text(self, *args, **kwargs):
+        names.append(self.name)
+        return real(self, *args, **kwargs)
+
+    monkeypatch.setattr(pathlib.Path, "write_text", write_text)
+    run_scenario(HOM_BP, tmp_path)
+    run_scenario(HOM_BP, tmp_path)
+    assert len(names) == 4 and len(set(names)) == 4
+    assert all(name.startswith(".hom_bp.") and name.endswith(".tmp") for name in names)
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["hom_bp.csv", "hom_bp.json"]
