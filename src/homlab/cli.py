@@ -55,9 +55,12 @@ from pathlib import Path
 
 import numpy as np
 
-from .figures import FIGURE_PRESETS, FigureBundle, build_figure
-from .qps import QpsTarget, qps_scan
+from .figures import CURVE_PRESETS, FIGURE_PRESETS, FigureBundle, build_figure
+from .qps import QpsTarget, qps_scan, qps_scan_samples
+# coarse_grain_surface is not called here any more, but perfbench/tracing.py
+# wraps it under the name cli.coarse_grain_surface, so it stays imported.
 from .rates import (
+    MAX_WINDOW_NODES,
     LossParams,
     RateCurve,
     RateSurface,
@@ -71,9 +74,11 @@ from .rates import (
     mhom_bp_analytic,
     mhom_bp_coarse_analytic,
     mhom_bp_loss_coarse,
+    mhom_bp_windowed,
     mhom_cp_analytic,
     mhom_cp_coarse_analytic,
     mhom_cp_loss_coarse,
+    mhom_cp_windowed,
     sample_curve,
     sample_surface,
 )
@@ -99,6 +104,11 @@ _UNITS = {
 _STEM_RE = re.compile(r"^[A-Za-z0-9][A-Za-z0-9_.-]*$")
 
 _MISSING = object()
+
+# Values one artifact may hold (a 1448 x 1448 surface); every count a config
+# sets is checked against it before anything that size is allocated.
+_MAX_VALUES = 1 << 21
+_MAX_SIDE = math.isqrt(_MAX_VALUES)
 
 
 class ConfigError(ValueError):
@@ -251,9 +261,30 @@ def _parse_range(cfg, path: str) -> np.ndarray:
     n = _as_int(cfg["n"], _join(path, "n"))
     if hi <= lo:
         raise ConfigError(f"{path}: 'max' must exceed 'min'")
-    if n < 2:
-        raise ConfigError(f"{_join(path, 'n')}: need at least 2 samples")
+    if not 2 <= n <= _MAX_VALUES:
+        raise ConfigError(f"{_join(path, 'n')}: need 2 to {_MAX_VALUES} samples, got {n}")
     return np.linspace(lo, hi, n)
+
+
+def _parse_grid(cfg: dict) -> tuple[np.ndarray, np.ndarray]:
+    t1 = _parse_range(cfg.get("tau1"), "tau1")
+    t2 = _parse_range(cfg.get("tau2"), "tau2")
+    if t1.size * t2.size > _MAX_VALUES:
+        raise ConfigError(
+            f"tau1.n x tau2.n: {t1.size} x {t2.size} values, more than {_MAX_VALUES}"
+        )
+    return t1, t2
+
+
+def _check_count(n: int, path: str, least: int, most: int) -> int:
+    if not least <= n <= most:
+        raise ConfigError(f"{path}: need {least} to {most}, got {n}")
+    return n
+
+
+def _check_figure_n(preset: str, n: int | None, path: str) -> None:
+    if n is not None:
+        _check_count(n, path, 16, _MAX_VALUES if preset in CURVE_PRESETS else _MAX_SIDE)
 
 
 def _parse_scenario(cfg, path: str) -> SensingScenario:
@@ -438,8 +469,7 @@ def _build_mhom(cfg: dict) -> list:
     source = _parse_source(cfg, "", ("bp", "cp"))
     model, record = _model_for(cfg, source)
     theta = parse_angle(cfg.get("theta", 0.0), "theta")
-    t1 = _parse_range(cfg.get("tau1"), "tau1")
-    t2 = _parse_range(cfg.get("tau2"), "tau2")
+    t1, t2 = _parse_grid(cfg)
     if source == "bp":
         plateau = bp_plateau()
         surface = sample_surface(
@@ -468,8 +498,7 @@ def _build_coarse(cfg: dict) -> list:
                 ("spectrum", "pulse", "window", "window_n", "theta", "stem"))
     source = _parse_source(cfg, "", ("bp", "cp"))
     model, record = _model_for(cfg, source)
-    t1 = _parse_range(cfg.get("tau1"), "tau1")
-    t2 = _parse_range(cfg.get("tau2"), "tau2")
+    t1, t2 = _parse_grid(cfg)
     window = None
     if "window" in cfg:
         window = _as_number(cfg["window"], "window")
@@ -480,37 +509,19 @@ def _build_coarse(cfg: dict) -> list:
             raise ConfigError(f"{key}: only meaningful together with 'window'")
     theta = parse_angle(cfg.get("theta", 0.0), "theta")
     window_n = _as_int(cfg["window_n"], "window_n") if "window_n" in cfg else None
-    if window_n is not None and window_n < 2:
-        raise ConfigError("window_n: need at least 2 nodes")
+    if window_n is not None and not 2 <= window_n <= MAX_WINDOW_NODES:
+        raise ConfigError(f"window_n: need 2 to {MAX_WINDOW_NODES} nodes, got {window_n}")
 
     if source == "bp":
         plateau = bp_plateau()
-        carrier = model.omega0
-        envelope = max(model.d_omega_minus, 2.0 * model.d_omega_plus)
-
-        def exact(a, b):
-            return mhom_bp_analytic(a, b, theta, model)
-
-        def coarse(a, b):
-            return mhom_bp_coarse_analytic(a, b, model)
-
+        coarse, windowed = mhom_bp_coarse_analytic, mhom_bp_windowed
     else:
         plateau = cp_plateau(model)
-        carrier = model.omega0
-        envelope = math.sqrt(2.0) * model.d_omega
-
-        def exact(a, b):
-            return mhom_cp_analytic(a, b, theta, model)
-
-        def coarse(a, b):
-            return mhom_cp_coarse_analytic(a, b, model)
-
+        coarse, windowed = mhom_cp_coarse_analytic, mhom_cp_windowed
     if window is None:
-        surface = sample_surface(coarse, t1, t2, plateau)
+        surface = sample_surface(lambda a, b: coarse(a, b, model), t1, t2, plateau)
     else:
-        values = coarse_grain_surface(
-            exact, t1[:, None], t2[None, :], window,
-            carrier=carrier, envelope=envelope, n=window_n)
+        values = windowed(t1, t2, theta, model, window, n=window_n)
         surface = RateSurface(t1, t2, values, plateau)
     stem = _parse_stem(cfg, f"coarse_{source}")
     params = {
@@ -537,8 +548,7 @@ def _build_loss(cfg: dict) -> list:
     source = _parse_source(cfg, "", ("bp", "cp"))
     model, record = _model_for(cfg, source)
     loss = _parse_loss(cfg.get("loss"), "loss")
-    t1 = _parse_range(cfg.get("tau1"), "tau1")
-    t2 = _parse_range(cfg.get("tau2"), "tau2")
+    t1, t2 = _parse_grid(cfg)
     if source == "bp":
         plateau = bp_plateau(loss)
         surface = sample_surface(
@@ -569,8 +579,10 @@ def _build_sense(cfg: dict) -> list:
     model, record = _model_for(cfg, source)
     scenario = _parse_scenario(cfg.get("scenario"), "scenario")
     loss = _parse_loss(cfg["loss"], "loss") if "loss" in cfg else None
-    n = _as_int(cfg["n"], "n") if "n" in cfg else 2001
+    n = _check_count(_as_int(cfg["n"], "n"), "n", 51, _MAX_VALUES) if "n" in cfg else 2001
     span = _as_number(cfg["span"], "span") if "span" in cfg else None
+    if span is not None and span <= 0.0:
+        raise ConfigError("span: must be positive")
     with _wrap_model_error("scenario"):
         result = run_sensing(scenario, source, model, loss=loss, n=n, span=span)
     stem = _parse_stem(cfg, f"sense_{source}")
@@ -609,8 +621,18 @@ def _build_qps(cfg: dict) -> list:
     spectrum = _parse_spectrum(cfg.get("spectrum"), "spectrum")
     loss = _parse_loss(cfg["loss"], "loss") if "loss" in cfg else None
     c = _number_field(cfg, "", "c", 1.0)
-    n = _as_int(cfg["n"], "n") if "n" in cfg else None
-    surface_n = _as_int(cfg["surface_n"], "surface_n") if "surface_n" in cfg else 81
+    if c <= 0.0:
+        raise ConfigError("c: must be positive")
+    n = _check_count(_as_int(cfg["n"], "n"), "n", 51, _MAX_VALUES) if "n" in cfg else None
+    if n is None and (need := qps_scan_samples(target, spectrum, c)) > _MAX_VALUES:
+        raise ConfigError(
+            f"target.r: the default scan for r / c = {target.r / c:.4g} needs "
+            f"{need:.4g} samples, more than {_MAX_VALUES}"
+        )
+    surface_n = 81
+    if "surface_n" in cfg:
+        surface_n = _check_count(_as_int(cfg["surface_n"], "surface_n"), "surface_n",
+                                 2, _MAX_SIDE)
     with _wrap_model_error("target"):
         result = qps_scan(target, spectrum, loss=loss, c=c, n=n,
                           surface_n=surface_n)
@@ -674,6 +696,7 @@ def _build_figure_mode(cfg: dict) -> list:
         )
     theta = parse_angle(cfg["theta"], "theta") if "theta" in cfg else None
     n = _as_int(cfg["n"], "n") if "n" in cfg else None
+    _check_figure_n(preset, n, "n")
     with _wrap_model_error("preset"):
         bundle = build_figure(preset, theta=theta, n=n)
     return _bundle_artifacts(bundle)
@@ -696,6 +719,7 @@ _BUILDERS = {
 def run_figure(preset: str, out_dir, theta: float | None = None,
                n: int | None = None) -> list[Path]:
     """Build one preset and write its files; returns the written paths."""
+    _check_figure_n(preset, n, "--n")
     with _wrap_model_error("figure"):
         bundle = build_figure(preset, theta=theta, n=n)
     return _write_artifacts(Path(out_dir), _bundle_artifacts(bundle))

@@ -47,9 +47,12 @@ from .rates import (
 )
 from .spectra import CoherentSpectrum, GaussianJointSpectrum
 
-__all__ = ["FIGURE_PRESETS", "FigureDataset", "FigureBundle", "build_figure"]
+__all__ = ["FIGURE_PRESETS", "CURVE_PRESETS", "FigureDataset", "FigureBundle", "build_figure"]
 
 FIGURE_PRESETS = ("fig2", "fig3", "fig4", "fig5", "fig6", "fig7", "fig8")
+# presets made of curves; ``n`` counts samples per curve, and per surface
+# axis for the others
+CURVE_PRESETS = ("fig2", "fig6", "fig8")
 
 _CURVE_N = 801
 _SURFACE_N = 121
@@ -375,7 +378,7 @@ def build_figure(preset: str, theta: float | None = None,
     if theta is not None and preset not in ("fig3", "fig4"):
         raise ValueError(f"preset {preset} has no achromatic phase parameter")
     if n is None:
-        n = _CURVE_N if preset in ("fig2", "fig6", "fig8") else _SURFACE_N
+        n = _CURVE_N if preset in CURVE_PRESETS else _SURFACE_N
     elif int(n) != n or n < 16:
         raise ValueError(f"need at least 16 samples per axis, got {n!r}")
     n = int(n)

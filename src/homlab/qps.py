@@ -44,6 +44,7 @@ __all__ = [
     "qps_forward",
     "qps_invert",
     "qps_scan",
+    "qps_scan_samples",
 ]
 
 _TWO_PI = 2.0 * math.pi
@@ -223,6 +224,25 @@ def _wrapped_angle_distance(a: float, b: float) -> float:
     return min(d, _TWO_PI - d)
 
 
+def _scan_span(target: QpsTarget, width: float, c: float) -> float:
+    return 3.0 * target.r + 6.0 * c / width
+
+
+def qps_scan_samples(target: QpsTarget, spectrum: GaussianJointSpectrum,
+                     c: float = 1.0) -> float:
+    """Length of the default ``qps_scan`` scan: steps of ``0.05 c / width``.
+
+    A float, so the count for an extreme target can be compared with a
+    bound before anything is allocated; it is a whole number whenever an
+    array that long could exist.
+    """
+    if c <= 0.0:
+        raise ValueError("c must be positive")
+    width = spectrum.d_omega_minus
+    steps = _scan_span(target, width, c) * width / (0.05 * c)
+    return max(2001.0, 2.0 * float(np.ceil(steps)) + 1.0)
+
+
 def qps_scan(target: QpsTarget, spectrum: GaussianJointSpectrum,
              loss: LossParams | None = None, c: float = 1.0,
              n: int | None = None, surface_n: int = 81) -> QpsScanResult:
@@ -248,9 +268,9 @@ def qps_scan(target: QpsTarget, spectrum: GaussianJointSpectrum,
     offset = target.r + 2.5 * c / width
     tau1 = (d1_true + 2.0 * offset) / (2.0 * c)
 
-    span = 3.0 * target.r + 6.0 * c / width
+    span = _scan_span(target, width, c)
     if n is None:
-        n = max(2001, 2 * int(math.ceil(span * width / (0.05 * c))) + 1)
+        n = qps_scan_samples(target, spectrum, c)
     axis = np.linspace(-span, span, int(n))
 
     if loss is None:

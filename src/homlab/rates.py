@@ -8,9 +8,10 @@ Three layers live here and deliberately stay independent of each other:
 * Gaussian closed forms for the photon-pair (``bp``) and coherent-pulse
   (``cp``) inputs of the standard single-delay and the two-delay
   interferometer,
-* coarse-graining of fast delay fluctuations by sliding-box averaging,
-  together with the closed forms of the averaged rates, with and without
-  path losses.
+* coarse-graining of fast delay fluctuations by sliding-box averaging
+  (a generic rule for any rate function, and term-by-term averages of
+  the two exact two-delay forms), together with the closed forms of the
+  averaged rates, with and without path losses.
 
 The closed forms take a spectrum object and broadcast over delay arrays.
 Rates are non-negative by construction; values driven a hair below zero
@@ -53,11 +54,23 @@ __all__ = [
     "box_average_surface",
     "coarse_grain_curve",
     "coarse_grain_surface",
+    "mhom_bp_windowed",
+    "mhom_cp_windowed",
+    "MAX_WINDOW_NODES",
     "sample_curve",
     "sample_surface",
 ]
 
 _NEGATIVE_TOL = 1e-12
+
+# Largest averaging rule the coarse-graining paths build. leggauss(n) takes
+# the eigenvalues of a dense n x n matrix: 32 MB and under a second here,
+# and O(n**3) time beyond.
+MAX_WINDOW_NODES = 2048
+
+# Rate points per temporary in the structured window averages; cells are
+# taken in blocks of this many points, so memory stays flat for any grid.
+_BLOCK_POINTS = 1 << 20
 
 
 class RegimeError(ValueError):
@@ -561,9 +574,17 @@ def _check_window(window: float, carrier: float, envelope: float) -> None:
 def _window_nodes(n: int | None, window: float, carrier: float) -> int:
     if n is None:
         # fastest fringe sweeps 4 * carrier * window radians across the window
+        need = 2.0 * carrier * window + 16.0
+        if need > MAX_WINDOW_NODES:
+            raise ValueError(
+                f"window: window * carrier = {window * carrier:.4g} needs about "
+                f"{need:.4g} averaging nodes, more than {MAX_WINDOW_NODES}"
+            )
         return max(48, int(math.ceil(2.0 * carrier * window)) + 16)
     if n < 2:
         raise ValueError(f"need at least 2 averaging nodes, got n = {n}")
+    if n > MAX_WINDOW_NODES:
+        raise ValueError(f"need at most {MAX_WINDOW_NODES} averaging nodes, got n = {n}")
     return n
 
 
@@ -616,3 +637,117 @@ def coarse_grain_surface(rate2, tau1, tau2, window: float, *, carrier: float,
     return _as_rate(
         box_average_surface(rate2, tau1, tau2, window, n=_window_nodes(n, window, carrier))
     )
+
+
+# ----- Structured window averages of the two-delay closed forms -----
+
+
+def _rule_average(f, u, nodes, weights):
+    """``sum_k weights[k] * f(u + nodes[k])`` for every element of ``u``."""
+    u = np.asarray(u, dtype=float)
+    flat = u.ravel()
+    out = np.empty(flat.size)
+    step = max(1, _BLOCK_POINTS // nodes.size)
+    for start in range(0, flat.size, step):
+        out[start:start + step] = f(flat[start:start + step, None] + nodes) @ weights
+    return out.reshape(u.shape)
+
+
+def _windowed_setup(tau1, tau2, window, carrier, envelope, n):
+    """Guard the window, then build the box and triangle rules from one n-point rule.
+
+    The box rule averages over one delay's fluctuation on ``[-W/2, W/2]``.
+    The sum or difference of two independent box fluctuations has the
+    triangular density ``(W - |y|) / W**2`` on ``[-W, W]``; the n-point
+    rule on each half integrates that linear weight exactly.
+    """
+    _check_window(window, carrier, envelope)
+    t1 = np.asarray(tau1, dtype=float)
+    t2 = np.asarray(tau2, dtype=float)
+    if t1.ndim != 1 or t2.ndim != 1:
+        raise ValueError("tau1 and tau2 must be 1-D axes")
+    x, w = np.polynomial.legendre.leggauss(_window_nodes(n, window, carrier))
+    box = (0.5 * window * x, 0.5 * w)
+    y = 0.5 * window * (1.0 + x)
+    half = 0.25 * w * (1.0 - x)
+    triangle = (np.concatenate((-y, y)), np.concatenate((half, half)))
+    return t1, t2, box, triangle
+
+
+def mhom_bp_windowed(tau1, tau2, theta: float, spectrum: GaussianJointSpectrum,
+                     window: float, *, n: int | None = None) -> np.ndarray:
+    """Pair rate of the two-delay interferometer averaged over delay fluctuations.
+
+    The same average as ``coarse_grain_surface`` of ``mhom_bp_analytic``
+    with carrier ``omega0`` and envelope ``max(d_omega_minus,
+    2 d_omega_plus)``: same regime guard, same ``RegimeError`` messages,
+    same node count ``n``. The rate is averaged term by term, with
+    ``g(x) = exp(-2 d_omega_minus**2 x**2)`` and ``h(x) = exp(-8
+    d_omega_plus**2 x**2) cos(4 omega0 x + 2 theta)``. Terms in one delay
+    are 1-D box averages, the fringe term ``h(tau2) (1 + g(tau1))`` is the
+    outer product of two of them, and the terms in ``tau1 +- tau2`` are
+    1-D averages under the triangular kernel, so the cost is cells x n
+    rather than cells x n**2. Returns the averaged rate on the grid of the
+    1-D axes ``tau1`` x ``tau2``.
+    """
+    dm, dp, w0 = spectrum.d_omega_minus, spectrum.d_omega_plus, spectrum.omega0
+    t1, t2, box, triangle = _windowed_setup(
+        tau1, tau2, window, w0, max(dm, 2.0 * dp), n)
+
+    def g(x):
+        return np.exp(-2.0 * dm * dm * x * x)
+
+    def h(x):
+        return np.exp(-8.0 * dp * dp * x * x) * np.cos(4.0 * w0 * x + 2.0 * theta)
+
+    bracket = (
+        4.0
+        + 2.0 * _rule_average(g, t2, *box)[None, :]
+        - _rule_average(g, t1[:, None] + t2[None, :], *triangle)
+        - _rule_average(g, t1[:, None] - t2[None, :], *triangle)
+        + 2.0 * np.outer(1.0 + _rule_average(g, t1, *box), _rule_average(h, t2, *box))
+    )
+    return _as_rate(bracket / 8.0)
+
+
+def mhom_cp_windowed(tau1, tau2, theta: float, pulse: CoherentSpectrum,
+                     window: float, *, n: int | None = None) -> np.ndarray:
+    """Coherent-pulse rate of the two-delay interferometer averaged over delay fluctuations.
+
+    The same average as ``coarse_grain_surface`` of ``mhom_cp_analytic``
+    with carrier ``omega0`` and envelope ``sqrt(2) d_omega``: same regime
+    guard, same ``RegimeError`` messages, same node count ``n``. It
+    averages ``1 - b**2 / 4`` term by term, using
+
+        ``b**2 = cos(A)**2 E(tau1 + tau2) + cos(B)**2 E(tau1 - tau2)
+        - [cos(2 theta + 4 omega0 tau2) + cos(4 omega0 tau1)] E(tau1) E(tau2)``
+
+    with ``A = theta + 2 omega0 (tau1 + tau2)``, ``B = theta + 2 omega0
+    (tau2 - tau1)`` and ``E(x) = exp(-4 d_omega**2 x**2)``. The first two
+    terms are 1-D averages under the triangular kernel and the last two
+    are outer products of 1-D box averages, so the cost is cells x n
+    rather than cells x n**2. Returns the averaged rate on the grid of
+    the 1-D axes ``tau1`` x ``tau2``.
+    """
+    w0, dw = pulse.omega0, pulse.d_omega
+    a2 = pulse.total_intensity**2
+    t1, t2, box, triangle = _windowed_setup(
+        tau1, tau2, window, w0, math.sqrt(2.0) * dw, n)
+
+    def env(x):
+        return np.exp(-4.0 * dw * dw * x * x)
+
+    def squared_fringe(x):
+        # cos(A)**2 E(tau1 + tau2) at x = tau1 + tau2, cos(B)**2 E(tau1 - tau2) at x = tau2 - tau1
+        return np.cos(theta + 2.0 * w0 * x) ** 2 * env(x)
+
+    def fringe(phase):
+        return lambda x: np.cos(4.0 * w0 * x + phase) * env(x)
+
+    b2 = (
+        _rule_average(squared_fringe, t1[:, None] + t2[None, :], *triangle)
+        + _rule_average(squared_fringe, t2[None, :] - t1[:, None], *triangle)
+        - np.outer(_rule_average(env, t1, *box), _rule_average(fringe(2.0 * theta), t2, *box))
+        - np.outer(_rule_average(fringe(0.0), t1, *box), _rule_average(env, t2, *box))
+    )
+    return _as_rate(a2 * (1.0 - 0.25 * b2))

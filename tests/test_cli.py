@@ -9,7 +9,9 @@ import pathlib
 import numpy as np
 import pytest
 
+import homlab.cli as cli
 from homlab.cli import (
+    _MAX_VALUES,
     ConfigError,
     curve_csv,
     main,
@@ -20,13 +22,16 @@ from homlab.cli import (
 )
 from homlab.figures import FIGURE_PRESETS, build_figure, chi2_for_eta_b, theta_tag
 from homlab.rates import (
+    MAX_WINDOW_NODES,
     RateCurve,
     RateSurface,
     coarse_grain_curve,
     coarse_grain_surface,
+    mhom_bp_analytic,
+    mhom_cp_analytic,
     mhom_cp_coarse_analytic,
 )
-from homlab.spectra import CoherentSpectrum
+from homlab.spectra import CoherentSpectrum, GaussianJointSpectrum
 
 
 def read_rows(path):
@@ -629,6 +634,182 @@ def test_non_finite_angle_rejected_with_path(tmp_path, capsys, theta):
     assert main(["run", str(cfg), "--out", str(tmp_path / "o")]) == 2
     assert "theta" in capsys.readouterr().err
     assert not (tmp_path / "o").exists()
+
+
+SENSE_BP = {
+    "version": 1,
+    "mode": "sense",
+    "source": "bp",
+    "spectrum": {"omega0": 5.0, "d_omega_plus": 0.2, "d_omega_minus": 1.0},
+    "scenario": {"dl1_0": 4.4, "dl2_0": -1.3},
+}
+QPS_LARGE_R = {
+    "version": 1,
+    "mode": "qps",
+    "target": {"r": 30.0, "gamma": 0.8, "vartheta": 2.2},
+    "spectrum": {"omega0": 5.0, "d_omega_plus": 0.2, "d_omega_minus": 1.0},
+}
+
+
+def _coarse_window(**fields):
+    payload = {
+        "version": 1,
+        "mode": "coarse",
+        "source": "bp",
+        "spectrum": {"omega0": 500.0, "d_omega_plus": 0.2, "d_omega_minus": 1.0},
+        "window": 0.1,
+        "tau1": {"min": -1.0, "max": 1.0, "n": 3},
+        "tau2": {"min": -1.0, "max": 1.0, "n": 3},
+    }
+    payload.update(fields)
+    return payload
+
+
+_SIDE = math.isqrt(_MAX_VALUES)
+# window * carrier = 1016.25: the automatic count ceil(2032.5) + 16 is one over the cap
+_OVER_CAP_OMEGA0 = (MAX_WINDOW_NODES - 15.5) / (2.0 * 0.1)
+
+OVERSIZED = {
+    "tau_n_1e30": (dict(HOM_BP, tau={"min": -1.0, "max": 1.0, "n": 10**30}), "tau.n"),
+    "tau_n_over": (dict(HOM_BP, tau={"min": -1.0, "max": 1.0, "n": _MAX_VALUES + 1}),
+                   "tau.n"),
+    "grid_over": ({"version": 1, "mode": "mhom", "source": "bp",
+                   "spectrum": HOM_BP["spectrum"],
+                   "tau1": {"min": -1.0, "max": 1.0, "n": _SIDE + 1},
+                   "tau2": {"min": -1.0, "max": 1.0, "n": _SIDE + 1}},
+                  "tau1.n x tau2.n"),
+    "window_n_1e12": (_coarse_window(window_n=10**12), "window_n"),
+    "window_n_over": (_coarse_window(window_n=MAX_WINDOW_NODES + 1), "window_n"),
+    "window_auto_over": (_coarse_window(spectrum={"omega0": _OVER_CAP_OMEGA0,
+                                                  "d_omega_plus": 0.2,
+                                                  "d_omega_minus": 1.0}), "window"),
+    "sense_n_1e30": (dict(SENSE_BP, n=10**30), "n"),
+    "sense_n_over": (dict(SENSE_BP, n=_MAX_VALUES + 1), "n"),
+    "qps_n_1e30": (dict(QPS_LARGE_R, n=10**30), "n"),
+    "qps_surface_n_over": (dict(QPS_LARGE_R, surface_n=_SIDE + 1), "surface_n"),
+    "qps_default_scan_over": (dict(QPS_LARGE_R, target={"r": 1e9, "gamma": 0.8,
+                                                        "vartheta": 2.2}), "target.r"),
+    "figure_surface_n_over": ({"version": 1, "mode": "figure", "preset": "fig3",
+                               "n": _SIDE + 1}, "n"),
+    "figure_curve_n_over": ({"version": 1, "mode": "figure", "preset": "fig2",
+                             "n": _MAX_VALUES + 1}, "n"),
+}
+
+
+def _refuse_to_compute(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("an oversized config reached the computation")
+
+    for name in ("sample_curve", "sample_surface", "run_sensing", "qps_scan", "build_figure"):
+        monkeypatch.setattr(cli, name, refuse)
+    monkeypatch.setattr(np.polynomial.legendre, "leggauss", refuse)
+
+
+@pytest.mark.parametrize("case", sorted(OVERSIZED))
+def test_oversized_counts_rejected_before_allocating(tmp_path, capsys, monkeypatch, case):
+    payload, field = OVERSIZED[case]
+    _refuse_to_compute(monkeypatch)
+    cfg = write_config(tmp_path, payload)
+    out = tmp_path / "out"
+    assert main(["run", cfg, "--out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith(f"error: {field}: ")
+    assert not out.exists()
+
+
+def test_figure_subcommand_n_over_cap_rejected(tmp_path, capsys, monkeypatch):
+    _refuse_to_compute(monkeypatch)
+    out = tmp_path / "out"
+    assert main(["figure", "fig5", "--n", str(_SIDE + 1), "--out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith("error: --n: ")
+    assert not out.exists()
+
+
+def test_largest_counts_under_the_caps_are_admitted():
+    assert 1001 * 1001 <= _MAX_VALUES
+    axes = cli._parse_grid({"tau1": {"min": -1.0, "max": 1.0, "n": _SIDE},
+                            "tau2": {"min": -1.0, "max": 1.0, "n": _SIDE}})
+    assert [a.size for a in axes] == [_SIDE, _SIDE]
+    cli._check_figure_n("fig2", _MAX_VALUES, "n")
+    cli._check_figure_n("fig3", _SIDE, "n")
+
+
+@pytest.mark.parametrize(
+    "payload, field",
+    [
+        (dict(QPS_LARGE_R, n=0), "n"),
+        (dict(QPS_LARGE_R, surface_n=1), "surface_n"),
+        (dict(QPS_LARGE_R, c=-1.0), "c"),
+        (dict(SENSE_BP, n=1), "n"),
+        (dict(SENSE_BP, span=-3.0), "span"),
+    ],
+    ids=["qps_n_0", "qps_surface_n_1", "qps_c_negative", "sense_n_1", "sense_span_negative"],
+)
+def test_report_counts_rejected_with_field(tmp_path, capsys, payload, field):
+    cfg = write_config(tmp_path, payload)
+    out = tmp_path / "out"
+    assert main(["run", cfg, "--out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith(f"error: {field}: ")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("source", ["bp", "cp"])
+def test_windowed_coarse_run_matches_generic_average(tmp_path, monkeypatch, source):
+    if source == "bp":
+        model = {"spectrum": {"omega0": 180.0, "d_omega_plus": 0.3, "d_omega_minus": 0.9}}
+        spectrum = GaussianJointSpectrum(**model["spectrum"])
+        envelope, plateau = 0.9, 0.5
+
+        def exact(a, b):
+            return mhom_bp_analytic(a, b, math.pi / 2.0, spectrum)
+    else:
+        model = {"pulse": {"omega0": 180.0, "d_omega": 0.6, "total_intensity": 1.5}}
+        pulse = CoherentSpectrum(**model["pulse"])
+        envelope, plateau = math.sqrt(2.0) * 0.6, 2.25
+
+        def exact(a, b):
+            return mhom_cp_analytic(a, b, math.pi / 2.0, pulse)
+    payload = {"version": 1, "mode": "coarse", "source": source, **model,
+               "window": 0.15, "theta": "pi/2",
+               "tau1": {"min": -2.5, "max": 1.5, "n": 11},
+               "tau2": {"min": -1.0, "max": 3.0, "n": 8}}
+    if source == "bp":
+        payload["window_n"] = 80
+    # the surface as computed, before %.12g rounds it
+    written = []
+
+    def capture(surface, *args, **kwargs):
+        written.append(surface)
+        return surface_csv(surface, *args, **kwargs)
+
+    monkeypatch.setattr(cli, "surface_csv", capture)
+    run_scenario(payload, tmp_path)
+    t1, t2 = np.linspace(-2.5, 1.5, 11), np.linspace(-1.0, 3.0, 8)
+    want = coarse_grain_surface(exact, t1[:, None], t2[None, :], 0.15,
+                                carrier=180.0, envelope=envelope,
+                                n=payload.get("window_n"))
+    assert np.max(np.abs(written[0].values - want)) <= 1e-12 * plateau
+    rows = read_rows(tmp_path / f"coarse_{source}.csv")
+    np.testing.assert_allclose(rows["rate_rescaled"].reshape(11, 8), want / plateau,
+                               rtol=1e-11)
+    sidecar = json.loads((tmp_path / f"coarse_{source}.json").read_text())
+    expected = {
+        "mode": "coarse",
+        "source": source,
+        "tau1": {"min": -2.5, "max": 1.5, "n": 11},
+        "tau2": {"min": -1.0, "max": 3.0, "n": 8},
+        "plateau": plateau,
+        "units": {
+            "delay": "1/d_omega_minus",
+            "rate": "rescaled by the plateau value",
+            "c": "same length unit as delays unless set in the scenario",
+        },
+        "files": [f"coarse_{source}.csv"],
+        "window": 0.15,
+        "theta": math.pi / 2.0,
+        **({"spectrum": model["spectrum"], "window_n": 80} if source == "bp"
+           else {"pulse": model["pulse"]}),
+    }
+    assert sidecar == expected
 
 
 # ----- artifact writes -----

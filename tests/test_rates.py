@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from homlab.rates import (
+    MAX_WINDOW_NODES,
     LossParams,
     RateCurve,
     RateSurface,
@@ -24,9 +25,11 @@ from homlab.rates import (
     mhom_bp_analytic,
     mhom_bp_coarse_analytic,
     mhom_bp_loss_coarse,
+    mhom_bp_windowed,
     mhom_cp_analytic,
     mhom_cp_coarse_analytic,
     mhom_cp_loss_coarse,
+    mhom_cp_windowed,
     sample_curve,
     sample_surface,
 )
@@ -437,3 +440,111 @@ def test_coarse_surface_phase_independent():
 
     delta = np.max(np.abs(averaged(0.0) - averaged(math.pi / 2.0)))
     assert delta <= 0.02 * 0.5
+
+
+# ----- structured window averages -----
+
+
+def _windowed_case(seed, source, theta):
+    """Seeded in-regime model, window and asymmetric, non-square axes.
+
+    The window sits between the guard's bounds with margin: 21-40 carrier
+    radians wide and 60-95 % of a fifth of the envelope time. Returns the
+    structured average and the generic rule on the same inputs, with the
+    CLI's carrier and envelope for the source.
+    """
+    rng = np.random.default_rng([seed, 7])
+    window = rng.uniform(0.15, 0.25)
+    carrier = rng.uniform(21.0, 40.0) / window
+    envelope = rng.uniform(0.6, 0.95) * 0.2 / window
+    t1 = np.linspace(-rng.uniform(0.5, 3.0), rng.uniform(1.0, 3.0), 9) / envelope
+    t2 = np.linspace(-rng.uniform(1.0, 3.0), rng.uniform(0.2, 3.0), 13) / envelope
+    if source == "bp":
+        model = GaussianJointSpectrum(omega0=carrier,
+                                      d_omega_plus=rng.uniform(0.1, 0.45) * envelope,
+                                      d_omega_minus=envelope)
+        exact, windowed, plateau = mhom_bp_analytic, mhom_bp_windowed, bp_plateau()
+    else:
+        model = CoherentSpectrum(omega0=carrier, d_omega=envelope / math.sqrt(2.0),
+                                 total_intensity=rng.uniform(0.5, 2.0))
+        exact, windowed, plateau = mhom_cp_analytic, mhom_cp_windowed, cp_plateau(model)
+
+    def fast(window=window, n=None):
+        return windowed(t1, t2, theta, model, window, n=n)
+
+    def generic(window=window, n=None):
+        return coarse_grain_surface(lambda a, b: exact(a, b, theta, model),
+                                    t1[:, None], t2[None, :], window,
+                                    carrier=carrier, envelope=envelope, n=n)
+
+    return fast, generic, window, carrier, envelope, plateau
+
+
+@pytest.mark.parametrize("source", ["bp", "cp"])
+@pytest.mark.parametrize("seed, theta", [(1, 0.0), (2, math.pi / 2.0), (3, -2.3), (4, 1.1)])
+def test_windowed_matches_generic_box_average(source, seed, theta):
+    fast, generic, window, carrier, _, plateau = _windowed_case(seed, source, theta)
+    got = fast()
+    assert got.shape == (9, 13)
+    assert np.max(np.abs(got - generic())) <= 1e-12 * plateau
+    # an explicit node count above the automatic one
+    n = max(48, math.ceil(2.0 * carrier * window) + 16) + 29
+    assert np.max(np.abs(fast(n=n) - generic(n=n))) <= 1e-12 * plateau
+
+
+@pytest.mark.parametrize("source", ["bp", "cp"])
+def test_windowed_regime_errors_match_generic(source):
+    fast, generic, _, carrier, envelope, _ = _windowed_case(5, source, 0.0)
+    for bad, bound in ((19.0 / carrier, "carrier"), (0.21 / envelope, "envelope")):
+        with pytest.raises(RegimeError, match=bound) as structured:
+            fast(window=bad)
+        with pytest.raises(RegimeError) as reference:
+            generic(window=bad)
+        assert str(structured.value) == str(reference.value)
+
+
+def test_pulse_b_squared_identity():
+    """The expansion the pulse average uses, against the closed form itself."""
+    rng = np.random.default_rng(11)
+    pulse = CoherentSpectrum(omega0=37.0, d_omega=0.6, total_intensity=1.7)
+    w0, dw = pulse.omega0, pulse.d_omega
+    for theta in (0.0, math.pi / 2.0, -2.3):
+        t1 = rng.uniform(-3.0, 3.0, 400)
+        t2 = rng.uniform(-3.0, 3.0, 400)
+
+        def big_e(x):
+            return np.exp(-4.0 * dw * dw * x * x)
+
+        b2 = (
+            np.cos(theta + 2.0 * w0 * (t1 + t2)) ** 2 * big_e(t1 + t2)
+            + np.cos(theta + 2.0 * w0 * (t2 - t1)) ** 2 * big_e(t1 - t2)
+            - (np.cos(2.0 * theta + 4.0 * w0 * t2) + np.cos(4.0 * w0 * t1))
+            * big_e(t1) * big_e(t2)
+        )
+        want = mhom_cp_analytic(t1, t2, theta, pulse)
+        got = pulse.total_intensity**2 * (1.0 - 0.25 * b2)
+        assert np.max(np.abs(got - want)) <= 1e-14 * cp_plateau(pulse)
+
+
+def test_window_node_cap_is_checked_before_building_a_rule(monkeypatch):
+    def refuse(n):
+        raise AssertionError(f"leggauss({n}) called")
+
+    monkeypatch.setattr(np.polynomial.legendre, "leggauss", refuse)
+    axis = np.linspace(-1.0, 1.0, 3)
+    window = 0.1
+    # automatic count 2 * carrier * window + 16 just over the cap
+    over = GaussianJointSpectrum(omega0=(MAX_WINDOW_NODES - 15.5) / (2.0 * window),
+                                 d_omega_plus=0.2, d_omega_minus=1.0)
+    with pytest.raises(ValueError, match="^window: "):
+        mhom_bp_windowed(axis, axis, 0.0, over, window)
+    with pytest.raises(ValueError, match="^window: "):
+        coarse_grain_surface(lambda a, b: mhom_bp_analytic(a, b, 0.0, over),
+                             axis[:, None], axis[None, :], window,
+                             carrier=over.omega0, envelope=1.0)
+    pulse = CoherentSpectrum(omega0=500.0, d_omega=0.5)
+    for n in (MAX_WINDOW_NODES + 1, 10**30):
+        with pytest.raises(ValueError, match="at most"):
+            mhom_cp_windowed(axis, axis, 0.0, pulse, 0.2, n=n)
+        with pytest.raises(ValueError, match="at most"):
+            coarse_grain_curve(lambda t: t, axis, 0.2, carrier=500.0, envelope=0.7, n=n)
