@@ -51,6 +51,7 @@ import numbers
 import os
 import re
 import sys
+from contextlib import contextmanager
 from pathlib import Path
 
 import numpy as np
@@ -82,7 +83,7 @@ from .rates import (
     sample_curve,
     sample_surface,
 )
-from .sensing import SensingScenario, run_sensing
+from .sensing import ExtremaError, SensingScenario, run_sensing
 from .spectra import CoherentSpectrum, GaussianJointSpectrum
 
 __all__ = [
@@ -218,6 +219,17 @@ def _wrap_model_error(path: str):
             return False
 
     return _Ctx()
+
+
+@contextmanager
+def _scan_resolves(path: str):
+    """Name the field to change when a valid scan misses the features it needs."""
+    try:
+        yield
+    except ExtremaError as exc:
+        raise ExtremaError(
+            f"{path}: the scan did not resolve the expected features ({exc})"
+        ) from None
 
 
 def _parse_spectrum(cfg, path: str) -> GaussianJointSpectrum:
@@ -583,7 +595,7 @@ def _build_sense(cfg: dict) -> list:
     span = _as_number(cfg["span"], "span") if "span" in cfg else None
     if span is not None and span <= 0.0:
         raise ConfigError("span: must be positive")
-    with _wrap_model_error("scenario"):
+    with _wrap_model_error("scenario"), _scan_resolves("scenario"):
         result = run_sensing(scenario, source, model, loss=loss, n=n, span=span)
     stem = _parse_stem(cfg, f"sense_{source}")
     dl1_eff = scenario.dl1_0 - 2.0 * scenario.x1
@@ -633,7 +645,7 @@ def _build_qps(cfg: dict) -> list:
     if "surface_n" in cfg:
         surface_n = _check_count(_as_int(cfg["surface_n"], "surface_n"), "surface_n",
                                  2, _MAX_SIDE)
-    with _wrap_model_error("target"):
+    with _wrap_model_error("target"), _scan_resolves("n"):
         result = qps_scan(target, spectrum, loss=loss, c=c, n=n,
                           surface_n=surface_n)
     stem = _parse_stem(cfg, "qps")
@@ -786,7 +798,7 @@ def main(argv=None) -> int:
     except RegimeError as exc:
         print(f"regime error: {exc}", file=sys.stderr)
         return 3
-    except (ConfigError, ValueError, TypeError) as exc:
+    except (ConfigError, ValueError, TypeError, ExtremaError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except OSError as exc:

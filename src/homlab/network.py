@@ -28,7 +28,6 @@ __all__ = [
     "AchromaticPhase",
     "ScalarLoss",
     "OpticalNetwork",
-    "element_matrix",
     "transfer_at",
     "hom_network",
     "mhom_network",
@@ -56,20 +55,30 @@ def validate_amplitude(value, name: str) -> complex:
 
 
 # ----- Elements -----
+#
+# Every element is diagonal except the splitter, so each one acts on the
+# chain's transfer as an in-place update of its two output rows.
 
 
-@dataclass(frozen=True)
-class BalancedBS:
-    """Balanced beam splitter, real symmetric convention [[1, 1], [1, -1]]/sqrt(2)."""
+class _Element:
+    """Behaviour shared by the chain elements."""
 
     def matrix(self, omega):
-        om = np.asarray(omega, dtype=float)
-        one = np.ones(om.shape, dtype=complex)
-        return np.array([[one, one], [one, -one]]) * _INV_SQRT2
+        """2x2 transfer matrix of this element alone, broadcast over ``omega``."""
+        return transfer_at(OpticalNetwork((self,)), omega)
 
 
 @dataclass(frozen=True)
-class RelativeDelay:
+class BalancedBS(_Element):
+    """Balanced beam splitter, real symmetric convention [[1, 1], [1, -1]]/sqrt(2)."""
+
+    def _update_rows(self, rows, om) -> None:
+        r0, r1 = rows
+        rows[0], rows[1] = (r0 + r1) * _INV_SQRT2, (r0 - r1) * _INV_SQRT2
+
+
+@dataclass(frozen=True)
+class RelativeDelay(_Element):
     """Push-pull delay stage: port 1 picks up ``exp(-i omega tau)``, port 2 the conjugate."""
 
     tau: float
@@ -80,15 +89,14 @@ class RelativeDelay:
             raise ValueError("tau must be finite")
         object.__setattr__(self, "tau", tau)
 
-    def matrix(self, omega):
-        om = np.asarray(omega, dtype=float)
+    def _update_rows(self, rows, om) -> None:
         ph = np.exp(-1j * om * self.tau)
-        zero = np.zeros(om.shape, dtype=complex)
-        return np.array([[ph, zero], [zero, np.conj(ph)]])
+        rows[0] *= ph
+        rows[1] *= np.conj(ph)
 
 
 @dataclass(frozen=True)
-class AchromaticPhase:
+class AchromaticPhase(_Element):
     """Frequency-independent phase ``exp(i theta)`` on port 2."""
 
     theta: float
@@ -99,15 +107,12 @@ class AchromaticPhase:
             raise ValueError("theta must be finite")
         object.__setattr__(self, "theta", theta)
 
-    def matrix(self, omega):
-        om = np.asarray(omega, dtype=float)
-        one = np.ones(om.shape, dtype=complex)
-        zero = np.zeros(om.shape, dtype=complex)
-        return np.array([[one, zero], [zero, np.exp(1j * self.theta) * one]])
+    def _update_rows(self, rows, om) -> None:
+        rows[1] *= np.exp(1j * self.theta)
 
 
 @dataclass(frozen=True)
-class ScalarLoss:
+class ScalarLoss(_Element):
     """Independent flat attenuation of the two ports, |amp| <= 1 each."""
 
     amp1: complex
@@ -117,11 +122,9 @@ class ScalarLoss:
         object.__setattr__(self, "amp1", validate_amplitude(self.amp1, "amp1"))
         object.__setattr__(self, "amp2", validate_amplitude(self.amp2, "amp2"))
 
-    def matrix(self, omega):
-        om = np.asarray(omega, dtype=float)
-        one = np.ones(om.shape, dtype=complex)
-        zero = np.zeros(om.shape, dtype=complex)
-        return np.array([[self.amp1 * one, zero], [zero, self.amp2 * one]])
+    def _update_rows(self, rows, om) -> None:
+        rows[0] *= self.amp1
+        rows[1] *= self.amp2
 
 
 _ELEMENT_TYPES = (BalancedBS, RelativeDelay, AchromaticPhase, ScalarLoss)
@@ -144,25 +147,19 @@ class OpticalNetwork:
         object.__setattr__(self, "elements", elements)
 
 
-def element_matrix(element, omega) -> np.ndarray:
-    """2x2 transfer matrix of a single element, broadcast over ``omega``."""
-    if not isinstance(element, _ELEMENT_TYPES):
-        raise TypeError(f"unsupported network element {type(element).__name__}")
-    return element.matrix(omega)
-
-
 def transfer_at(network: OpticalNetwork, omega) -> np.ndarray:
     """Input-to-output transfer matrix of the chain at frequency ``omega``.
 
     Returns an array of shape ``(2, 2) + shape(omega)``; annihilation
-    operators map as ``out = S @ in`` entrywise in frequency.
+    operators map as ``out = S @ in`` entrywise in frequency. The product
+    starts from the identity and each element, input first, updates its
+    two rows in place.
     """
     om = np.asarray(omega, dtype=float)
-    one = np.ones(om.shape, dtype=complex)
-    zero = np.zeros(om.shape, dtype=complex)
-    out = np.array([[one, zero], [zero, one]])
+    out = np.zeros((2, 2) + om.shape, dtype=complex)
+    out[0, 0] = out[1, 1] = 1.0
     for el in network.elements:
-        out = np.einsum("ij...,jk...->ik...", el.matrix(om), out)
+        el._update_rows(out, om)
     return out
 
 

@@ -752,6 +752,28 @@ def test_report_counts_rejected_with_field(tmp_path, capsys, payload, field):
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "payload, field, found",
+    [
+        (dict(QPS_LARGE_R, n=51), "n", "expected 2 dips, found 1"),
+        (dict(SENSE_BP, scenario={"dl1_0": 0, "dl2_0": 0}), "scenario",
+         "expected 2 dips, found 0"),
+    ],
+    ids=["qps_n_51_at_large_r", "sense_zero_offsets"],
+)
+@pytest.mark.filterwarnings("ignore:first-stage delay too small")
+def test_unresolved_scan_exits_2_naming_field(tmp_path, capsys, payload, field, found):
+    cfg = write_config(tmp_path, payload)
+    out = tmp_path / "out"
+    assert main(["run", cfg, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert [line for line in err.splitlines() if line.startswith("error:")] == [
+        f"error: {field}: the scan did not resolve the expected features ({found})"
+    ]
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("source", ["bp", "cp"])
 def test_windowed_coarse_run_matches_generic_average(tmp_path, monkeypatch, source):
     if source == "bp":

@@ -9,7 +9,16 @@ import math
 import numpy as np
 import pytest
 
-from homlab.network import ScalarLoss, OpticalNetwork, hom_network, mhom_network
+from homlab.network import (
+    AchromaticPhase,
+    BalancedBS,
+    OpticalNetwork,
+    RelativeDelay,
+    ScalarLoss,
+    hom_network,
+    mhom_network,
+    transfer_at,
+)
 from homlab.rates import (
     LossParams,
     bp_rate_oracle,
@@ -105,6 +114,138 @@ def test_one_delay_reduction_consistency():
         dens = SPECTRUM.difference_distribution(grid1.nodes)
         one_d = grid1.integrate(dens * np.sin(grid1.nodes * tau) ** 2)
         assert two_d == pytest.approx(one_d, abs=1e-6)
+
+
+# ----- reference implementations -----
+#
+# Test-local copies of the element-matrix chain product and of the
+# outer-product quadratures the oracles used to run. The row-update chain
+# and the matrix-vector pair oracle must reproduce them to round-off.
+
+
+def _reference_element_matrix(el, om):
+    one = np.ones(om.shape, dtype=complex)
+    zero = np.zeros(om.shape, dtype=complex)
+    if isinstance(el, BalancedBS):
+        return np.array([[one, one], [one, -one]]) * (1.0 / np.sqrt(2.0))
+    if isinstance(el, RelativeDelay):
+        ph = np.exp(-1j * om * el.tau)
+        return np.array([[ph, zero], [zero, np.conj(ph)]])
+    if isinstance(el, AchromaticPhase):
+        return np.array([[one, zero], [zero, np.exp(1j * el.theta) * one]])
+    return np.array([[el.amp1 * one, zero], [zero, el.amp2 * one]])
+
+
+def _reference_transfer_at(network, omega):
+    om = np.asarray(omega, dtype=float)
+    one = np.ones(om.shape, dtype=complex)
+    zero = np.zeros(om.shape, dtype=complex)
+    out = np.array([[one, zero], [zero, one]])
+    for el in network.elements:
+        out = np.einsum("ij...,jk...->ik...", _reference_element_matrix(el, om), out)
+    return out
+
+
+def _reference_bp_rate_oracle(amplitude, grid, network):
+    psi = np.asarray(amplitude, dtype=complex)
+    w = grid.weights
+    s = _reference_transfer_at(network, grid.nodes)
+    coinc = psi * np.outer(s[0, 0], s[1, 1]) + psi.T * np.outer(s[0, 1], s[1, 0])
+    return float(np.einsum("i,j,ij->", w, w, np.abs(coinc) ** 2).real)
+
+
+def _reference_cp_rate_oracle(alpha, grid, network):
+    a = np.asarray(alpha, dtype=complex)
+    s = _reference_transfer_at(network, grid.nodes)
+    n1 = float(grid.integrate(np.abs((s[0, 0] + s[0, 1]) * a) ** 2))
+    n2 = float(grid.integrate(np.abs((s[1, 0] + s[1, 1]) * a) ** 2))
+    return n1 * n2
+
+
+COMPLEX_LOSS = LossParams(xi1=0.8, xi2=0.55 * np.exp(0.9j), chi1=0.9 * np.exp(-0.4j), chi2=0.7)
+
+
+def _reference_chains():
+    """Standard, two-delay, complex-lossy two-delay, and a hand-built chain
+    with the phase first, two splitters in a row and a loss last."""
+    return [
+        hom_network(1.3),
+        hom_network(-0.45),
+        mhom_network(0.7, -1.1, 0.9),
+        mhom_network(-1.6, 0.35, math.pi / 2.0),
+        mhom_network(0.7, -1.1, 0.9, loss=COMPLEX_LOSS),
+        mhom_network(1.2, 0.8, -2.1, loss=COMPLEX_LOSS),
+        OpticalNetwork((AchromaticPhase(1.1), BalancedBS(), BalancedBS(),
+                        RelativeDelay(0.6), ScalarLoss(0.9j, 0.6 * np.exp(-2.0j)))),
+    ]
+
+
+def _pair_table(kind, grid):
+    """Gaussian pair table: real symmetric, or reshaped into a real or complex
+    asymmetric table renormalized on the grid."""
+    x, y = grid.nodes[:, None], grid.nodes[None, :]
+    psi = SPECTRUM.joint_amplitude(x, y)
+    if kind == "real_symmetric":
+        return psi
+    psi = psi * (1.0 + 0.4 * np.tanh(x - y + 0.3))
+    if kind == "complex_asymmetric":
+        psi = psi * np.exp(1j * (0.7 * x - 0.2 * y + 0.15 * (x - 5.0) * (y - 5.0)))
+    w = grid.weights
+    return psi / math.sqrt(float(np.einsum("i,j,ij->", w, w, np.abs(psi) ** 2)))
+
+
+TABLE_KINDS = ("real_symmetric", "real_asymmetric", "complex_asymmetric")
+
+
+@pytest.mark.parametrize("nodes", [257, 641])
+def test_transfer_matches_reference_chain_product(nodes):
+    grid = pair_grid(SPECTRUM, n=nodes)
+    for net in _reference_chains():
+        got = transfer_at(net, grid.nodes)
+        want = _reference_transfer_at(net, grid.nodes)
+        assert got.shape == want.shape == (2, 2, nodes)
+        np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-15)
+
+
+@pytest.mark.parametrize("nodes", [257, 641])
+@pytest.mark.parametrize("kind", TABLE_KINDS)
+def test_bp_oracle_matches_reference_quadrature(kind, nodes):
+    grid = pair_grid(SPECTRUM, n=nodes)
+    psi = _pair_table(kind, grid)
+    assert np.iscomplexobj(psi) == (kind == "complex_asymmetric")
+    before = psi.copy()
+    for net in _reference_chains():
+        got = bp_rate_oracle(psi, grid, net)
+        want = _reference_bp_rate_oracle(psi, grid, net)
+        assert abs(got - want) <= 1e-13, (kind, net)
+    np.testing.assert_array_equal(psi, before)
+
+
+@pytest.mark.parametrize("nodes", [257, 641])
+@pytest.mark.parametrize("chirp", [0.0, 0.8])
+def test_cp_oracle_matches_reference_quadrature(chirp, nodes):
+    grid = pulse_grid(PULSE, n=nodes)
+    alpha = PULSE.amplitude(grid.nodes)
+    if chirp:
+        alpha = alpha * np.exp(1j * chirp * (grid.nodes - PULSE.omega0) ** 2)
+    before = alpha.copy()
+    for net in _reference_chains():
+        got = cp_rate_oracle(alpha, grid, net)
+        want = _reference_cp_rate_oracle(alpha, grid, net)
+        assert abs(got - want) <= 1e-13, net
+    np.testing.assert_array_equal(alpha, before)
+
+
+@pytest.mark.parametrize("kind", ["real_asymmetric", "complex_asymmetric"])
+def test_bp_oracle_validates_reshaped_tables(kind):
+    grid = pair_grid(SPECTRUM, n=257)
+    psi = _pair_table(kind, grid)
+    with pytest.raises(ValueError, match="grid"):
+        bp_rate_oracle(psi[:-1, :-1], grid, hom_network(0.0))
+    with pytest.raises(ValueError, match="grid"):
+        bp_rate_oracle(psi[:, :-1], grid, hom_network(0.0))
+    with pytest.raises(ValueError, match="normalized"):
+        bp_rate_oracle(2.0 * psi, grid, hom_network(0.0))
 
 
 # ----- coherent pulses -----
