@@ -52,6 +52,7 @@ import os
 import re
 import sys
 from contextlib import contextmanager
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -74,11 +75,9 @@ from .rates import (
     hom_cp_coarse_analytic,
     mhom_bp_analytic,
     mhom_bp_coarse_analytic,
-    mhom_bp_loss_coarse,
     mhom_bp_windowed,
     mhom_cp_analytic,
     mhom_cp_coarse_analytic,
-    mhom_cp_loss_coarse,
     mhom_cp_windowed,
     sample_curve,
     sample_surface,
@@ -368,25 +367,7 @@ def _json_text(obj) -> str:
     return json.dumps(obj, indent=2, sort_keys=True, allow_nan=False) + "\n"
 
 
-def _spectrum_dict(s: GaussianJointSpectrum) -> dict:
-    return {
-        "omega0": s.omega0,
-        "d_omega_plus": s.d_omega_plus,
-        "d_omega_minus": s.d_omega_minus,
-    }
-
-
-def _pulse_dict(p: CoherentSpectrum) -> dict:
-    return {
-        "omega0": p.omega0,
-        "d_omega": p.d_omega,
-        "total_intensity": p.total_intensity,
-    }
-
-
-def _loss_dict(loss: LossParams | None):
-    if loss is None:
-        return None
+def _loss_dict(loss: LossParams) -> dict:
     out = {}
     for name in ("xi1", "xi2", "chi1", "chi2"):
         z = getattr(loss, name)
@@ -394,6 +375,14 @@ def _loss_dict(loss: LossParams | None):
     out["eta_a"] = loss.eta_a
     out["eta_b"] = loss.eta_b
     return out
+
+
+def _loss_field(cfg: dict) -> tuple[LossParams, dict | None]:
+    """The ``loss`` field and its record; lossless, with no record, when absent."""
+    if "loss" not in cfg:
+        return LossParams(), None
+    loss = _parse_loss(cfg["loss"], "loss")
+    return loss, _loss_dict(loss)
 
 
 def _range_dict(axis: np.ndarray) -> dict:
@@ -438,13 +427,13 @@ def _model_for(cfg: dict, kind: str):
         if "spectrum" not in cfg:
             raise ConfigError("spectrum: required field is missing")
         spectrum = _parse_spectrum(cfg["spectrum"], "spectrum")
-        return spectrum, {"spectrum": _spectrum_dict(spectrum)}
+        return spectrum, {"spectrum": asdict(spectrum)}
     if "spectrum" in cfg:
         raise ConfigError("spectrum: not used for pulse sources")
     if "pulse" not in cfg:
         raise ConfigError("pulse: required field is missing")
     pulse = _parse_pulse(cfg["pulse"], "pulse")
-    return pulse, {"pulse": _pulse_dict(pulse)}
+    return pulse, {"pulse": asdict(pulse)}
 
 
 def _build_hom(cfg: dict) -> list:
@@ -453,15 +442,10 @@ def _build_hom(cfg: dict) -> list:
     source = _parse_source(cfg, "", ("bp", "cp", "cp_coarse"))
     model, record = _model_for(cfg, "bp" if source == "bp" else "cp")
     axis = _parse_range(cfg.get("tau"), "tau")
-    if source == "bp":
-        plateau = bp_plateau()
-        curve = sample_curve(lambda t: hom_bp_analytic(t, model), axis, plateau)
-    elif source == "cp":
-        plateau = cp_plateau(model)
-        curve = sample_curve(lambda t: hom_cp_analytic(t, model), axis, plateau)
-    else:
-        plateau = cp_plateau(model)
-        curve = sample_curve(lambda t: hom_cp_coarse_analytic(t, model), axis, plateau)
+    form = {"bp": hom_bp_analytic, "cp": hom_cp_analytic,
+            "cp_coarse": hom_cp_coarse_analytic}[source]
+    plateau = bp_plateau() if source == "bp" else cp_plateau(model)
+    curve = sample_curve(lambda t: form(t, model), axis, plateau)
     stem = _parse_stem(cfg, f"hom_{source}")
     params = {
         "mode": "hom",
@@ -475,42 +459,8 @@ def _build_hom(cfg: dict) -> list:
     return [(f"{stem}.csv", curve_csv(curve)), (f"{stem}.json", _json_text(params))]
 
 
-def _build_mhom(cfg: dict) -> list:
-    _check_keys(cfg, "", ("version", "mode", "source", "tau1", "tau2"),
-                ("spectrum", "pulse", "theta", "stem"))
-    source = _parse_source(cfg, "", ("bp", "cp"))
-    model, record = _model_for(cfg, source)
-    theta = parse_angle(cfg.get("theta", 0.0), "theta")
-    t1, t2 = _parse_grid(cfg)
-    if source == "bp":
-        plateau = bp_plateau()
-        surface = sample_surface(
-            lambda a, b: mhom_bp_analytic(a, b, theta, model), t1, t2, plateau)
-    else:
-        plateau = cp_plateau(model)
-        surface = sample_surface(
-            lambda a, b: mhom_cp_analytic(a, b, theta, model), t1, t2, plateau)
-    stem = _parse_stem(cfg, f"mhom_{source}")
-    params = {
-        "mode": "mhom",
-        "source": source,
-        "theta": theta,
-        "tau1": _range_dict(t1),
-        "tau2": _range_dict(t2),
-        "plateau": plateau,
-        "units": _UNITS,
-        "files": [f"{stem}.csv"],
-        **record,
-    }
-    return [(f"{stem}.csv", surface_csv(surface)), (f"{stem}.json", _json_text(params))]
-
-
-def _build_coarse(cfg: dict) -> list:
-    _check_keys(cfg, "", ("version", "mode", "source", "tau1", "tau2"),
-                ("spectrum", "pulse", "window", "window_n", "theta", "stem"))
-    source = _parse_source(cfg, "", ("bp", "cp"))
-    model, record = _model_for(cfg, source)
-    t1, t2 = _parse_grid(cfg)
+def _parse_window(cfg: dict) -> tuple[float | None, int | None]:
+    """``window`` and ``window_n`` of a coarse run; ``theta`` needs the window too."""
     window = None
     if "window" in cfg:
         window = _as_number(cfg["window"], "window")
@@ -519,61 +469,48 @@ def _build_coarse(cfg: dict) -> list:
     for key in ("theta", "window_n"):
         if key in cfg and window is None:
             raise ConfigError(f"{key}: only meaningful together with 'window'")
-    theta = parse_angle(cfg.get("theta", 0.0), "theta")
     window_n = _as_int(cfg["window_n"], "window_n") if "window_n" in cfg else None
     if window_n is not None and not 2 <= window_n <= MAX_WINDOW_NODES:
         raise ConfigError(f"window_n: need 2 to {MAX_WINDOW_NODES} nodes, got {window_n}")
-
-    if source == "bp":
-        plateau = bp_plateau()
-        coarse, windowed = mhom_bp_coarse_analytic, mhom_bp_windowed
-    else:
-        plateau = cp_plateau(model)
-        coarse, windowed = mhom_cp_coarse_analytic, mhom_cp_windowed
-    if window is None:
-        surface = sample_surface(lambda a, b: coarse(a, b, model), t1, t2, plateau)
-    else:
-        values = windowed(t1, t2, theta, model, window, n=window_n)
-        surface = RateSurface(t1, t2, values, plateau)
-    stem = _parse_stem(cfg, f"coarse_{source}")
-    params = {
-        "mode": "coarse",
-        "source": source,
-        "tau1": _range_dict(t1),
-        "tau2": _range_dict(t2),
-        "plateau": plateau,
-        "units": _UNITS,
-        "files": [f"{stem}.csv"],
-        **record,
-    }
-    if window is not None:
-        params["window"] = window
-        params["theta"] = theta
-        if window_n is not None:
-            params["window_n"] = window_n
-    return [(f"{stem}.csv", surface_csv(surface)), (f"{stem}.json", _json_text(params))]
+    return window, window_n
 
 
-def _build_loss(cfg: dict) -> list:
-    _check_keys(cfg, "", ("version", "mode", "source", "tau1", "tau2", "loss"),
-                ("spectrum", "pulse", "stem"))
+# Fields each two-delay surface mode adds to the shared ones: (required, optional).
+_SURFACE_FIELDS = {
+    "mhom": ((), ("theta",)),
+    "coarse": ((), ("window", "window_n", "theta")),
+    "loss": (("loss",), ()),
+}
+
+
+def _build_surface(cfg: dict) -> list:
+    """Modes ``mhom``, ``coarse`` and ``loss``: one two-delay surface and its sidecar."""
+    mode = cfg["mode"]
+    required, optional = _SURFACE_FIELDS[mode]
+    _check_keys(cfg, "", ("version", "mode", "source", "tau1", "tau2", *required),
+                ("spectrum", "pulse", *optional, "stem"))
     source = _parse_source(cfg, "", ("bp", "cp"))
     model, record = _model_for(cfg, source)
-    loss = _parse_loss(cfg.get("loss"), "loss")
+    loss, loss_record = _loss_field(cfg)
+    window, window_n = _parse_window(cfg) if mode == "coarse" else (None, None)
+    theta = parse_angle(cfg.get("theta", 0.0), "theta")
     t1, t2 = _parse_grid(cfg)
-    if source == "bp":
-        plateau = bp_plateau(loss)
-        surface = sample_surface(
-            lambda a, b: mhom_bp_loss_coarse(a, b, model, loss), t1, t2, plateau)
+    bp = source == "bp"
+    plateau = bp_plateau(loss) if bp else cp_plateau(model, loss)
+    if mode == "mhom":
+        form = mhom_bp_analytic if bp else mhom_cp_analytic
+        surface = sample_surface(lambda a, b: form(a, b, theta, model), t1, t2, plateau)
+    elif window is None:
+        form = mhom_bp_coarse_analytic if bp else mhom_cp_coarse_analytic
+        surface = sample_surface(lambda a, b: form(a, b, model, loss), t1, t2, plateau)
     else:
-        plateau = cp_plateau(model, loss)
-        surface = sample_surface(
-            lambda a, b: mhom_cp_loss_coarse(a, b, model, loss), t1, t2, plateau)
-    stem = _parse_stem(cfg, f"loss_{source}")
+        form = mhom_bp_windowed if bp else mhom_cp_windowed
+        values = form(t1, t2, theta, model, window, n=window_n)
+        surface = RateSurface(t1, t2, values, plateau)
+    stem = _parse_stem(cfg, f"{mode}_{source}")
     params = {
-        "mode": "loss",
+        "mode": mode,
         "source": source,
-        "loss": _loss_dict(loss),
         "tau1": _range_dict(t1),
         "tau2": _range_dict(t2),
         "plateau": plateau,
@@ -581,6 +518,14 @@ def _build_loss(cfg: dict) -> list:
         "files": [f"{stem}.csv"],
         **record,
     }
+    if mode == "mhom" or window is not None:
+        params["theta"] = theta
+    if window is not None:
+        params["window"] = window
+    if window_n is not None:
+        params["window_n"] = window_n
+    if loss_record is not None:
+        params["loss"] = loss_record
     return [(f"{stem}.csv", surface_csv(surface)), (f"{stem}.json", _json_text(params))]
 
 
@@ -590,7 +535,7 @@ def _build_sense(cfg: dict) -> list:
     source = _parse_source(cfg, "", ("bp", "cp"))
     model, record = _model_for(cfg, source)
     scenario = _parse_scenario(cfg.get("scenario"), "scenario")
-    loss = _parse_loss(cfg["loss"], "loss") if "loss" in cfg else None
+    loss, loss_record = _loss_field(cfg)
     n = _check_count(_as_int(cfg["n"], "n"), "n", 51, _MAX_VALUES) if "n" in cfg else 2001
     span = _as_number(cfg["span"], "span") if "span" in cfg else None
     if span is not None and span <= 0.0:
@@ -608,7 +553,7 @@ def _build_sense(cfg: dict) -> list:
             "x1": scenario.x1,
             "c": scenario.c,
         },
-        "loss": _loss_dict(loss),
+        "loss": loss_record,
         "plateau": result.curve.plateau,
         "extrema": result.report.to_dict(),
         "recovered": {"dl1": result.dl1_recovered, "dl2": result.dl2_recovered},
@@ -631,7 +576,7 @@ def _build_qps(cfg: dict) -> list:
                 ("loss", "c", "n", "surface_n", "stem"))
     target = _parse_target(cfg.get("target"), "target")
     spectrum = _parse_spectrum(cfg.get("spectrum"), "spectrum")
-    loss = _parse_loss(cfg["loss"], "loss") if "loss" in cfg else None
+    loss, loss_record = _loss_field(cfg)
     c = _number_field(cfg, "", "c", 1.0)
     if c <= 0.0:
         raise ConfigError("c: must be positive")
@@ -652,8 +597,8 @@ def _build_qps(cfg: dict) -> list:
     report = {
         "mode": "qps",
         "target": {"r": target.r, "gamma": target.gamma, "vartheta": target.vartheta},
-        "spectrum": _spectrum_dict(spectrum),
-        "loss": _loss_dict(loss),
+        "spectrum": asdict(spectrum),
+        "loss": loss_record,
         "c": c,
         "recovered": {
             "r": result.recovered.r,
@@ -716,9 +661,9 @@ def _build_figure_mode(cfg: dict) -> list:
 
 _BUILDERS = {
     "hom": _build_hom,
-    "mhom": _build_mhom,
-    "coarse": _build_coarse,
-    "loss": _build_loss,
+    "mhom": _build_surface,
+    "coarse": _build_surface,
+    "loss": _build_surface,
     "sense": _build_sense,
     "qps": _build_qps,
     "figure": _build_figure_mode,

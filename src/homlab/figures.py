@@ -23,7 +23,7 @@ Presets:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from fractions import Fraction
 
 import numpy as np
@@ -39,7 +39,6 @@ from .rates import (
     hom_cp_coarse_analytic,
     mhom_bp_analytic,
     mhom_bp_coarse_analytic,
-    mhom_bp_loss_coarse,
     mhom_cp_analytic,
     mhom_cp_coarse_analytic,
     sample_curve,
@@ -119,22 +118,6 @@ def _matched_pulse(spectrum: GaussianJointSpectrum) -> CoherentSpectrum:
     )
 
 
-def _spectrum_dict(s: GaussianJointSpectrum) -> dict:
-    return {
-        "omega0": s.omega0,
-        "d_omega_plus": s.d_omega_plus,
-        "d_omega_minus": s.d_omega_minus,
-    }
-
-
-def _pulse_dict(p: CoherentSpectrum) -> dict:
-    return {
-        "omega0": p.omega0,
-        "d_omega": p.d_omega,
-        "total_intensity": p.total_intensity,
-    }
-
-
 def _base_params(preset: str) -> dict:
     return {
         "preset": preset,
@@ -176,8 +159,8 @@ def _build_fig2(n: int) -> FigureBundle:
     )
     params = _base_params("fig2")
     params.update(
-        spectrum=_spectrum_dict(spectrum),
-        pulse=_pulse_dict(pulse),
+        spectrum=asdict(spectrum),
+        pulse=asdict(pulse),
         delay_half_range=_CURVE_HALF_RANGE,
         samples=n,
     )
@@ -199,7 +182,7 @@ def _build_fig3(n: int, thetas: tuple[float, ...]) -> FigureBundle:
     )
     params = _base_params("fig3")
     params.update(
-        spectrum=_spectrum_dict(spectrum),
+        spectrum=asdict(spectrum),
         theta=list(thetas),
         delay_half_range=_SURFACE_HALF_RANGE,
         samples=n,
@@ -222,8 +205,8 @@ def _build_fig4(n: int, theta: float) -> FigureBundle:
     )
     params = _base_params("fig4")
     params.update(
-        spectrum=_spectrum_dict(spectrum),
-        pulse=_pulse_dict(pulse),
+        spectrum=asdict(spectrum),
+        pulse=asdict(pulse),
         theta=theta,
         delay_half_range=_SURFACE_HALF_RANGE,
         samples=n,
@@ -253,8 +236,8 @@ def _build_fig5(n: int) -> FigureBundle:
     )
     params = _base_params("fig5")
     params.update(
-        spectrum=_spectrum_dict(spectrum),
-        pulse=_pulse_dict(pulse),
+        spectrum=asdict(spectrum),
+        pulse=asdict(pulse),
         delay_half_range=_SURFACE_HALF_RANGE,
         samples=n,
     )
@@ -284,8 +267,8 @@ def _build_fig6(n: int) -> FigureBundle:
     )
     params = _base_params("fig6")
     params.update(
-        spectrum=_spectrum_dict(spectrum),
-        pulse=_pulse_dict(pulse),
+        spectrum=asdict(spectrum),
+        pulse=asdict(pulse),
         fixed_tau1=_FIXED_TAU1,
         delay_half_range=_CURVE_HALF_RANGE,
         samples=n,
@@ -317,14 +300,14 @@ def _build_fig7(n: int) -> FigureBundle:
             FigureDataset(
                 f"fig7_{_eta_tag(eta)}", "surface", ("tau1", "tau2"),
                 surface=sample_surface(
-                    lambda t1, t2, lo=loss: mhom_bp_loss_coarse(t1, t2, spectrum, lo),
+                    lambda t1, t2, lo=loss: mhom_bp_coarse_analytic(t1, t2, spectrum, lo),
                     axis, axis, bp_plateau(loss),
                 ),
             )
         )
     params = _base_params("fig7")
     params.update(
-        spectrum=_spectrum_dict(spectrum),
+        spectrum=asdict(spectrum),
         eta_b_values=list(_ETA_B_VALUES),
         loss=loss_record,
         delay_half_range=_SURFACE_HALF_RANGE,
@@ -345,15 +328,15 @@ def _build_fig8(n: int) -> FigureBundle:
             FigureDataset(
                 f"fig8_{_eta_tag(eta)}", "curve", ("tau2",),
                 curve=sample_curve(
-                    lambda t2, lo=loss: mhom_bp_loss_coarse(_FIXED_TAU1, t2,
-                                                            spectrum, lo),
+                    lambda t2, lo=loss: mhom_bp_coarse_analytic(_FIXED_TAU1, t2,
+                                                                spectrum, lo),
                     axis, bp_plateau(loss),
                 ),
             )
         )
     params = _base_params("fig8")
     params.update(
-        spectrum=_spectrum_dict(spectrum),
+        spectrum=asdict(spectrum),
         eta_b_values=list(_ETA_B_VALUES),
         loss=loss_record,
         fixed_tau1=_FIXED_TAU1,

@@ -31,10 +31,6 @@ __all__ = [
     "transfer_at",
     "hom_network",
     "mhom_network",
-    "element_to_dict",
-    "element_from_dict",
-    "network_to_jsonable",
-    "network_from_jsonable",
 ]
 
 _INV_SQRT2 = 1.0 / np.sqrt(2.0)
@@ -187,85 +183,3 @@ def mhom_network(tau1: float, tau2: float, theta: float,
     chain.append(AchromaticPhase(theta))
     chain.append(BalancedBS())
     return OpticalNetwork(tuple(chain))
-
-
-# ----- JSON-friendly description -----
-
-_TAGS = {
-    BalancedBS: "balanced_bs",
-    RelativeDelay: "relative_delay",
-    AchromaticPhase: "achromatic_phase",
-    ScalarLoss: "scalar_loss",
-}
-
-
-def _encode_complex(z: complex):
-    if z.imag == 0.0:
-        return z.real
-    return [z.real, z.imag]
-
-
-def _decode_complex(value, name: str) -> complex:
-    if isinstance(value, (list, tuple)):
-        if len(value) != 2:
-            raise ValueError(f"{name} must be a number or a [re, im] pair")
-        return complex(float(value[0]), float(value[1]))
-    if isinstance(value, bool) or not isinstance(value, numbers.Real):
-        raise ValueError(f"{name} must be a number or a [re, im] pair")
-    return complex(float(value))
-
-
-def element_to_dict(element) -> dict:
-    """Tagged plain-dict form of an element, suitable for JSON."""
-    tag = _TAGS.get(type(element))
-    if tag is None:
-        raise TypeError(f"unsupported network element {type(element).__name__}")
-    if isinstance(element, BalancedBS):
-        return {"type": tag}
-    if isinstance(element, RelativeDelay):
-        return {"type": tag, "tau": element.tau}
-    if isinstance(element, AchromaticPhase):
-        return {"type": tag, "theta": element.theta}
-    return {
-        "type": tag,
-        "amp1": _encode_complex(element.amp1),
-        "amp2": _encode_complex(element.amp2),
-    }
-
-
-def element_from_dict(data: dict):
-    """Inverse of ``element_to_dict``; unknown tags or stray keys are rejected."""
-    if not isinstance(data, dict) or "type" not in data:
-        raise ValueError("element description must be a dict with a 'type' tag")
-    tag = data["type"]
-    extra = set(data) - {"type"}
-    if tag == "balanced_bs":
-        if extra:
-            raise ValueError(f"unexpected keys for balanced_bs: {sorted(extra)}")
-        return BalancedBS()
-    if tag == "relative_delay":
-        if extra != {"tau"}:
-            raise ValueError("relative_delay needs exactly the key 'tau'")
-        return RelativeDelay(float(data["tau"]))
-    if tag == "achromatic_phase":
-        if extra != {"theta"}:
-            raise ValueError("achromatic_phase needs exactly the key 'theta'")
-        return AchromaticPhase(float(data["theta"]))
-    if tag == "scalar_loss":
-        if extra != {"amp1", "amp2"}:
-            raise ValueError("scalar_loss needs exactly the keys 'amp1' and 'amp2'")
-        return ScalarLoss(
-            _decode_complex(data["amp1"], "amp1"),
-            _decode_complex(data["amp2"], "amp2"),
-        )
-    raise ValueError(f"unknown element type {tag!r}")
-
-
-def network_to_jsonable(network: OpticalNetwork) -> list:
-    return [element_to_dict(el) for el in network.elements]
-
-
-def network_from_jsonable(items) -> OpticalNetwork:
-    if not isinstance(items, (list, tuple)):
-        raise ValueError("network description must be a list of tagged elements")
-    return OpticalNetwork(tuple(element_from_dict(item) for item in items))

@@ -29,7 +29,6 @@ from .rates import (
     RateSurface,
     bp_plateau,
     mhom_bp_coarse_analytic,
-    mhom_bp_loss_coarse,
     sample_curve,
     sample_surface,
 )
@@ -244,7 +243,7 @@ def qps_scan_samples(target: QpsTarget, spectrum: GaussianJointSpectrum,
 
 
 def qps_scan(target: QpsTarget, spectrum: GaussianJointSpectrum,
-             loss: LossParams | None = None, c: float = 1.0,
+             loss: LossParams = LossParams(), c: float = 1.0,
              n: int | None = None, surface_n: int = 81) -> QpsScanResult:
     """Simulate the full scan-and-invert pipeline for a known emitter.
 
@@ -273,12 +272,8 @@ def qps_scan(target: QpsTarget, spectrum: GaussianJointSpectrum,
         n = qps_scan_samples(target, spectrum, c)
     axis = np.linspace(-span, span, int(n))
 
-    if loss is None:
-        def rate2(t1, t2):
-            return mhom_bp_coarse_analytic(t1, t2, spectrum)
-    else:
-        def rate2(t1, t2):
-            return mhom_bp_loss_coarse(t1, t2, spectrum, loss)
+    def rate2(t1, t2):
+        return mhom_bp_coarse_analytic(t1, t2, spectrum, loss)
 
     plateau = bp_plateau(loss)
 

@@ -11,7 +11,8 @@ Three layers live here and deliberately stay independent of each other:
 * coarse-graining of fast delay fluctuations by sliding-box averaging
   (a generic rule for any rate function, and term-by-term averages of
   the two exact two-delay forms), together with the closed forms of the
-  averaged rates, with and without path losses.
+  averaged rates under flat path losses; the lossless interferometer is
+  ``LossParams()``, every amplitude one.
 
 The closed forms take a spectrum object and broadcast over delay arrays.
 Rates are non-negative by construction; values driven a hair below zero
@@ -210,15 +211,19 @@ class LossParams:
 
 
 def bp_plateau(loss: LossParams | None = None) -> float:
-    """Large-delay pair-coincidence plateau: one half, rescaled under losses."""
-    return 0.5 if loss is None else 4.0 * loss.a_bp_loss
+    """Large-delay pair-coincidence plateau: one half, rescaled under losses.
+
+    ``None`` is the lossless ``LossParams()``.
+    """
+    return 4.0 * (loss or LossParams()).a_bp_loss
 
 
 def cp_plateau(pulse: CoherentSpectrum, loss: LossParams | None = None) -> float:
-    """Large-delay coherent-pulse plateau: squared intensity, rescaled under losses."""
-    if loss is None:
-        return pulse.total_intensity**2
-    return loss.a_cp_loss(pulse.total_intensity)
+    """Large-delay coherent-pulse plateau: squared intensity, rescaled under losses.
+
+    ``None`` is the lossless ``LossParams()``.
+    """
+    return (loss or LossParams()).a_cp_loss(pulse.total_intensity)
 
 
 # ----- Closed forms, standard interferometer -----
@@ -311,12 +316,17 @@ def mhom_cp_analytic(tau1, tau2, theta: float, pulse: CoherentSpectrum):
     return _as_rate(a2 * (1.0 - 0.25 * b * b))
 
 
-def mhom_bp_coarse_analytic(tau1, tau2, spectrum: GaussianJointSpectrum):
+def mhom_bp_coarse_analytic(tau1, tau2, spectrum: GaussianJointSpectrum,
+                            loss: LossParams = LossParams()):
     """Fluctuation-averaged pair rate of the two-delay interferometer.
 
-    The carrier term averages away, leaving a ridge at zero second delay
-    (three quarters high against the half plateau) flanked by two dips to
-    three eighths where the second delay matches the first in magnitude.
+    The carrier term averages away. Without losses this leaves a ridge at
+    zero second delay (three quarters high against the half plateau)
+    flanked by two dips to three eighths where the second delay matches
+    the first in magnitude. Input-path imbalance only rescales the
+    surface; internal-path imbalance ``eta_b`` mixes in a reversed copy
+    of the feature terms, so every feature visibility shrinks by
+    ``1 - eta_b`` while the plateau stays at four times the loss scale.
     """
     t1 = np.asarray(tau1, dtype=float)
     t2 = np.asarray(tau2, dtype=float)
@@ -325,70 +335,38 @@ def mhom_bp_coarse_analytic(tau1, tau2, spectrum: GaussianJointSpectrum):
     def g(x):
         return np.exp(-2.0 * dm * dm * x * x)
 
-    return _as_rate((4.0 + 2.0 * g(t2) - g(t1 + t2) - g(t1 - t2)) / 8.0)
-
-
-def mhom_cp_coarse_analytic(tau1, tau2, pulse: CoherentSpectrum):
-    """Fluctuation-averaged coherent-pulse rate of the two-delay interferometer.
-
-    Flat at the squared-intensity plateau except for two dips of an
-    eighth where the delays match in magnitude, and a dip of a quarter at
-    the origin where both Gaussian factors overlap.
-    """
-    t1 = np.asarray(tau1, dtype=float)
-    t2 = np.asarray(tau2, dtype=float)
-    dw = pulse.d_omega
-    a2 = pulse.total_intensity**2
-    out = 1.0 - (
-        np.exp(-4.0 * dw * dw * (t1 + t2) * (t1 + t2))
-        + np.exp(-4.0 * dw * dw * (t1 - t2) * (t1 - t2))
-    ) / 8.0
-    return _as_rate(a2 * out)
-
-
-def mhom_bp_loss_coarse(tau1, tau2, spectrum: GaussianJointSpectrum, loss: LossParams):
-    """Fluctuation-averaged pair rate with flat path losses.
-
-    Input-path imbalance only rescales the surface; internal-path
-    imbalance ``eta_b`` mixes in a reversed copy of the feature terms, so
-    every feature visibility shrinks by ``1 - eta_b`` while the plateau
-    stays at four times the loss scale.
-    """
-    t1 = np.asarray(tau1, dtype=float)
-    t2 = np.asarray(tau2, dtype=float)
-    dm = spectrum.d_omega_minus
-    eta = loss.eta_b
-
-    def g(x):
-        return np.exp(-2.0 * dm * dm * x * x)
-
+    g2, g_sum, g_diff = g(t2), g(t1 + t2), g(t1 - t2)
     bracket = (
         4.0
-        + 2.0 * g(t2)
-        - g(t1 + t2)
-        - g(t1 - t2)
-        + eta * (-2.0 * g(t2) + 4.0 * g(t1) + g(t1 + t2) + g(t1 - t2))
+        + 2.0 * g2
+        - g_sum
+        - g_diff
+        + loss.eta_b * (-2.0 * g2 + 4.0 * g(t1) + g_sum + g_diff)
     )
     return _as_rate(loss.a_bp_loss * bracket)
 
 
-def mhom_cp_loss_coarse(tau1, tau2, pulse: CoherentSpectrum, loss: LossParams):
-    """Fluctuation-averaged coherent-pulse rate with flat path losses.
+def mhom_cp_coarse_analytic(tau1, tau2, pulse: CoherentSpectrum,
+                            loss: LossParams = LossParams()):
+    """Fluctuation-averaged coherent-pulse rate of the two-delay interferometer.
 
-    Both imbalances enter. At full input-path imbalance the rate loses
-    all dependence on the first delay and keeps a single dip in the
-    second delay, scaled by ``1 - eta_b``.
+    Without losses the rate is flat at the squared-intensity plateau
+    except for two dips of an eighth where the delays match in magnitude,
+    and a dip of a quarter at the origin where both Gaussian factors
+    overlap. Under losses both imbalances enter: at full input-path
+    imbalance the rate loses all dependence on the first delay and keeps
+    a single dip in the second delay, scaled by ``1 - eta_b``.
     """
     t1 = np.asarray(tau1, dtype=float)
     t2 = np.asarray(tau2, dtype=float)
     dw = pulse.d_omega
     eta_a, eta_b = loss.eta_a, loss.eta_b
-    e1 = np.exp(-4.0 * dw * dw * t1 * t1)
-    e2 = np.exp(-4.0 * dw * dw * t2 * t2)
-    d = (
-        np.exp(-4.0 * dw * dw * (t1 - t2) * (t1 - t2))
-        + np.exp(-4.0 * dw * dw * (t1 + t2) * (t1 + t2))
-    ) / 8.0
+
+    def e(x):
+        return np.exp(-4.0 * dw * dw * x * x)
+
+    e1, e2 = e(t1), e(t2)
+    d = (e(t1 - t2) + e(t1 + t2)) / 8.0
     bracket = (
         1.0
         - d
@@ -397,6 +375,11 @@ def mhom_cp_loss_coarse(tau1, tau2, pulse: CoherentSpectrum, loss: LossParams):
         + eta_a * eta_b * (0.5 * (e2 - e1) - d)
     )
     return _as_rate(loss.a_cp_loss(pulse.total_intensity) * bracket)
+
+
+# The averaged forms under their older lossy names, which callers still import.
+mhom_bp_loss_coarse = mhom_bp_coarse_analytic
+mhom_cp_loss_coarse = mhom_cp_coarse_analytic
 
 
 # ----- Oracle grids -----
@@ -473,7 +456,8 @@ def bp_rate_oracle(amplitude: np.ndarray, grid: FrequencyGrid,
     w = grid.weights
     p = _abs2(psi) if is_complex else psi * psi
     norm = float(w @ (p @ w))
-    if abs(norm - 1.0) > 1e-6:
+    # written so that a nan or inf norm fails too
+    if not abs(norm - 1.0) <= 1e-6:
         raise ValueError(f"joint amplitude must be normalized on the grid, got norm {norm:.8g}")
     s = transfer_at(network, grid.nodes)
     a, c, d, b = s[0, 0], s[0, 1], s[1, 0], s[1, 1]

@@ -32,13 +32,8 @@ from .rates import (
     RegimeWarning,
     bp_plateau,
     cp_plateau,
-    hom_bp_analytic,
-    hom_cp_coarse_analytic,
     mhom_bp_coarse_analytic,
-    mhom_bp_loss_coarse,
     mhom_cp_coarse_analytic,
-    mhom_cp_loss_coarse,
-    sample_curve,
 )
 from .spectra import CoherentSpectrum, GaussianJointSpectrum
 
@@ -47,14 +42,12 @@ __all__ = [
     "SensingScenario",
     "ExtremaReport",
     "SensingResult",
-    "Hom1dLocate",
     "scan_f",
     "find_extrema",
     "visibility",
     "invert_bp",
     "invert_cp",
     "run_sensing",
-    "hom_zero_locate",
 ]
 
 _PROMINENCE = 0.005  # minimum feature depth/height, as a fraction of the plateau
@@ -158,7 +151,7 @@ def _model_width(source: str, model) -> float:
 
 
 def scan_f(scenario: SensingScenario, source: str, model,
-           loss: LossParams | None = None, n: int = 2001,
+           loss: LossParams = LossParams(), n: int = 2001,
            span: float | None = None) -> RateCurve:
     """Sweep the second-stage control and tabulate the averaged rate.
 
@@ -189,16 +182,10 @@ def scan_f(scenario: SensingScenario, source: str, model,
     x2 = np.linspace(-span, span, int(n))
     t2 = scenario.tau2(x2)
     if source == "bp":
-        if loss is None:
-            values = mhom_bp_coarse_analytic(tau1, t2, model)
-        else:
-            values = mhom_bp_loss_coarse(tau1, t2, model, loss)
+        values = mhom_bp_coarse_analytic(tau1, t2, model, loss)
         plateau = bp_plateau(loss)
     else:
-        if loss is None:
-            values = mhom_cp_coarse_analytic(tau1, t2, model)
-        else:
-            values = mhom_cp_loss_coarse(tau1, t2, model, loss)
+        values = mhom_cp_coarse_analytic(tau1, t2, model, loss)
         plateau = cp_plateau(model, loss)
     return RateCurve(x2, values, plateau)
 
@@ -343,7 +330,7 @@ class SensingResult:
 
 
 def run_sensing(scenario: SensingScenario, source: str, model,
-                loss: LossParams | None = None, n: int = 2001,
+                loss: LossParams = LossParams(), n: int = 2001,
                 span: float | None = None) -> SensingResult:
     """Scan, extract features and recover both offsets in one call.
 
@@ -361,58 +348,3 @@ def run_sensing(scenario: SensingScenario, source: str, model,
         report = find_extrema(curve, "dips")
         dl1, dl2 = invert_cp(report.x_min_left, report.x_min_right)
     return SensingResult(curve, report, dl1, dl2)
-
-
-# ----- Single-stage zero location -----
-
-
-@dataclass(frozen=True)
-class Hom1dLocate:
-    """Recovered single-stage offset plus the dip floor diagnostic."""
-
-    recovered: float
-    x_at_min: float
-    floor: float
-
-
-def hom_zero_locate(dl0: float, source: str, model, c: float = 1.0,
-                    n: int = 2001, span: float | None = None) -> Hom1dLocate:
-    """Recover a single-stage offset from the standard interferometer dip.
-
-    The single-stage scan is additive: a control ``x`` gives delay
-    ``(dl0 + x) / (2 c)``, and the recovered offset is minus the dip
-    position. The pair source dips to zero; the averaged pulse source
-    ``source='cp_coarse'`` has a floor of half the plateau, reported in
-    the result.
-    """
-    dl0 = float(dl0)
-    if source == "bp":
-        if not isinstance(model, GaussianJointSpectrum):
-            raise TypeError("source 'bp' needs a GaussianJointSpectrum model")
-        width = model.d_omega_minus
-        plateau = 0.5
-
-        def f(x):
-            return hom_bp_analytic((dl0 + x) / (2.0 * c), model)
-
-    elif source == "cp_coarse":
-        if not isinstance(model, CoherentSpectrum):
-            raise TypeError("source 'cp_coarse' needs a CoherentSpectrum model")
-        width = model.d_omega
-        plateau = model.total_intensity**2
-
-        def f(x):
-            return hom_cp_coarse_analytic((dl0 + x) / (2.0 * c), model)
-
-    else:
-        raise ValueError(f"source must be 'bp' or 'cp_coarse', got {source!r}")
-    if span is None:
-        span = abs(dl0) + 6.0 * c / width
-    x = np.linspace(-span, span, int(n))
-    curve = sample_curve(f, x, plateau)
-    dips, _ = _local_extrema(curve.axis, curve.values, plateau)
-    if not dips:
-        raise ExtremaError("expected 1 dip, found 0")
-    dips.sort(key=lambda item: (-item[1], abs(x[item[0]]), x[item[0]]))
-    xv, yv = _refine_vertex(curve.axis, curve.values, dips[0][0])
-    return Hom1dLocate(recovered=-xv, x_at_min=xv, floor=max(yv, 0.0) / plateau)

@@ -258,6 +258,134 @@ def test_preset_csv_golden_hashes(tmp_path):
     assert written == PRESET_CSV_SHA256
 
 
+_PAIR = {"omega0": 5.0, "d_omega_plus": 0.2, "d_omega_minus": 1.0}
+_PULSE = {"omega0": 5.0, "d_omega": 0.5}
+_FAST_PULSE = {"omega0": 500.0, "d_omega": 0.5, "total_intensity": 1.5}
+_FAST_PAIR = {"omega0": 500.0, "d_omega_plus": 0.2, "d_omega_minus": 1.0}
+_LOSS = {"xi2": 0.8, "chi1": 0.9, "chi2": [0.5, 0.3]}
+_GRID = {"tau1": {"min": -2.5, "max": 2.5, "n": 11}, "tau2": {"min": -3.0, "max": 3.0, "n": 13}}
+_WINDOW_GRID = {"tau1": {"min": -1.0, "max": 1.0, "n": 5}, "tau2": {"min": -1.0, "max": 1.0, "n": 4}}
+_SCENARIO = {"dl1_0": 4.4, "dl2_0": -1.3}
+
+# Small ``homlab run`` configurations covering every surface and report mode,
+# with and without losses.
+RUN_CONFIGS = {
+    "hom_bp": {"mode": "hom", "source": "bp", "spectrum": _PAIR,
+               "tau": {"min": -3.0, "max": 3.0, "n": 31}},
+    "hom_cp": {"mode": "hom", "source": "cp", "pulse": _PULSE,
+               "tau": {"min": -3.0, "max": 3.0, "n": 31}},
+    "hom_cp_coarse": {"mode": "hom", "source": "cp_coarse", "pulse": _PULSE,
+                      "tau": {"min": -3.0, "max": 3.0, "n": 31}},
+    "mhom_bp": {"mode": "mhom", "source": "bp", "spectrum": _PAIR, "theta": "pi/2", **_GRID},
+    "mhom_cp": {"mode": "mhom", "source": "cp", "pulse": _PULSE, "theta": 0.3, **_GRID},
+    "coarse_bp": {"mode": "coarse", "source": "bp", "spectrum": _PAIR, **_GRID},
+    "coarse_cp": {"mode": "coarse", "source": "cp", "pulse": _PULSE, **_GRID},
+    "coarse_bp_window": {"mode": "coarse", "source": "bp", "spectrum": _FAST_PAIR,
+                         "window": 0.1, **_WINDOW_GRID},
+    "coarse_cp_window": {"mode": "coarse", "source": "cp", "pulse": _FAST_PULSE,
+                         "window": 0.2, "theta": "pi/2", "window_n": 300, **_WINDOW_GRID},
+    "loss_bp": {"mode": "loss", "source": "bp", "spectrum": _PAIR, "loss": _LOSS, **_GRID},
+    "loss_cp": {"mode": "loss", "source": "cp", "pulse": _PULSE, "loss": _LOSS, **_GRID},
+    "sense_bp": {"mode": "sense", "source": "bp", "spectrum": _PAIR,
+                 "scenario": _SCENARIO, "n": 401},
+    "sense_bp_loss": {"mode": "sense", "source": "bp", "spectrum": _PAIR,
+                      "scenario": _SCENARIO, "loss": _LOSS, "n": 401},
+    "sense_cp": {"mode": "sense", "source": "cp", "pulse": {"omega0": 5.0, "d_omega": 1.0},
+                 "scenario": _SCENARIO, "n": 401},
+    "sense_cp_loss": {"mode": "sense", "source": "cp", "pulse": {"omega0": 5.0, "d_omega": 1.0},
+                      "scenario": _SCENARIO, "loss": _LOSS, "n": 401, "span": 9.0},
+    "qps": {"mode": "qps", "target": {"r": 2.0, "gamma": 0.8, "vartheta": 2.2},
+            "spectrum": _PAIR, "surface_n": 9},
+    "qps_loss": {"mode": "qps", "target": {"r": 2.0, "gamma": 0.8, "vartheta": 2.2},
+                 "spectrum": _PAIR, "loss": _LOSS, "surface_n": 9},
+}
+
+
+# SHA-256 of every file ``homlab run`` writes for RUN_CONFIGS, pinned before
+# the lossless and lossy averaged forms were merged into one formula per source.
+RUN_SHA256 = {
+    "hom_bp": {
+        "hom_bp.csv": "3981ea40df39b55cc09229c201c925e7bcc6a8dd116c82d511c616adb2409ee0",
+        "hom_bp.json": "642c6c521a3b0095c8bc5ab1901e70be183ac243d074e348f687bc887fe70619",
+    },
+    "hom_cp": {
+        "hom_cp.csv": "6cd2d74c998b1cf171aa9b7d6aae7d51588394121ed49a80c1c8ca32533300bb",
+        "hom_cp.json": "ee5455361721fb113805c50a1db94000b5e32ae03bee68e41ad86dd44b2a71c0",
+    },
+    "hom_cp_coarse": {
+        "hom_cp_coarse.csv": "9f48a68d766a9f35b3ebc41dfe6e904ffaeb7a21e132adad8f45dd5940f45c9d",
+        "hom_cp_coarse.json": "a856ffc15379b90b7e8e79c34d08e47e3241eccafd4fdef7be88371628d1167e",
+    },
+    "mhom_bp": {
+        "mhom_bp.csv": "aeb0bd8d4cdf10bec9091f7bca47ec190890e9d2e3efb8cc792c574384f3ca87",
+        "mhom_bp.json": "f070290ba00098fcbee5cb6c8901634e75f23290a454bcf96f904b8859cf7e0e",
+    },
+    "mhom_cp": {
+        "mhom_cp.csv": "c591ab2188e75caac80e6d5ab418cc1fc756d0566621b6f36acf773d2ddf539b",
+        "mhom_cp.json": "cb0e10bb56395ed959a2f91479931cc158600448e178e262a40799fe7aeaa855",
+    },
+    "coarse_bp": {
+        "coarse_bp.csv": "4225df537a2ca6683c0d23ef74e111a8c7920ab046cca67573ded9074f10c753",
+        "coarse_bp.json": "444e501c9eb7b9b5e814e66b109661b57207916e5320a4a04a4c0dc1d76b23e2",
+    },
+    "coarse_cp": {
+        "coarse_cp.csv": "26dbbdff99cd87e163184cc4d4969315f2c7348323428d880363f5a364eee390",
+        "coarse_cp.json": "0e5a8fafcd5a4dc53df8525a940c5180468984b379bba743e0706e2efd4f1bec",
+    },
+    "coarse_bp_window": {
+        "coarse_bp.csv": "cb2a695e828340b9525ab1f67e6e68837ded48c3637b74bbce20dda70728c31e",
+        "coarse_bp.json": "42807b031600fcd72c92b161bb74ab22d3b7552485780877d021c62c865540ae",
+    },
+    "coarse_cp_window": {
+        "coarse_cp.csv": "85db96268b88d9dea903cbd0fe03010da1a47b335361f5b144734226a482ee1c",
+        "coarse_cp.json": "eb41484f0dc69540fdab57f69a8dc610063438649aa5720d8bec3d0447372bf8",
+    },
+    "loss_bp": {
+        "loss_bp.csv": "51fdade9956e7e09e60c10f57ad5a500bc84b29044ee2a2b2b0b0fb41de75f7f",
+        "loss_bp.json": "3e2f24520774df89a1c2ce4b1cfac8e441c09d050409679f1199d96e4f8b7f74",
+    },
+    "loss_cp": {
+        "loss_cp.csv": "ead4fe0cf971c27e206785a07feaf639b875e4742de5e98118645f0943197825",
+        "loss_cp.json": "fb72b7fe60ed3dbf53f76556b96d1f501843ac98375a82d01366295d935173d4",
+    },
+    "sense_bp": {
+        "sense_bp_report.json": "6f1db279f0e7af71e636c4616449543dbde4d90a9a99629bbc84a36c589461fb",
+        "sense_bp_scan.csv": "7e81d733aa4603699601e8625cf336f47a5a74d8aae046bf1129d11dca022ab7",
+    },
+    "sense_bp_loss": {
+        "sense_bp_report.json": "02ba7f18388d732e659e6a7fd6ca8562484d5629d51aed393b7ce1b53314c8e2",
+        "sense_bp_scan.csv": "06f6cd207ba38d67010a4259d27ad0d4f516c1fe96119bd08ddc6e8a40ec45a7",
+    },
+    "sense_cp": {
+        "sense_cp_report.json": "1cdd0a64ae3af92ca7d0274bc3708f39074aef8b1f440eac2fff8693719fcfa1",
+        "sense_cp_scan.csv": "daeb908332230a171f784e72dcc742dd48aafe644ad1f280709a74b07a13b166",
+    },
+    "sense_cp_loss": {
+        "sense_cp_report.json": "e8902628ea435dcdc55426c5cc5db9359b356aa3ccc0052f333f8c3ba385e91b",
+        "sense_cp_scan.csv": "840d8442b3beb76929d7095eed69fb61bd1600a42bed9ece2e1dab13a9924f42",
+    },
+    "qps": {
+        "qps_report.json": "1ab16da5b4adaf93b0e79a4e5e5136cddfc0a3abd34373fa9352f1a6ef73b322",
+        "qps_scan.csv": "ab46e89c9aacd700acd84d54efd4b1f21053011809bdef55c2cc5e37671667f6",
+        "qps_surface.csv": "eee3c8368be6f39d68c8cfd6bb2614f257cab5ce768e57b576cc345900908e52",
+    },
+    "qps_loss": {
+        "qps_report.json": "5d2f9711217348d125e5c94b5bc1c0b6320ea18341a17b90c50703029f94ebdd",
+        "qps_scan.csv": "d0259bb0ab95a9b93d6d6983bf3886a61a386a25c688b5b87ee51de710b9f425",
+        "qps_surface.csv": "a05893e42d04d305224b610612bd84ce055d1b6071256bc7e52809560602ca4a",
+    },
+}
+
+
+@pytest.mark.parametrize("name", sorted(RUN_CONFIGS))
+def test_run_golden_hashes(tmp_path, name, capsys):
+    cfg = write_config(tmp_path, {"version": 1, **RUN_CONFIGS[name]})
+    out = tmp_path / "out"
+    assert main(["run", cfg, "--out", str(out)]) == 0
+    written = {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in out.iterdir()}
+    assert written == RUN_SHA256[name]
+
+
 # ----- figure subcommand -----
 
 

@@ -1,6 +1,5 @@
 """Two-mode network elements, composition and the locked conventions."""
 
-import json
 import math
 
 import numpy as np
@@ -14,12 +13,8 @@ from homlab.network import (
     OpticalNetwork,
     RelativeDelay,
     ScalarLoss,
-    element_from_dict,
-    element_to_dict,
     hom_network,
     mhom_network,
-    network_from_jsonable,
-    network_to_jsonable,
     transfer_at,
     validate_amplitude,
 )
@@ -182,32 +177,3 @@ def test_mhom_network_element_order_with_loss():
         "AchromaticPhase",
         "BalancedBS",
     ]
-
-
-def test_element_serialization_round_trip():
-    for el in (
-        BalancedBS(),
-        RelativeDelay(1.25),
-        AchromaticPhase(-0.4),
-        ScalarLoss(0.5, 0.1 + 0.2j),
-    ):
-        blob = json.dumps(element_to_dict(el))
-        back = element_from_dict(json.loads(blob))
-        np.testing.assert_array_equal(back.matrix(1.234), el.matrix(1.234))
-
-
-def test_network_serialization_round_trip():
-    net = mhom_network(0.3, -0.9, 1.1)
-    blob = json.dumps(network_to_jsonable(net))
-    back = network_from_jsonable(json.loads(blob))
-    ws = np.linspace(0.0, 5.0, 7)
-    np.testing.assert_array_equal(transfer_at(back, ws), transfer_at(net, ws))
-
-
-def test_deserialization_rejects_junk():
-    with pytest.raises(ValueError):
-        element_from_dict({"kind": "prism"})
-    with pytest.raises((ValueError, TypeError)):
-        element_from_dict({"kind": "relative_delay"})
-    with pytest.raises((ValueError, TypeError)):
-        network_from_jsonable({"elements": "nope"})

@@ -248,6 +248,16 @@ def test_bp_oracle_validates_reshaped_tables(kind):
         bp_rate_oracle(2.0 * psi, grid, hom_network(0.0))
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+@pytest.mark.parametrize("kind", ["real_asymmetric", "complex_asymmetric"])
+def test_bp_oracle_rejects_nonfinite_entries(kind, bad):
+    grid = pair_grid(SPECTRUM, n=257)
+    psi = _pair_table(kind, grid).copy()
+    psi[3, 5] = bad
+    with pytest.raises(ValueError, match="normalized"):
+        bp_rate_oracle(psi, grid, hom_network(0.0))
+
+
 # ----- coherent pulses -----
 
 

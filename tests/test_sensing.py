@@ -10,10 +10,8 @@ from homlab.rates import LossParams, RateCurve, RegimeWarning
 from homlab.sensing import (
     ExtremaError,
     ExtremaReport,
-    Hom1dLocate,
     SensingScenario,
     find_extrema,
-    hom_zero_locate,
     invert_bp,
     invert_cp,
     run_sensing,
@@ -272,37 +270,3 @@ def test_lossy_scan_visibilities_scale_with_imbalance():
         assert lossy.v_min == pytest.approx((1.0 - eta) * clean.v_min, abs=0.02)
         # positions survive the loss
         assert lossy.x_max == pytest.approx(clean.x_max, abs=1e-6)
-
-
-# ----- single-stage location -----
-
-
-def test_hom_zero_locate_pair_source():
-    out = hom_zero_locate(1.7, "bp", SPECTRUM)
-    assert isinstance(out, Hom1dLocate)
-    assert out.recovered == pytest.approx(1.7, abs=0.05)
-    assert out.floor == pytest.approx(0.0, abs=1e-6)
-
-
-def test_hom_zero_locate_centered_offset():
-    out = hom_zero_locate(0.0, "bp", SPECTRUM)
-    assert abs(out.recovered) <= 1e-9
-
-
-def test_hom_zero_locate_cp_floor():
-    out = hom_zero_locate(-2.3, "cp_coarse", CoherentSpectrum(5.0, 0.5, 1.0))
-    assert out.recovered == pytest.approx(-2.3, abs=0.05)
-    assert out.floor == pytest.approx(0.5, abs=1e-3)
-
-
-def test_hom_zero_locate_speed_of_light_invariance():
-    slow = hom_zero_locate(1.1, "bp", SPECTRUM, c=1.0)
-    fast = hom_zero_locate(1.1, "bp", SPECTRUM, c=2.0, span=8.0)
-    assert fast.recovered == pytest.approx(slow.recovered, abs=1e-6)
-
-
-def test_hom_zero_locate_validation():
-    with pytest.raises(ValueError, match="source"):
-        hom_zero_locate(1.0, "cp", CoherentSpectrum(5.0, 0.5, 1.0))
-    with pytest.raises(TypeError):
-        hom_zero_locate(1.0, "bp", PULSE if False else CoherentSpectrum(5.0, 0.5, 1.0))
