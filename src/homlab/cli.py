@@ -203,21 +203,19 @@ def parse_angle(value, path: str = "theta") -> float:
 # ----- Model parsing -----
 
 
+@contextmanager
 def _wrap_model_error(path: str):
-    class _Ctx:
-        def __enter__(self):
-            return self
+    """Report a model's rejection of parsed values as a config error at ``path``.
 
-        def __exit__(self, exc_type, exc, tb):
-            if (
-                exc_type is not None
-                and issubclass(exc_type, (ValueError, TypeError))
-                and not issubclass(exc_type, ConfigError)
-            ):
-                raise ConfigError(f"{path}: {exc}") from None
-            return False
-
-    return _Ctx()
+    Regime errors pass through; a message that already names ``path`` is kept.
+    """
+    try:
+        yield
+    except (ConfigError, RegimeError):
+        raise
+    except (ValueError, TypeError) as exc:
+        text = str(exc)
+        raise ConfigError(text if text.startswith(f"{path}: ") else f"{path}: {text}") from None
 
 
 @contextmanager
@@ -272,6 +270,8 @@ def _parse_range(cfg, path: str) -> np.ndarray:
     n = _as_int(cfg["n"], _join(path, "n"))
     if hi <= lo:
         raise ConfigError(f"{path}: 'max' must exceed 'min'")
+    if math.isinf(hi - lo):
+        raise ConfigError(f"{path}: 'max' - 'min' is out of range")
     if not 2 <= n <= _MAX_VALUES:
         raise ConfigError(f"{_join(path, 'n')}: need 2 to {_MAX_VALUES} samples, got {n}")
     return np.linspace(lo, hi, n)
@@ -385,6 +385,19 @@ def _loss_field(cfg: dict) -> tuple[LossParams, dict | None]:
     return loss, _loss_dict(loss)
 
 
+def _plateau(source: str, model, loss: LossParams = LossParams()) -> float:
+    """Plateau every rate is divided by; a model or loss that makes it vanish
+    or overflow is refused, naming the lossless model first."""
+    for path, lo in (("pulse.total_intensity", LossParams()), ("loss", loss)):
+        try:
+            plateau = bp_plateau(lo) if source == "bp" else cp_plateau(model, lo)
+        except OverflowError:
+            plateau = math.inf
+        if not 0.0 < plateau < math.inf:
+            raise ConfigError(f"{path}: the rate plateau {plateau:.4g} cannot rescale the rates")
+    return plateau
+
+
 def _range_dict(axis: np.ndarray) -> dict:
     return {"min": float(axis[0]), "max": float(axis[-1]), "n": int(axis.size)}
 
@@ -444,7 +457,7 @@ def _build_hom(cfg: dict) -> list:
     axis = _parse_range(cfg.get("tau"), "tau")
     form = {"bp": hom_bp_analytic, "cp": hom_cp_analytic,
             "cp_coarse": hom_cp_coarse_analytic}[source]
-    plateau = bp_plateau() if source == "bp" else cp_plateau(model)
+    plateau = _plateau(source, model)
     curve = sample_curve(lambda t: form(t, model), axis, plateau)
     stem = _parse_stem(cfg, f"hom_{source}")
     params = {
@@ -496,7 +509,7 @@ def _build_surface(cfg: dict) -> list:
     theta = parse_angle(cfg.get("theta", 0.0), "theta")
     t1, t2 = _parse_grid(cfg)
     bp = source == "bp"
-    plateau = bp_plateau(loss) if bp else cp_plateau(model, loss)
+    plateau = _plateau(source, model, loss)
     if mode == "mhom":
         form = mhom_bp_analytic if bp else mhom_cp_analytic
         surface = sample_surface(lambda a, b: form(a, b, theta, model), t1, t2, plateau)
@@ -505,7 +518,9 @@ def _build_surface(cfg: dict) -> list:
         surface = sample_surface(lambda a, b: form(a, b, model, loss), t1, t2, plateau)
     else:
         form = mhom_bp_windowed if bp else mhom_cp_windowed
-        values = form(t1, t2, theta, model, window, n=window_n)
+        # the automatic node count for this window and carrier may exceed the cap
+        with _wrap_model_error("window"):
+            values = form(t1, t2, theta, model, window, n=window_n)
         surface = RateSurface(t1, t2, values, plateau)
     stem = _parse_stem(cfg, f"{mode}_{source}")
     params = {
@@ -540,8 +555,11 @@ def _build_sense(cfg: dict) -> list:
     span = _as_number(cfg["span"], "span") if "span" in cfg else None
     if span is not None and span <= 0.0:
         raise ConfigError("span: must be positive")
+    _plateau(source, model, loss)
     with _wrap_model_error("scenario"), _scan_resolves("scenario"):
         result = run_sensing(scenario, source, model, loss=loss, n=n, span=span)
+        if not math.isfinite(result.dl1_recovered + result.dl2_recovered):
+            raise ExtremaError("feature positions overflow at this scan step")
     stem = _parse_stem(cfg, f"sense_{source}")
     dl1_eff = scenario.dl1_0 - 2.0 * scenario.x1
     report = {
@@ -577,6 +595,7 @@ def _build_qps(cfg: dict) -> list:
     target = _parse_target(cfg.get("target"), "target")
     spectrum = _parse_spectrum(cfg.get("spectrum"), "spectrum")
     loss, loss_record = _loss_field(cfg)
+    _plateau("bp", spectrum, loss)
     c = _number_field(cfg, "", "c", 1.0)
     if c <= 0.0:
         raise ConfigError("c: must be positive")
@@ -632,12 +651,11 @@ def _build_qps(cfg: dict) -> list:
 
 
 def _bundle_artifacts(bundle: FigureBundle) -> list:
-    artifacts = []
-    for ds in bundle.datasets:
-        if ds.kind == "curve":
-            artifacts.append((ds.name + ".csv", curve_csv(ds.curve, ds.labels[0])))
-        else:
-            artifacts.append((ds.name + ".csv", surface_csv(ds.surface, ds.labels)))
+    artifacts = [
+        (ds.name + ".csv", curve_csv(ds.data, ds.labels[0]) if isinstance(ds.data, RateCurve)
+         else surface_csv(ds.data, ds.labels))
+        for ds in bundle.datasets
+    ]
     params = dict(bundle.params)
     params["files"] = [name for name, _ in artifacts]
     artifacts.append((bundle.preset + ".json", _json_text(params)))
@@ -708,9 +726,13 @@ def _load_config(path: str) -> dict:
         text = Path(path).read_text(encoding="utf-8")
     except OSError as exc:
         raise OSError(f"cannot read configuration {path}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"{path}: not UTF-8 text: {exc}") from None
     try:
         return json.loads(text)
-    except json.JSONDecodeError as exc:
+    except RecursionError:
+        raise ConfigError(f"{path}: malformed JSON: nested too deeply") from None
+    except ValueError as exc:
         raise ConfigError(f"{path}: malformed JSON: {exc}") from None
 
 
@@ -743,7 +765,7 @@ def main(argv=None) -> int:
     except RegimeError as exc:
         print(f"regime error: {exc}", file=sys.stderr)
         return 3
-    except (ConfigError, ValueError, TypeError, ExtremaError) as exc:
+    except (ConfigError, ExtremaError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except OSError as exc:

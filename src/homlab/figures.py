@@ -7,7 +7,10 @@ is expressed in the dimensionless unit system: the pair spectral width
 and the speed of light are 1, intensities are 1, and delays are given in
 units of the inverse pair width.
 
-Presets:
+Presets are data: each ``_Preset`` names its closed forms, labels,
+pulse, default phases, fixed first delay and loss sweep, and one build
+path samples them. Every dataset carries one payload, a ``RateCurve``
+or a ``RateSurface``.
 
 * fig2: single-delay curves, pair input plus oscillatory and averaged
   pulse input.
@@ -28,7 +31,10 @@ from fractions import Fraction
 
 import numpy as np
 
-from .rates import (
+# The closed forms and samplers are looked up in this module's namespace
+# when a preset is built, so wrapping them here (as the benchmark tracer
+# does) reaches every preset.
+from .rates import (  # noqa: F401
     LossParams,
     RateCurve,
     RateSurface,
@@ -48,17 +54,62 @@ from .spectra import CoherentSpectrum, GaussianJointSpectrum
 
 __all__ = ["FIGURE_PRESETS", "CURVE_PRESETS", "FigureDataset", "FigureBundle", "build_figure"]
 
-FIGURE_PRESETS = ("fig2", "fig3", "fig4", "fig5", "fig6", "fig7", "fig8")
-# presets made of curves; ``n`` counts samples per curve, and per surface
-# axis for the others
-CURVE_PRESETS = ("fig2", "fig6", "fig8")
-
 _CURVE_N = 801
 _SURFACE_N = 121
 _CURVE_HALF_RANGE = 4.0
 _SURFACE_HALF_RANGE = 3.0
-_FIXED_TAU1 = 2.0
+_SPECTRUM = GaussianJointSpectrum(omega0=5.0, d_omega_plus=0.2, d_omega_minus=1.0)
+# pulse with the per-photon spectral spread of the pair source
+_MATCHED_PULSE = CoherentSpectrum(omega0=5.0, d_omega=_SPECTRUM.local_spread)
+
+
+@dataclass(frozen=True)
+class _Preset:
+    """One plot as data.
+
+    ``forms`` pairs a dataset suffix with the name of a closed form; the
+    suffix may hold ``{theta}`` or ``{eta}``, which become the phase or
+    loss tag of each dataset. One label makes a curve over ``[-4, 4]``,
+    two labels a surface over ``[-3, 3]`` on both axes. ``theta`` is the
+    default phase of a phase-dependent preset: a tuple sweeps phases and
+    is recorded as a list. With ``fixed_tau1`` a curve is a cut at that
+    first delay; ``eta_b`` sweeps the loss imbalance.
+    """
+
+    forms: tuple[tuple[str, str], ...]
+    labels: tuple[str, ...]
+    pulse: CoherentSpectrum | None = None
+    theta: float | tuple[float, ...] | None = None
+    fixed_tau1: float | None = None
+    eta_b: tuple[float, ...] = ()
+
+
+_CUT = ("tau2",)
+_GRID = ("tau1", "tau2")
 _ETA_B_VALUES = (0.0, 0.3, 0.6, 0.9)
+_PRESETS = {
+    "fig2": _Preset(
+        (("bp", "hom_bp_analytic"), ("cp", "hom_cp_analytic"),
+         ("cp_coarse", "hom_cp_coarse_analytic")),
+        ("delay",), pulse=CoherentSpectrum(omega0=5.0, d_omega=0.5),
+    ),
+    "fig3": _Preset((("{theta}", "mhom_bp_analytic"),), _GRID, theta=(0.0, 0.5 * math.pi)),
+    "fig4": _Preset((("", "mhom_cp_analytic"),), _GRID, pulse=_MATCHED_PULSE,
+                    theta=0.5 * math.pi),
+    "fig5": _Preset((("bp", "mhom_bp_coarse_analytic"), ("cp", "mhom_cp_coarse_analytic")),
+                    _GRID, pulse=_MATCHED_PULSE),
+    # cut comparison uses a pulse as wide as the full pair bandwidth
+    "fig6": _Preset((("bp", "mhom_bp_coarse_analytic"), ("cp", "mhom_cp_coarse_analytic")),
+                    _CUT, pulse=CoherentSpectrum(omega0=5.0, d_omega=1.0), fixed_tau1=2.0),
+    "fig7": _Preset((("{eta}", "mhom_bp_coarse_analytic"),), _GRID, eta_b=_ETA_B_VALUES),
+    "fig8": _Preset((("{eta}", "mhom_bp_coarse_analytic"),), _CUT, fixed_tau1=2.0,
+                    eta_b=_ETA_B_VALUES),
+}
+
+FIGURE_PRESETS = tuple(_PRESETS)
+# presets made of curves; ``n`` counts samples per curve, and per surface
+# axis for the others
+CURVE_PRESETS = tuple(name for name, spec in _PRESETS.items() if len(spec.labels) == 1)
 
 
 @dataclass(frozen=True)
@@ -66,18 +117,8 @@ class FigureDataset:
     """One file worth of figure data: a named curve or surface."""
 
     name: str
-    kind: str
     labels: tuple[str, ...]
-    curve: RateCurve | None = None
-    surface: RateSurface | None = None
-
-    def __post_init__(self) -> None:
-        if self.kind not in ("curve", "surface"):
-            raise ValueError(f"kind must be 'curve' or 'surface', got {self.kind!r}")
-        if (self.kind == "curve") != (self.curve is not None):
-            raise ValueError("curve datasets carry exactly the curve payload")
-        if (self.kind == "surface") != (self.surface is not None):
-            raise ValueError("surface datasets carry exactly the surface payload")
+    data: RateCurve | RateSurface
 
 
 @dataclass(frozen=True)
@@ -101,181 +142,6 @@ def theta_tag(theta: float) -> str:
     return "theta_" + f"{theta:.6g}".replace("-", "m").replace(".", "p")
 
 
-def _eta_tag(eta: float) -> str:
-    return f"eta{int(round(10.0 * eta)):02d}"
-
-
-def _spectrum() -> GaussianJointSpectrum:
-    return GaussianJointSpectrum(omega0=5.0, d_omega_plus=0.2, d_omega_minus=1.0)
-
-
-def _matched_pulse(spectrum: GaussianJointSpectrum) -> CoherentSpectrum:
-    """Pulse with the per-photon spectral spread of the pair source."""
-    return CoherentSpectrum(
-        omega0=spectrum.omega0,
-        d_omega=spectrum.local_spread,
-        total_intensity=1.0,
-    )
-
-
-def _base_params(preset: str) -> dict:
-    return {
-        "preset": preset,
-        "units": {
-            "delay": "1/d_omega_minus",
-            "rate": "rescaled by the plateau value",
-            "c": 1.0,
-        },
-    }
-
-
-def _curve_axis(n: int) -> np.ndarray:
-    return np.linspace(-_CURVE_HALF_RANGE, _CURVE_HALF_RANGE, n)
-
-def _surface_axis(n: int) -> np.ndarray:
-    return np.linspace(-_SURFACE_HALF_RANGE, _SURFACE_HALF_RANGE, n)
-
-
-def _build_fig2(n: int) -> FigureBundle:
-    spectrum = _spectrum()
-    pulse = CoherentSpectrum(omega0=5.0, d_omega=0.5, total_intensity=1.0)
-    axis = _curve_axis(n)
-    datasets = (
-        FigureDataset(
-            "fig2_bp", "curve", ("delay",),
-            curve=sample_curve(lambda t: hom_bp_analytic(t, spectrum), axis,
-                               bp_plateau()),
-        ),
-        FigureDataset(
-            "fig2_cp", "curve", ("delay",),
-            curve=sample_curve(lambda t: hom_cp_analytic(t, pulse), axis,
-                               cp_plateau(pulse)),
-        ),
-        FigureDataset(
-            "fig2_cp_coarse", "curve", ("delay",),
-            curve=sample_curve(lambda t: hom_cp_coarse_analytic(t, pulse), axis,
-                               cp_plateau(pulse)),
-        ),
-    )
-    params = _base_params("fig2")
-    params.update(
-        spectrum=asdict(spectrum),
-        pulse=asdict(pulse),
-        delay_half_range=_CURVE_HALF_RANGE,
-        samples=n,
-    )
-    return FigureBundle("fig2", datasets, params)
-
-
-def _build_fig3(n: int, thetas: tuple[float, ...]) -> FigureBundle:
-    spectrum = _spectrum()
-    axis = _surface_axis(n)
-    datasets = tuple(
-        FigureDataset(
-            f"fig3_{theta_tag(theta)}", "surface", ("tau1", "tau2"),
-            surface=sample_surface(
-                lambda t1, t2, th=theta: mhom_bp_analytic(t1, t2, th, spectrum),
-                axis, axis, bp_plateau(),
-            ),
-        )
-        for theta in thetas
-    )
-    params = _base_params("fig3")
-    params.update(
-        spectrum=asdict(spectrum),
-        theta=list(thetas),
-        delay_half_range=_SURFACE_HALF_RANGE,
-        samples=n,
-    )
-    return FigureBundle("fig3", datasets, params)
-
-
-def _build_fig4(n: int, theta: float) -> FigureBundle:
-    spectrum = _spectrum()
-    pulse = _matched_pulse(spectrum)
-    axis = _surface_axis(n)
-    datasets = (
-        FigureDataset(
-            "fig4", "surface", ("tau1", "tau2"),
-            surface=sample_surface(
-                lambda t1, t2: mhom_cp_analytic(t1, t2, theta, pulse),
-                axis, axis, cp_plateau(pulse),
-            ),
-        ),
-    )
-    params = _base_params("fig4")
-    params.update(
-        spectrum=asdict(spectrum),
-        pulse=asdict(pulse),
-        theta=theta,
-        delay_half_range=_SURFACE_HALF_RANGE,
-        samples=n,
-    )
-    return FigureBundle("fig4", datasets, params)
-
-
-def _build_fig5(n: int) -> FigureBundle:
-    spectrum = _spectrum()
-    pulse = _matched_pulse(spectrum)
-    axis = _surface_axis(n)
-    datasets = (
-        FigureDataset(
-            "fig5_bp", "surface", ("tau1", "tau2"),
-            surface=sample_surface(
-                lambda t1, t2: mhom_bp_coarse_analytic(t1, t2, spectrum),
-                axis, axis, bp_plateau(),
-            ),
-        ),
-        FigureDataset(
-            "fig5_cp", "surface", ("tau1", "tau2"),
-            surface=sample_surface(
-                lambda t1, t2: mhom_cp_coarse_analytic(t1, t2, pulse),
-                axis, axis, cp_plateau(pulse),
-            ),
-        ),
-    )
-    params = _base_params("fig5")
-    params.update(
-        spectrum=asdict(spectrum),
-        pulse=asdict(pulse),
-        delay_half_range=_SURFACE_HALF_RANGE,
-        samples=n,
-    )
-    return FigureBundle("fig5", datasets, params)
-
-
-def _build_fig6(n: int) -> FigureBundle:
-    spectrum = _spectrum()
-    # cut comparison uses a pulse as wide as the full pair bandwidth
-    pulse = CoherentSpectrum(omega0=5.0, d_omega=1.0, total_intensity=1.0)
-    axis = _curve_axis(n)
-    datasets = (
-        FigureDataset(
-            "fig6_bp", "curve", ("tau2",),
-            curve=sample_curve(
-                lambda t2: mhom_bp_coarse_analytic(_FIXED_TAU1, t2, spectrum),
-                axis, bp_plateau(),
-            ),
-        ),
-        FigureDataset(
-            "fig6_cp", "curve", ("tau2",),
-            curve=sample_curve(
-                lambda t2: mhom_cp_coarse_analytic(_FIXED_TAU1, t2, pulse),
-                axis, cp_plateau(pulse),
-            ),
-        ),
-    )
-    params = _base_params("fig6")
-    params.update(
-        spectrum=asdict(spectrum),
-        pulse=asdict(pulse),
-        fixed_tau1=_FIXED_TAU1,
-        delay_half_range=_CURVE_HALF_RANGE,
-        samples=n,
-    )
-    return FigureBundle("fig6", datasets, params)
-
-
 def chi2_for_eta_b(eta_b: float) -> float:
     """Second internal-arm amplitude giving a wanted loss imbalance.
 
@@ -288,62 +154,28 @@ def chi2_for_eta_b(eta_b: float) -> float:
     return math.sqrt((1.0 - root) / (1.0 + root))
 
 
-def _build_fig7(n: int) -> FigureBundle:
-    spectrum = _spectrum()
-    axis = _surface_axis(n)
-    datasets = []
-    loss_record = {}
-    for eta in _ETA_B_VALUES:
-        loss = LossParams(chi2=chi2_for_eta_b(eta))
-        loss_record[_eta_tag(eta)] = {"chi1": 1.0, "chi2": loss.chi2.real}
-        datasets.append(
-            FigureDataset(
-                f"fig7_{_eta_tag(eta)}", "surface", ("tau1", "tau2"),
-                surface=sample_surface(
-                    lambda t1, t2, lo=loss: mhom_bp_coarse_analytic(t1, t2, spectrum, lo),
-                    axis, axis, bp_plateau(loss),
-                ),
-            )
-        )
-    params = _base_params("fig7")
-    params.update(
-        spectrum=asdict(spectrum),
-        eta_b_values=list(_ETA_B_VALUES),
-        loss=loss_record,
-        delay_half_range=_SURFACE_HALF_RANGE,
-        samples=n,
-    )
-    return FigureBundle("fig7", tuple(datasets), params)
+def _dataset(spec: _Preset, name: str, form_name: str, theta: float | None,
+             loss: LossParams, axis: np.ndarray) -> FigureDataset:
+    """Sample one closed form: a single-delay curve, a cut at ``fixed_tau1``
+    or a surface; phase-dependent forms take ``theta``, averaged forms ``loss``."""
+    # pair-source forms take the spectrum, pulse forms the preset's pulse
+    bp = "_bp_" in form_name
+    model = _SPECTRUM if bp else spec.pulse
+    plateau = bp_plateau(loss) if bp else cp_plateau(model, loss)
+    form = globals()[form_name]
 
+    def rate(*delays):
+        if spec.fixed_tau1 is not None:
+            delays = (spec.fixed_tau1, *delays)
+        if len(delays) == 1:
+            return form(*delays, model)
+        if theta is not None:
+            return form(*delays, theta, model)
+        return form(*delays, model, loss)
 
-def _build_fig8(n: int) -> FigureBundle:
-    spectrum = _spectrum()
-    axis = _curve_axis(n)
-    datasets = []
-    loss_record = {}
-    for eta in _ETA_B_VALUES:
-        loss = LossParams(chi2=chi2_for_eta_b(eta))
-        loss_record[_eta_tag(eta)] = {"chi1": 1.0, "chi2": loss.chi2.real}
-        datasets.append(
-            FigureDataset(
-                f"fig8_{_eta_tag(eta)}", "curve", ("tau2",),
-                curve=sample_curve(
-                    lambda t2, lo=loss: mhom_bp_coarse_analytic(_FIXED_TAU1, t2,
-                                                                spectrum, lo),
-                    axis, bp_plateau(loss),
-                ),
-            )
-        )
-    params = _base_params("fig8")
-    params.update(
-        spectrum=asdict(spectrum),
-        eta_b_values=list(_ETA_B_VALUES),
-        loss=loss_record,
-        fixed_tau1=_FIXED_TAU1,
-        delay_half_range=_CURVE_HALF_RANGE,
-        samples=n,
-    )
-    return FigureBundle("fig8", tuple(datasets), params)
+    if len(spec.labels) == 1:
+        return FigureDataset(name, spec.labels, sample_curve(rate, axis, plateau))
+    return FigureDataset(name, spec.labels, sample_surface(rate, axis, axis, plateau))
 
 
 def build_figure(preset: str, theta: float | None = None,
@@ -354,28 +186,51 @@ def build_figure(preset: str, theta: float | None = None,
     phase; other presets have no phase dependence and reject it. ``n``
     overrides the number of samples per axis.
     """
-    if preset not in FIGURE_PRESETS:
+    if preset not in _PRESETS:
         raise ValueError(
             f"unknown preset {preset!r}; choose one of {', '.join(FIGURE_PRESETS)}"
         )
-    if theta is not None and preset not in ("fig3", "fig4"):
+    spec = _PRESETS[preset]
+    if theta is not None and spec.theta is None:
         raise ValueError(f"preset {preset} has no achromatic phase parameter")
+    curve = len(spec.labels) == 1
     if n is None:
-        n = _CURVE_N if preset in CURVE_PRESETS else _SURFACE_N
+        n = _CURVE_N if curve else _SURFACE_N
     elif int(n) != n or n < 16:
         raise ValueError(f"need at least 16 samples per axis, got {n!r}")
-    n = int(n)
-    if preset == "fig2":
-        return _build_fig2(n)
-    if preset == "fig3":
-        thetas = (0.0, 0.5 * math.pi) if theta is None else (float(theta),)
-        return _build_fig3(n, thetas)
-    if preset == "fig4":
-        return _build_fig4(n, 0.5 * math.pi if theta is None else float(theta))
-    if preset == "fig5":
-        return _build_fig5(n)
-    if preset == "fig6":
-        return _build_fig6(n)
-    if preset == "fig7":
-        return _build_fig7(n)
-    return _build_fig8(n)
+    half_range = _CURVE_HALF_RANGE if curve else _SURFACE_HALF_RANGE
+    axis = np.linspace(-half_range, half_range, int(n))
+    params = {
+        "preset": preset,
+        "units": {"delay": "1/d_omega_minus", "rate": "rescaled by the plateau value",
+                  "c": 1.0},
+        "spectrum": asdict(_SPECTRUM),
+        "delay_half_range": half_range,
+        "samples": int(n),
+    }
+    if spec.pulse is not None:
+        params["pulse"] = asdict(spec.pulse)
+    if spec.fixed_tau1 is not None:
+        params["fixed_tau1"] = spec.fixed_tau1
+    thetas = (None,)
+    if isinstance(spec.theta, tuple):
+        thetas = spec.theta if theta is None else (float(theta),)
+        params["theta"] = list(thetas)
+    elif spec.theta is not None:
+        thetas = (spec.theta if theta is None else float(theta),)
+        params["theta"] = thetas[0]
+    losses = {None: LossParams()}
+    if spec.eta_b:
+        losses = {f"eta{int(round(10.0 * eta)):02d}": LossParams(chi2=chi2_for_eta_b(eta))
+                  for eta in spec.eta_b}
+        params["eta_b_values"] = list(spec.eta_b)
+        params["loss"] = {tag: {"chi1": 1.0, "chi2": loss.chi2.real}
+                          for tag, loss in losses.items()}
+    datasets = []
+    for suffix, form_name in spec.forms:
+        for th in thetas:
+            for tag, loss in losses.items():
+                name = suffix.format(theta=theta_tag(th) if th is not None else "", eta=tag)
+                datasets.append(_dataset(spec, f"{preset}_{name}" if name else preset,
+                                         form_name, th, loss, axis))
+    return FigureBundle(preset, tuple(datasets), params)

@@ -151,6 +151,14 @@ def _abs_direction_cosine(r: float, s: float) -> float:
     return math.sqrt(max(0.0, 1.0 - w * w))
 
 
+def _from_direction_cosines(r: float, u: float, v: float) -> tuple[QpsTarget, bool]:
+    """Emitter position from the two direction cosines, plus the zenith flag."""
+    cos_gamma = min(math.hypot(u, v), 1.0)
+    degenerate = cos_gamma == 0.0
+    vartheta = 0.0 if degenerate else math.atan2(v, u)
+    return QpsTarget(r=r, gamma=math.acos(cos_gamma), vartheta=vartheta), degenerate
+
+
 def qps_invert(r: float, s1: float, s2: float, sign_u: int = 1,
                sign_v: int = 1) -> QpsInversion:
     """Recover the emitter position from the two control delays.
@@ -178,14 +186,7 @@ def qps_invert(r: float, s1: float, s2: float, sign_u: int = 1,
         raise ValueError(
             f"control delays are inconsistent: u^2 + v^2 = {norm2:.6g} > 1"
         )
-    cos_gamma = min(math.sqrt(norm2), 1.0)
-    gamma = math.acos(cos_gamma)
-    degenerate = cos_gamma == 0.0
-    vartheta = 0.0 if degenerate else math.atan2(v, u)
-    return QpsInversion(
-        target=QpsTarget(r=r, gamma=gamma, vartheta=vartheta),
-        degenerate_azimuth=degenerate,
-    )
+    return QpsInversion(*_from_direction_cosines(r, u, v))
 
 
 # ----- End-to-end simulated scan -----
@@ -296,11 +297,7 @@ def qps_scan(target: QpsTarget, spectrum: GaussianJointSpectrum,
     if norm > 1.0:
         u /= norm
         v /= norm
-    cos_gamma = min(math.hypot(u, v), 1.0)
-    gamma = math.acos(cos_gamma)
-    degenerate = cos_gamma == 0.0
-    vartheta = 0.0 if degenerate else math.atan2(v, u)
-    recovered = QpsTarget(r=target.r, gamma=gamma, vartheta=vartheta)
+    recovered, degenerate = _from_direction_cosines(target.r, u, v)
 
     s_axis = np.linspace(-(target.r + 3.0 * c / width),
                          target.r + 3.0 * c / width, int(surface_n))

@@ -57,11 +57,11 @@ def test_fig2_bundle_values():
     assert names == ["fig2_bp", "fig2_cp", "fig2_cp_coarse"]
     by_name = {ds.name: ds for ds in bundle.datasets}
     for ds in bundle.datasets:
-        assert ds.kind == "curve"
-    bp = by_name["fig2_bp"].curve
+        assert isinstance(ds.data, RateCurve)
+    bp = by_name["fig2_bp"].data
     i0 = int(np.argmin(np.abs(bp.axis)))
     assert bp.values[i0] <= 1e-9
-    coarse = by_name["fig2_cp_coarse"].curve
+    coarse = by_name["fig2_cp_coarse"].data
     assert coarse.values[i0] == pytest.approx(0.5, abs=1e-6)
 
 
@@ -70,7 +70,7 @@ def test_fig3_bundle_and_theta_override():
     assert [ds.name for ds in both.datasets] == ["fig3_theta0", "fig3_theta_pi2"]
     only = build_figure("fig3", theta=math.pi / 2.0)
     assert [ds.name for ds in only.datasets] == ["fig3_theta_pi2"]
-    surf = only.datasets[0].surface
+    surf = only.datasets[0].data
     i0 = int(np.argmin(np.abs(surf.tau1_axis)))
     assert surf.values[i0, i0] <= 1e-12
     # the diagonal vanishes nowhere else
@@ -81,7 +81,7 @@ def test_fig3_bundle_and_theta_override():
 
 def test_fig4_origin_value():
     bundle = build_figure("fig4")
-    surf = bundle.datasets[0].surface
+    surf = bundle.datasets[0].data
     i0 = int(np.argmin(np.abs(surf.tau1_axis)))
     assert surf.values[i0, i0] == pytest.approx(1.0, abs=1e-12)
 
@@ -92,8 +92,8 @@ def test_fig6_uses_literal_pulse_width():
     bundle = build_figure("fig6")
     cp = next(ds for ds in bundle.datasets if ds.name == "fig6_cp")
     pulse = CoherentSpectrum(omega0=5.0, d_omega=1.0, total_intensity=1.0)
-    x = cp.curve.axis[37]
-    assert cp.curve.values[37] == pytest.approx(
+    x = cp.data.axis[37]
+    assert cp.data.values[37] == pytest.approx(
         float(mhom_cp_coarse_analytic(2.0, x, pulse)), rel=1e-12
     )
 
@@ -106,7 +106,7 @@ def test_fig7_lossy_bundle():
         "fig7_eta06",
         "fig7_eta09",
     ]
-    plateaus = [ds.surface.plateau for ds in bundle.datasets]
+    plateaus = [ds.data.plateau for ds in bundle.datasets]
     assert plateaus[0] == pytest.approx(0.5, rel=1e-12)
     assert all(b < a for a, b in zip(plateaus, plateaus[1:]))
 
@@ -218,10 +218,10 @@ def test_surface_csv_matches_reference(labels, plateau):
 def test_csv_writers_match_reference_on_presets():
     for preset in FIGURE_PRESETS:
         for ds in build_figure(preset).datasets:
-            if ds.kind == "curve":
-                assert curve_csv(ds.curve, ds.labels[0]) == _reference_csv(ds.curve, ds.labels)
+            if isinstance(ds.data, RateCurve):
+                assert curve_csv(ds.data, ds.labels[0]) == _reference_csv(ds.data, ds.labels)
             else:
-                assert surface_csv(ds.surface, ds.labels) == _reference_csv(ds.surface, ds.labels)
+                assert surface_csv(ds.data, ds.labels) == _reference_csv(ds.data, ds.labels)
 
 
 # SHA-256 of every CSV the figure presets write, pinned when the per-value
@@ -248,14 +248,44 @@ PRESET_CSV_SHA256 = {
 }
 
 
+# SHA-256 of every preset JSON sidecar, and of every file of two presets run
+# with a phase and size override, pinned before the presets became data.
+PRESET_JSON_SHA256 = {
+    "fig2.json": "00223138ade38e205227959d3fa00a2d4d5344996f4d732e8d61ef6b0c55f3d8",
+    "fig3.json": "0ffa898889be7822400b4f3f2988794e8ccb0a9ae42ab604d91b7917f0f7c472",
+    "fig4.json": "aee45ab215e1722366f33a213f9d47dcda115dab78347b44e6c7e3e53eb76e53",
+    "fig5.json": "90d139fbf11093dca5f7f66b6c4a48b1d2312737a7b1eab203670e8a3b291bb7",
+    "fig6.json": "ca38361be683bba8528e2332a3d74b39395fb50a7c7291275edda2892b35b5f0",
+    "fig7.json": "63d3dfa1b25308cad8c0cc7c4071cbba78c743b3b53f8a8ee9b5d7f73b7dfd33",
+    "fig8.json": "10e4212000d921d6113c49f424ae1abe458bede049628ee9593d9f395fe984af",
+}
+PRESET_OVERRIDE_SHA256 = {
+    ("fig3", "pi/3", 40): {
+        "fig3.json": "253d478efd08ff5c210d984ba9013766b1165675488971ebf4c3c34fb036fffc",
+        "fig3_theta_pi3.csv": "3386a2ca882d0b6c6a480ee9c203f56899273c69d37a8a828166a645671509cf",
+    },
+    ("fig4", "pi/4", 24): {
+        "fig4.csv": "63c04f8eb785949e3b7441a0d9026230f38e0fdf5c0dbd20eba6bb74036e3b25",
+        "fig4.json": "67572a5c30e442f6d10bf320b5f1bb15cc0390a72785707a581b139c85f1b5ef",
+    },
+}
+
+
+def _sha256_by_name(out_dir):
+    return {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in out_dir.iterdir()}
+
+
 def test_preset_csv_golden_hashes(tmp_path):
     written = {}
     for preset in FIGURE_PRESETS:
         out = tmp_path / preset
         assert main(["figure", preset, "--out", str(out)]) == 0
-        for path in out.glob("*.csv"):
-            written[path.name] = hashlib.sha256(path.read_bytes()).hexdigest()
-    assert written == PRESET_CSV_SHA256
+        written.update(_sha256_by_name(out))
+    assert written == {**PRESET_CSV_SHA256, **PRESET_JSON_SHA256}
+    for (preset, theta, n), expected in PRESET_OVERRIDE_SHA256.items():
+        out = tmp_path / f"{preset}_override"
+        assert main(["figure", preset, "--theta", theta, "--n", str(n), "--out", str(out)]) == 0
+        assert _sha256_by_name(out) == expected
 
 
 _PAIR = {"omega0": 5.0, "d_omega_plus": 0.2, "d_omega_minus": 1.0}
@@ -382,8 +412,7 @@ def test_run_golden_hashes(tmp_path, name, capsys):
     cfg = write_config(tmp_path, {"version": 1, **RUN_CONFIGS[name]})
     out = tmp_path / "out"
     assert main(["run", cfg, "--out", str(out)]) == 0
-    written = {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in out.iterdir()}
-    assert written == RUN_SHA256[name]
+    assert _sha256_by_name(out) == RUN_SHA256[name]
 
 
 # ----- figure subcommand -----
@@ -634,6 +663,24 @@ def test_missing_config_file_exits_1(tmp_path, capsys):
     assert "cannot read" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "content",
+    [
+        b"[" * 100_000,
+        b'{"version": 1, "mode": "hom", "stem": "caf\xe9"}',
+        b'{"version": 1, "n": 1' + b"0" * 5000 + b"}",
+    ],
+    ids=["nested_100k", "not_utf8", "int_5001_digits"],
+)
+def test_unreadable_config_text_rejected_with_path(tmp_path, capsys, content):
+    cfg = tmp_path / "config.json"
+    cfg.write_bytes(content)
+    out = tmp_path / "out"
+    assert main(["run", str(cfg), "--out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith(f"error: {cfg}: ")
+    assert not out.exists()
+
+
 def test_unknown_field_rejected(tmp_path, capsys):
     payload = dict(HOM_BP, extra=1)
     cfg = write_config(tmp_path, payload)
@@ -881,6 +928,31 @@ def test_report_counts_rejected_with_field(tmp_path, capsys, payload, field):
 
 
 @pytest.mark.parametrize(
+    "payload, field",
+    [
+        (dict(HOM_BP, tau={"min": -1e308, "max": 1e308, "n": 5}), "tau"),
+        (_coarse_window(source="cp", spectrum=None, theta=0.0,
+                        pulse={"omega0": 500.0, "d_omega": 0.5, "total_intensity": 1e300}),
+         "pulse.total_intensity"),
+        (dict(SENSE_BP, loss={"xi2": 0.0}), "loss"),
+        (dict(SENSE_BP, source="cp", spectrum=None, pulse={"omega0": 5.0, "d_omega": 1.0},
+              scenario={"dl1_0": 1e300, "dl2_0": -1.3}, n=401), "scenario"),
+    ],
+    ids=["range_overflow", "plateau_overflow", "plateau_zero", "scan_overflow"],
+)
+# the 1e300 offset overflows the scan arithmetic on purpose
+@pytest.mark.filterwarnings("ignore:first-stage delay too small",
+                            "ignore:overflow encountered", "ignore:invalid value encountered")
+def test_unscalable_configs_rejected_with_field(tmp_path, capsys, payload, field):
+    payload = {key: value for key, value in payload.items() if value is not None}
+    cfg = write_config(tmp_path, payload)
+    out = tmp_path / "out"
+    assert main(["run", cfg, "--out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith(f"error: {field}: ")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
     "payload, field, found",
     [
         (dict(QPS_LARGE_R, n=51), "n", "expected 2 dips, found 1"),
@@ -1023,3 +1095,14 @@ def test_temp_names_are_unique_per_write(tmp_path, monkeypatch):
     assert len(names) == 4 and len(set(names)) == 4
     assert all(name.startswith(".hom_bp.") and name.endswith(".tmp") for name in names)
     assert sorted(p.name for p in tmp_path.iterdir()) == ["hom_bp.csv", "hom_bp.json"]
+
+
+def test_internal_errors_are_not_reported_as_config_errors(tmp_path, monkeypatch):
+    def broken(*args, **kwargs):
+        raise ValueError("formatter bug")
+
+    monkeypatch.setattr(cli, "surface_csv", broken)
+    cfg = write_config(tmp_path, {"version": 1, **RUN_CONFIGS["mhom_bp"]})
+    with pytest.raises(ValueError, match="formatter bug"):
+        main(["run", cfg, "--out", str(tmp_path / "out")])
+    assert not (tmp_path / "out").exists()
