@@ -10,7 +10,10 @@ Two subcommands:
 
 Configuration documents share the envelope ``{"version": 1, "mode":
 ...}`` with mode-specific fields; unknown fields are rejected with the
-offending field path. Modes:
+offending field path. The blocks ``spectrum``, ``pulse``, ``loss``,
+``scenario`` and ``target`` take exactly the fields of the library
+records they build (``GaussianJointSpectrum``, ``CoherentSpectrum``,
+``LossParams``, ``SensingScenario``, ``QpsTarget``). Modes:
 
 * ``hom``: single-delay curve. Fields: ``source`` (``bp``, ``cp`` or
   ``cp_coarse``), ``spectrum`` or ``pulse``, ``tau`` range, optional
@@ -52,7 +55,7 @@ import os
 import re
 import sys
 from contextlib import contextmanager
-from dataclasses import asdict
+from dataclasses import MISSING, asdict, fields
 from pathlib import Path
 
 import numpy as np
@@ -103,8 +106,6 @@ _UNITS = {
 }
 _STEM_RE = re.compile(r"^[A-Za-z0-9][A-Za-z0-9_.-]*$")
 
-_MISSING = object()
-
 # Values one artifact may hold (a 1448 x 1448 surface); every count a config
 # sets is checked against it before anything that size is allocated.
 _MAX_VALUES = 1 << 21
@@ -151,14 +152,6 @@ def _as_int(value, path: str) -> int:
     if isinstance(value, bool) or not isinstance(value, numbers.Integral):
         raise ConfigError(f"{path}: expected an integer")
     return int(value)
-
-
-def _number_field(cfg: dict, path: str, key: str, default=_MISSING) -> float:
-    if key not in cfg:
-        if default is _MISSING:
-            raise ConfigError(f"{_join(path, key)}: required field is missing")
-        return default
-    return _as_number(cfg[key], _join(path, key))
 
 
 def parse_angle(value, path: str = "theta") -> float:
@@ -229,20 +222,20 @@ def _scan_resolves(path: str):
         ) from None
 
 
-def _parse_spectrum(cfg, path: str) -> GaussianJointSpectrum:
-    cfg = _require_mapping(cfg, path)
-    _check_keys(cfg, path, ("omega0", "d_omega_plus", "d_omega_minus"), ())
-    kwargs = {key: _as_number(cfg[key], _join(path, key)) for key in cfg}
-    with _wrap_model_error(path):
-        return GaussianJointSpectrum(**kwargs)
+def _parse_record(cfg, path: str, cls, parse=_as_number, **parsers):
+    """The library record ``cls`` from the JSON block at ``path``.
 
-
-def _parse_pulse(cfg, path: str) -> CoherentSpectrum:
+    The block takes exactly the fields of ``cls``; those without a default
+    are required. Each value goes through ``parse`` unless ``parsers``
+    names another parser for its key, and the record's own checks are
+    reported at ``path``.
+    """
     cfg = _require_mapping(cfg, path)
-    _check_keys(cfg, path, ("omega0", "d_omega"), ("total_intensity",))
-    kwargs = {key: _as_number(cfg[key], _join(path, key)) for key in cfg}
+    _check_keys(cfg, path, tuple(f.name for f in fields(cls) if f.default is MISSING),
+                tuple(f.name for f in fields(cls) if f.default is not MISSING))
+    kwargs = {key: parsers.get(key, parse)(cfg[key], _join(path, key)) for key in cfg}
     with _wrap_model_error(path):
-        return CoherentSpectrum(**kwargs)
+        return cls(**kwargs)
 
 
 def _parse_amplitude(value, path: str) -> complex:
@@ -251,15 +244,6 @@ def _parse_amplitude(value, path: str) -> complex:
             raise ConfigError(f"{path}: complex amplitude needs [re, im]")
         return complex(_as_number(value[0], path), _as_number(value[1], path))
     return complex(_as_number(value, path))
-
-
-def _parse_loss(cfg, path: str) -> LossParams:
-    cfg = _require_mapping(cfg, path)
-    names = ("xi1", "xi2", "chi1", "chi2")
-    _check_keys(cfg, path, (), names)
-    kwargs = {key: _parse_amplitude(cfg[key], _join(path, key)) for key in cfg}
-    with _wrap_model_error(path):
-        return LossParams(**kwargs)
 
 
 def _parse_range(cfg, path: str) -> np.ndarray:
@@ -293,32 +277,15 @@ def _check_count(n: int, path: str, least: int, most: int) -> int:
     return n
 
 
+def _count_field(cfg: dict, key: str, least: int, most: int, default):
+    if key not in cfg:
+        return default
+    return _check_count(_as_int(cfg[key], key), key, least, most)
+
+
 def _check_figure_n(preset: str, n: int | None, path: str) -> None:
     if n is not None:
         _check_count(n, path, 16, _MAX_VALUES if preset in CURVE_PRESETS else _MAX_SIDE)
-
-
-def _parse_scenario(cfg, path: str) -> SensingScenario:
-    cfg = _require_mapping(cfg, path)
-    _check_keys(cfg, path, ("dl1_0", "dl2_0"), ("x1", "c"))
-    with _wrap_model_error(path):
-        return SensingScenario(
-            dl1_0=_as_number(cfg["dl1_0"], _join(path, "dl1_0")),
-            dl2_0=_as_number(cfg["dl2_0"], _join(path, "dl2_0")),
-            x1=_number_field(cfg, path, "x1", 0.0),
-            c=_number_field(cfg, path, "c", 1.0),
-        )
-
-
-def _parse_target(cfg, path: str) -> QpsTarget:
-    cfg = _require_mapping(cfg, path)
-    _check_keys(cfg, path, ("r", "gamma", "vartheta"), ())
-    with _wrap_model_error(path):
-        return QpsTarget(
-            r=_as_number(cfg["r"], _join(path, "r")),
-            gamma=parse_angle(cfg["gamma"], _join(path, "gamma")),
-            vartheta=parse_angle(cfg["vartheta"], _join(path, "vartheta")),
-        )
 
 
 def _parse_source(cfg, path: str, choices: tuple) -> str:
@@ -367,21 +334,23 @@ def _json_text(obj) -> str:
     return json.dumps(obj, indent=2, sort_keys=True, allow_nan=False) + "\n"
 
 
+def _with_record(data: list, name: str, record: dict) -> list:
+    """The data files of a run, then its JSON record ``name`` listing them."""
+    record["files"] = [file for file, _ in data]
+    return [*data, (name, _json_text(record))]
+
+
 def _loss_dict(loss: LossParams) -> dict:
-    out = {}
-    for name in ("xi1", "xi2", "chi1", "chi2"):
-        z = getattr(loss, name)
-        out[name] = z.real if z.imag == 0.0 else [z.real, z.imag]
-    out["eta_a"] = loss.eta_a
-    out["eta_b"] = loss.eta_b
-    return out
+    out = {name: z.real if z.imag == 0.0 else [z.real, z.imag]
+           for name, z in asdict(loss).items()}
+    return {**out, "eta_a": loss.eta_a, "eta_b": loss.eta_b}
 
 
 def _loss_field(cfg: dict) -> tuple[LossParams, dict | None]:
     """The ``loss`` field and its record; lossless, with no record, when absent."""
     if "loss" not in cfg:
         return LossParams(), None
-    loss = _parse_loss(cfg["loss"], "loss")
+    loss = _parse_record(cfg["loss"], "loss", LossParams, _parse_amplitude)
     return loss, _loss_dict(loss)
 
 
@@ -439,13 +408,13 @@ def _model_for(cfg: dict, kind: str):
             raise ConfigError("pulse: not used when the source is 'bp'")
         if "spectrum" not in cfg:
             raise ConfigError("spectrum: required field is missing")
-        spectrum = _parse_spectrum(cfg["spectrum"], "spectrum")
+        spectrum = _parse_record(cfg["spectrum"], "spectrum", GaussianJointSpectrum)
         return spectrum, {"spectrum": asdict(spectrum)}
     if "spectrum" in cfg:
         raise ConfigError("spectrum: not used for pulse sources")
     if "pulse" not in cfg:
         raise ConfigError("pulse: required field is missing")
-    pulse = _parse_pulse(cfg["pulse"], "pulse")
+    pulse = _parse_record(cfg["pulse"], "pulse", CoherentSpectrum)
     return pulse, {"pulse": asdict(pulse)}
 
 
@@ -460,16 +429,14 @@ def _build_hom(cfg: dict) -> list:
     plateau = _plateau(source, model)
     curve = sample_curve(lambda t: form(t, model), axis, plateau)
     stem = _parse_stem(cfg, f"hom_{source}")
-    params = {
+    return _with_record([(f"{stem}.csv", curve_csv(curve))], f"{stem}.json", {
         "mode": "hom",
         "source": source,
         "tau": _range_dict(axis),
         "plateau": plateau,
         "units": _UNITS,
-        "files": [f"{stem}.csv"],
         **record,
-    }
-    return [(f"{stem}.csv", curve_csv(curve)), (f"{stem}.json", _json_text(params))]
+    })
 
 
 def _parse_window(cfg: dict) -> tuple[float | None, int | None]:
@@ -530,7 +497,6 @@ def _build_surface(cfg: dict) -> list:
         "tau2": _range_dict(t2),
         "plateau": plateau,
         "units": _UNITS,
-        "files": [f"{stem}.csv"],
         **record,
     }
     if mode == "mhom" or window is not None:
@@ -541,7 +507,7 @@ def _build_surface(cfg: dict) -> list:
         params["window_n"] = window_n
     if loss_record is not None:
         params["loss"] = loss_record
-    return [(f"{stem}.csv", surface_csv(surface)), (f"{stem}.json", _json_text(params))]
+    return _with_record([(f"{stem}.csv", surface_csv(surface))], f"{stem}.json", params)
 
 
 def _build_sense(cfg: dict) -> list:
@@ -549,28 +515,22 @@ def _build_sense(cfg: dict) -> list:
                 ("spectrum", "pulse", "loss", "n", "span", "stem"))
     source = _parse_source(cfg, "", ("bp", "cp"))
     model, record = _model_for(cfg, source)
-    scenario = _parse_scenario(cfg.get("scenario"), "scenario")
+    scenario = _parse_record(cfg.get("scenario"), "scenario", SensingScenario)
     loss, loss_record = _loss_field(cfg)
-    n = _check_count(_as_int(cfg["n"], "n"), "n", 51, _MAX_VALUES) if "n" in cfg else 2001
+    n = _count_field(cfg, "n", 51, _MAX_VALUES, 2001)
     span = _as_number(cfg["span"], "span") if "span" in cfg else None
     if span is not None and span <= 0.0:
         raise ConfigError("span: must be positive")
     _plateau(source, model, loss)
     with _wrap_model_error("scenario"), _scan_resolves("scenario"):
         result = run_sensing(scenario, source, model, loss=loss, n=n, span=span)
-        if not math.isfinite(result.dl1_recovered + result.dl2_recovered):
-            raise ExtremaError("feature positions overflow at this scan step")
     stem = _parse_stem(cfg, f"sense_{source}")
     dl1_eff = scenario.dl1_0 - 2.0 * scenario.x1
-    report = {
+    data = [(f"{stem}_scan.csv", curve_csv(result.curve, label="x2"))]
+    return _with_record(data, f"{stem}_report.json", {
         "mode": "sense",
         "source": source,
-        "scenario": {
-            "dl1_0": scenario.dl1_0,
-            "dl2_0": scenario.dl2_0,
-            "x1": scenario.x1,
-            "c": scenario.c,
-        },
+        "scenario": asdict(scenario),
         "loss": loss_record,
         "plateau": result.curve.plateau,
         "extrema": result.report.to_dict(),
@@ -580,51 +540,45 @@ def _build_sense(cfg: dict) -> list:
             "dl2": result.dl2_recovered - scenario.dl2_0,
         },
         "units": _UNITS,
-        "files": [f"{stem}_scan.csv"],
         **record,
-    }
-    return [
-        (f"{stem}_scan.csv", curve_csv(result.curve, label="x2")),
-        (f"{stem}_report.json", _json_text(report)),
-    ]
+    })
 
 
 def _build_qps(cfg: dict) -> list:
     _check_keys(cfg, "", ("version", "mode", "target", "spectrum"),
                 ("loss", "c", "n", "surface_n", "stem"))
-    target = _parse_target(cfg.get("target"), "target")
-    spectrum = _parse_spectrum(cfg.get("spectrum"), "spectrum")
+    target = _parse_record(cfg.get("target"), "target", QpsTarget,
+                           gamma=parse_angle, vartheta=parse_angle)
+    spectrum = _parse_record(cfg.get("spectrum"), "spectrum", GaussianJointSpectrum)
     loss, loss_record = _loss_field(cfg)
     _plateau("bp", spectrum, loss)
-    c = _number_field(cfg, "", "c", 1.0)
+    c = _as_number(cfg["c"], "c") if "c" in cfg else 1.0
     if c <= 0.0:
         raise ConfigError("c: must be positive")
-    n = _check_count(_as_int(cfg["n"], "n"), "n", 51, _MAX_VALUES) if "n" in cfg else None
+    n = _count_field(cfg, "n", 51, _MAX_VALUES, None)
     if n is None and (need := qps_scan_samples(target, spectrum, c)) > _MAX_VALUES:
         raise ConfigError(
             f"target.r: the default scan for r / c = {target.r / c:.4g} needs "
             f"{need:.4g} samples, more than {_MAX_VALUES}"
         )
-    surface_n = 81
-    if "surface_n" in cfg:
-        surface_n = _check_count(_as_int(cfg["surface_n"], "surface_n"), "surface_n",
-                                 2, _MAX_SIDE)
+    surface_n = _count_field(cfg, "surface_n", 2, _MAX_SIDE, 81)
     with _wrap_model_error("target"), _scan_resolves("n"):
         result = qps_scan(target, spectrum, loss=loss, c=c, n=n,
                           surface_n=surface_n)
     stem = _parse_stem(cfg, "qps")
-    report = {
+    data = [
+        (f"{stem}_scan.csv", curve_csv(result.curve, label="s2_control")),
+        (f"{stem}_surface.csv",
+         surface_csv(result.surface, labels=("s1_control", "s2_control"))),
+    ]
+    return _with_record(data, f"{stem}_report.json", {
         "mode": "qps",
-        "target": {"r": target.r, "gamma": target.gamma, "vartheta": target.vartheta},
+        "target": asdict(target),
         "spectrum": asdict(spectrum),
         "loss": loss_record,
         "c": c,
-        "recovered": {
-            "r": result.recovered.r,
-            "gamma": result.recovered.gamma,
-            "vartheta": result.recovered.vartheta,
-            "degenerate_azimuth": result.degenerate_azimuth,
-        },
+        "recovered": {**asdict(result.recovered),
+                      "degenerate_azimuth": result.degenerate_azimuth},
         "controls": {
             "s1": result.s1,
             "s2": result.s2,
@@ -640,26 +594,16 @@ def _build_qps(cfg: dict) -> list:
         },
         "extrema": result.report.to_dict(),
         "units": _UNITS,
-        "files": [f"{stem}_scan.csv", f"{stem}_surface.csv"],
-    }
-    return [
-        (f"{stem}_scan.csv", curve_csv(result.curve, label="s2_control")),
-        (f"{stem}_surface.csv",
-         surface_csv(result.surface, labels=("s1_control", "s2_control"))),
-        (f"{stem}_report.json", _json_text(report)),
-    ]
+    })
 
 
 def _bundle_artifacts(bundle: FigureBundle) -> list:
-    artifacts = [
+    data = [
         (ds.name + ".csv", curve_csv(ds.data, ds.labels[0]) if isinstance(ds.data, RateCurve)
          else surface_csv(ds.data, ds.labels))
         for ds in bundle.datasets
     ]
-    params = dict(bundle.params)
-    params["files"] = [name for name, _ in artifacts]
-    artifacts.append((bundle.preset + ".json", _json_text(params)))
-    return artifacts
+    return _with_record(data, bundle.preset + ".json", dict(bundle.params))
 
 
 def _build_figure_mode(cfg: dict) -> list:

@@ -129,11 +129,13 @@ class FigureBundle:
 
 
 def theta_tag(theta: float) -> str:
-    """Short file-name tag for a phase value, pi-aware when possible."""
+    """Short file-name tag for a phase value, pi-aware for small fractions of pi."""
     if theta == 0.0:
         return "theta0"
     frac = Fraction(theta / math.pi).limit_denominator(12)
-    if abs(float(frac) * math.pi - theta) < 1e-12 and frac != 0:
+    # large phases meet the absolute tolerance by rounding alone, so only
+    # numerators up to the denominator bound get the pi spelling
+    if 0 < abs(frac.numerator) <= 12 and abs(float(frac) * math.pi - theta) < 1e-12:
         num, den = frac.numerator, frac.denominator
         sign = "m" if num < 0 else ""
         num = abs(num)

@@ -69,8 +69,8 @@ _NEGATIVE_TOL = 1e-12
 # and O(n**3) time beyond.
 MAX_WINDOW_NODES = 2048
 
-# Rate points per temporary in the structured window averages; cells are
-# taken in blocks of this many points, so memory stays flat for any grid.
+# Rate points per temporary in every window average (generic and structured);
+# cells are taken in blocks of this many points, so memory stays flat for any grid.
 _BLOCK_POINTS = 1 << 20
 
 
@@ -532,9 +532,49 @@ def cl_s_rate(mixture, grid: FrequencyGrid, tau1: float, tau2: float,
 # ----- Coarse graining -----
 
 
-def _gauss_nodes(window: float, n: int):
+def _window_rules(window: float, n: int):
+    """Box and triangle rules, as ``(offsets, weights)``, from one n-point rule.
+
+    The box rule averages over one delay's fluctuation on ``[-W/2, W/2]``.
+    The sum or difference of two independent box fluctuations has the
+    triangular density ``(W - |y|) / W**2`` on ``[-W, W]``; the n-point
+    Gauss-Legendre rule on each half integrates that linear weight exactly.
+    """
     x, w = np.polynomial.legendre.leggauss(n)
-    return x * (0.5 * window), w * 0.5
+    box = ((0.5 * window * x,), 0.5 * w)
+    y = 0.5 * window * (1.0 + x)
+    half = 0.25 * w * (1.0 - x)
+    return box, ((np.concatenate((-y, y)),), np.concatenate((half, half)))
+
+
+def _rule_average(f, points, offsets, weights):
+    """``sum_k weights[k] * f(p + offsets[0][k], q + offsets[1][k], ...)``.
+
+    Evaluated at every element ``(p, q, ...)`` of the broadcast ``points``,
+    taking the elements in blocks so that one call of ``f`` sees at most
+    ``_BLOCK_POINTS`` points (or one element's nodes, if there are more).
+    """
+    points = np.broadcast_arrays(*(np.asarray(p, dtype=float) for p in points))
+    flat = [p.ravel() for p in points]
+    out = np.empty(flat[0].size)
+    step = max(1, _BLOCK_POINTS // weights.size)
+    for start in range(0, out.size, step):
+        block = slice(start, start + step)
+        vals = f(*(p[block, None] + x for p, x in zip(flat, offsets)))
+        out[block] = np.asarray(vals, dtype=float) @ weights
+    return out.reshape(points[0].shape)
+
+
+def _box_average(f, points, window: float, n: int):
+    """Mean of ``f`` over a box of width ``window`` around each point, per axis."""
+    if window <= 0.0:
+        raise ValueError("window must be positive")
+    ((x,), w), _ = _window_rules(window, int(n))
+    # the tensor product of the 1-D rule, one factor per axis
+    nodes = np.meshgrid(*[x] * len(points), indexing="ij")
+    weights = np.prod(np.meshgrid(*[w] * len(points), indexing="ij"), axis=0)
+    out = _rule_average(f, points, [g.ravel() for g in nodes], weights.ravel())
+    return out if out.ndim else float(out)
 
 
 def box_average_curve(rate, tau, window: float, n: int = 129):
@@ -544,25 +584,12 @@ def box_average_curve(rate, tau, window: float, n: int = 129):
     ``n``-point Gauss-Legendre rule; ``n`` above half the phase swept by
     the fastest fringe across the window gives near-exact averages.
     """
-    if window <= 0.0:
-        raise ValueError("window must be positive")
-    t = np.asarray(tau, dtype=float)
-    x, w = _gauss_nodes(window, int(n))
-    vals = rate(t[..., None] + x)
-    out = np.tensordot(np.asarray(vals, dtype=float), w, axes=([-1], [0]))
-    return out if np.ndim(out) else float(out)
+    return _box_average(rate, (tau,), window, n)
 
 
 def box_average_surface(rate2, tau1, tau2, window: float, n: int = 129):
     """Two-axis sliding-box average of a two-delay rate function."""
-    if window <= 0.0:
-        raise ValueError("window must be positive")
-    t1 = np.asarray(tau1, dtype=float)
-    t2 = np.asarray(tau2, dtype=float)
-    x, w = _gauss_nodes(window, int(n))
-    vals = rate2(t1[..., None, None] + x[:, None], t2[..., None, None] + x[None, :])
-    out = np.tensordot(np.asarray(vals, dtype=float), np.outer(w, w), axes=([-2, -1], [0, 1]))
-    return out if np.ndim(out) else float(out)
+    return _box_average(rate2, (tau1, tau2), window, n)
 
 
 def _check_window(window: float, carrier: float, envelope: float) -> None:
@@ -583,13 +610,14 @@ def _check_window(window: float, carrier: float, envelope: float) -> None:
 def _window_nodes(n: int | None, window: float, carrier: float) -> int:
     if n is None:
         # fastest fringe sweeps 4 * carrier * window radians across the window
-        need = 2.0 * carrier * window + 16.0
+        sweep = 2.0 * carrier * window
+        need = max(48, math.ceil(sweep) + 16) if math.isfinite(sweep) else math.inf
         if need > MAX_WINDOW_NODES:
             raise ValueError(
                 f"window: window * carrier = {window * carrier:.4g} needs about "
                 f"{need:.4g} averaging nodes, more than {MAX_WINDOW_NODES}"
             )
-        return max(48, int(math.ceil(2.0 * carrier * window)) + 16)
+        return need
     if n < 2:
         raise ValueError(f"need at least 2 averaging nodes, got n = {n}")
     if n > MAX_WINDOW_NODES:
@@ -651,36 +679,14 @@ def coarse_grain_surface(rate2, tau1, tau2, window: float, *, carrier: float,
 # ----- Structured window averages of the two-delay closed forms -----
 
 
-def _rule_average(f, u, nodes, weights):
-    """``sum_k weights[k] * f(u + nodes[k])`` for every element of ``u``."""
-    u = np.asarray(u, dtype=float)
-    flat = u.ravel()
-    out = np.empty(flat.size)
-    step = max(1, _BLOCK_POINTS // nodes.size)
-    for start in range(0, flat.size, step):
-        out[start:start + step] = f(flat[start:start + step, None] + nodes) @ weights
-    return out.reshape(u.shape)
-
-
 def _windowed_setup(tau1, tau2, window, carrier, envelope, n):
-    """Guard the window, then build the box and triangle rules from one n-point rule.
-
-    The box rule averages over one delay's fluctuation on ``[-W/2, W/2]``.
-    The sum or difference of two independent box fluctuations has the
-    triangular density ``(W - |y|) / W**2`` on ``[-W, W]``; the n-point
-    rule on each half integrates that linear weight exactly.
-    """
+    """Guard the window, then build the box and triangle rules (``_window_rules``)."""
     _check_window(window, carrier, envelope)
     t1 = np.asarray(tau1, dtype=float)
     t2 = np.asarray(tau2, dtype=float)
     if t1.ndim != 1 or t2.ndim != 1:
         raise ValueError("tau1 and tau2 must be 1-D axes")
-    x, w = np.polynomial.legendre.leggauss(_window_nodes(n, window, carrier))
-    box = (0.5 * window * x, 0.5 * w)
-    y = 0.5 * window * (1.0 + x)
-    half = 0.25 * w * (1.0 - x)
-    triangle = (np.concatenate((-y, y)), np.concatenate((half, half)))
-    return t1, t2, box, triangle
+    return (t1, t2, *_window_rules(window, _window_nodes(n, window, carrier)))
 
 
 def mhom_bp_windowed(tau1, tau2, theta: float, spectrum: GaussianJointSpectrum,
@@ -711,10 +717,10 @@ def mhom_bp_windowed(tau1, tau2, theta: float, spectrum: GaussianJointSpectrum,
 
     bracket = (
         4.0
-        + 2.0 * _rule_average(g, t2, *box)[None, :]
-        - _rule_average(g, t1[:, None] + t2[None, :], *triangle)
-        - _rule_average(g, t1[:, None] - t2[None, :], *triangle)
-        + 2.0 * np.outer(1.0 + _rule_average(g, t1, *box), _rule_average(h, t2, *box))
+        + 2.0 * _rule_average(g, (t2,), *box)[None, :]
+        - _rule_average(g, (t1[:, None] + t2[None, :],), *triangle)
+        - _rule_average(g, (t1[:, None] - t2[None, :],), *triangle)
+        + 2.0 * np.outer(1.0 + _rule_average(g, (t1,), *box), _rule_average(h, (t2,), *box))
     )
     return _as_rate(bracket / 8.0)
 
@@ -754,9 +760,10 @@ def mhom_cp_windowed(tau1, tau2, theta: float, pulse: CoherentSpectrum,
         return lambda x: np.cos(4.0 * w0 * x + phase) * env(x)
 
     b2 = (
-        _rule_average(squared_fringe, t1[:, None] + t2[None, :], *triangle)
-        + _rule_average(squared_fringe, t2[None, :] - t1[:, None], *triangle)
-        - np.outer(_rule_average(env, t1, *box), _rule_average(fringe(2.0 * theta), t2, *box))
-        - np.outer(_rule_average(fringe(0.0), t1, *box), _rule_average(env, t2, *box))
+        _rule_average(squared_fringe, (t1[:, None] + t2[None, :],), *triangle)
+        + _rule_average(squared_fringe, (t2[None, :] - t1[:, None],), *triangle)
+        - np.outer(_rule_average(env, (t1,), *box),
+                   _rule_average(fringe(2.0 * theta), (t2,), *box))
+        - np.outer(_rule_average(fringe(0.0), (t1,), *box), _rule_average(env, (t2,), *box))
     )
     return _as_rate(a2 * (1.0 - 0.25 * b2))

@@ -22,7 +22,7 @@ scan resolution.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -122,17 +122,7 @@ class ExtremaReport:
         return 0.5 * (self.v_min_left + self.v_min_right)
 
     def to_dict(self) -> dict:
-        return {
-            "x_min_left": self.x_min_left,
-            "x_min_right": self.x_min_right,
-            "v_min_left": self.v_min_left,
-            "v_min_right": self.v_min_right,
-            "width_min_left": self.width_min_left,
-            "width_min_right": self.width_min_right,
-            "x_max": self.x_max,
-            "v_max": self.v_max,
-            "width_max": self.width_max,
-        }
+        return asdict(self)
 
 
 # ----- Scanning -----
@@ -261,7 +251,7 @@ def find_extrema(curve: RateCurve, kind: str) -> ExtremaReport:
     the smaller control magnitude; positions are refined by a parabola
     through the three samples around each feature. A scan showing fewer
     features than requested raises ``ExtremaError`` stating how many
-    were found.
+    were found, and so does a refined position that overflows.
     """
     if kind not in ("dips", "peak_and_dips"):
         raise ValueError(f"kind must be 'dips' or 'peak_and_dips', got {kind!r}")
@@ -294,6 +284,8 @@ def find_extrema(curve: RateCurve, kind: str) -> ExtremaReport:
         report["x_max"] = xm
         report["v_max"] = abs(plateau - ym) / plateau
         report["width_max"] = _half_excursion_width(x, y, im, plateau)
+    if not np.all(np.isfinite([xl, xr, report.get("x_max", 0.0)])):
+        raise ExtremaError("feature positions overflow at this scan step")
     return ExtremaReport(**report)
 
 

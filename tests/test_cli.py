@@ -124,6 +124,11 @@ def test_theta_tag_spellings():
     assert theta_tag(0.0) == "theta0"
     assert theta_tag(math.pi / 2.0) == "theta_pi2"
     assert theta_tag(3.0 * math.pi / 4.0) == "theta_3pi4"
+    # a large phase is within 1e-12 of some multiple of pi by rounding alone
+    assert theta_tag(13.0 * math.pi) == "theta_40p8407"
+    assert theta_tag(1e20) == "theta_1e+20"
+    assert theta_tag(1e300) == "theta_1e+300"
+    assert theta_tag(-1e308) == "theta_m1e+308"
 
 
 def test_chi2_for_eta_b_round_trip():
@@ -456,6 +461,11 @@ def test_figure_theta_flag(tmp_path):
     assert not (tmp_path / "fig3_theta0.csv").exists()
 
 
+def test_figure_theta_flag_accepts_huge_phase(tmp_path):
+    assert main(["figure", "fig3", "--theta", "1e300", "--n", "16", "--out", str(tmp_path)]) == 0
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["fig3.json", "fig3_theta_1e+300.csv"]
+
+
 def test_figure_theta_flag_rejected_for_fixed_presets(tmp_path, capsys):
     code = main(["figure", "fig5", "--theta", "pi/2", "--out", str(tmp_path)])
     assert code == 2
@@ -697,6 +707,64 @@ def test_missing_required_field_rejected(tmp_path, capsys):
     assert "tau" in err and "required" in err
 
 
+# Every config block that names a library record, with the full stderr line
+# each rejection printed before the blocks were parsed from the records' fields.
+RECORD_BLOCK_ERRORS = {
+    "spectrum_unknown": ("hom_bp", "spectrum", {"extra": 1},
+                         "error: spectrum: unknown field(s) 'extra'"),
+    "spectrum_missing": ("hom_bp", "spectrum", {"d_omega_minus": None},
+                         "error: spectrum.d_omega_minus: required field is missing"),
+    "spectrum_not_number": ("hom_bp", "spectrum", {"omega0": "5"},
+                            "error: spectrum.omega0: expected a number"),
+    "spectrum_rejected": ("hom_bp", "spectrum", {"d_omega_plus": -0.2},
+                          "error: spectrum: d_omega_plus must be positive and finite, got -0.2"),
+    "pulse_unknown": ("hom_cp", "pulse", {"d_omega_plus": 0.2},
+                      "error: pulse: unknown field(s) 'd_omega_plus'"),
+    "pulse_missing": ("hom_cp", "pulse", {"omega0": None},
+                      "error: pulse.omega0: required field is missing"),
+    "pulse_not_number": ("hom_cp", "pulse", {"total_intensity": True},
+                         "error: pulse.total_intensity: expected a number"),
+    "pulse_rejected": ("hom_cp", "pulse", {"d_omega": 0.0},
+                       "error: pulse: d_omega must be positive and finite, got 0.0"),
+    "loss_unknown": ("loss_bp", "loss", {"eta_b": 0.5},
+                     "error: loss: unknown field(s) 'eta_b'"),
+    # every loss field is optional, so the block has no missing-field case
+    "loss_not_number": ("loss_bp", "loss", {"chi1": [0.5, "0"]},
+                        "error: loss.chi1: expected a number"),
+    "loss_rejected": ("loss_bp", "loss", {"chi1": 0.0, "chi2": 0.0},
+                      "error: loss: each loss stage must keep at least one path open"),
+    "scenario_unknown": ("sense_bp", "scenario", {"dl3_0": 1.0},
+                         "error: scenario: unknown field(s) 'dl3_0'"),
+    "scenario_missing": ("sense_bp", "scenario", {"dl2_0": None},
+                         "error: scenario.dl2_0: required field is missing"),
+    "scenario_not_number": ("sense_bp", "scenario", {"x1": "0"},
+                            "error: scenario.x1: expected a number"),
+    "scenario_rejected": ("sense_bp", "scenario", {"c": -1.0},
+                          "error: scenario: c must be positive"),
+    "target_unknown": ("qps", "target", {"z": 1.0},
+                       "error: target: unknown field(s) 'z'"),
+    "target_missing": ("qps", "target", {"vartheta": None},
+                       "error: target.vartheta: required field is missing"),
+    "target_not_number": ("qps", "target", {"gamma": "north"},
+                          "error: target.gamma: cannot parse angle 'north'"),
+    "target_rejected": ("qps", "target", {"gamma": 2.0},
+                        "error: target: elevation must lie in [0, pi/2], got 2.0"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(RECORD_BLOCK_ERRORS))
+def test_record_block_errors_exact(tmp_path, capsys, case):
+    base, block, change, line = RECORD_BLOCK_ERRORS[case]
+    payload = {"version": 1, **RUN_CONFIGS[base]}
+    fields = {**payload[block], **change}
+    payload[block] = {key: value for key, value in fields.items() if value is not None}
+    cfg = write_config(tmp_path, payload)
+    out = tmp_path / "out"
+    assert main(["run", cfg, "--out", str(out)]) == 2
+    assert capsys.readouterr().err == line + "\n"
+    assert not out.exists()
+
+
 def test_wrong_version_rejected(tmp_path, capsys):
     payload = dict(HOM_BP, version=99)
     cfg = write_config(tmp_path, payload)
@@ -889,6 +957,15 @@ def test_oversized_counts_rejected_before_allocating(tmp_path, capsys, monkeypat
     assert main(["run", cfg, "--out", str(out)]) == 2
     assert capsys.readouterr().err.startswith(f"error: {field}: ")
     assert not out.exists()
+
+
+def test_window_node_cap_message_prints_the_automatic_count(tmp_path, capsys):
+    cfg = write_config(tmp_path, OVERSIZED["window_auto_over"][0])
+    assert main(["run", cfg, "--out", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err == (
+        "error: window: window * carrier = 1016 needs about 2049 averaging nodes, "
+        "more than 2048\n"
+    )
 
 
 def test_figure_subcommand_n_over_cap_rejected(tmp_path, capsys, monkeypatch):

@@ -321,6 +321,63 @@ def test_box_average_of_cosine_is_exact():
         assert got == pytest.approx(want, abs=1e-14)
 
 
+def _whole_array_box_average(rate, taus, window, n):
+    """The box average with every cell's nodes in one array and one tensordot."""
+    x, w = np.polynomial.legendre.leggauss(n)
+    x, w = x * (0.5 * window), w * 0.5
+    if len(taus) == 1:
+        vals = rate(np.asarray(taus[0], dtype=float)[..., None] + x)
+        out = np.tensordot(np.asarray(vals, dtype=float), w, axes=([-1], [0]))
+    else:
+        t1, t2 = (np.asarray(t, dtype=float)[..., None, None] for t in taus)
+        vals = rate(t1 + x[:, None], t2 + x[None, :])
+        out = np.tensordot(np.asarray(vals, dtype=float), np.outer(w, w),
+                           axes=([-2, -1], [0, 1]))
+    return out if np.ndim(out) else float(out)
+
+
+_AXIS1, _AXIS2 = np.linspace(-1.5, 1.5, 13), np.linspace(-2.0, 2.5, 9)
+BOX_INPUTS = {
+    "scalar": (0.4, -0.3),
+    "broadcast": (_AXIS1[:, None], _AXIS2[None, :]),
+    "grid": tuple(np.meshgrid(_AXIS1, _AXIS2, indexing="ij")),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BOX_INPUTS))
+def test_blocked_box_averages_match_whole_array_rule(monkeypatch, case):
+    import homlab.rates as rates
+
+    block = 1000
+    monkeypatch.setattr(rates, "_BLOCK_POINTS", block)
+    seen = []
+
+    def spy(rate):
+        def counted(*args):
+            seen.append(math.prod(np.broadcast_shapes(*(np.shape(a) for a in args))))
+            return rate(*args)
+        return counted
+
+    def curve(t):
+        return hom_cp_analytic(t, PULSE)
+
+    def surface(a, b):
+        return mhom_cp_analytic(a, b, 0.3, PULSE)
+
+    t1, t2 = BOX_INPUTS[case]
+    plateau = cp_plateau(PULSE)
+    for rate, taus, n in ((curve, (t1,), 40), (surface, (t1, t2), 16)):
+        want = _whole_array_box_average(rate, taus, 0.5, n)
+        average = box_average_curve if len(taus) == 1 else box_average_surface
+        got = average(spy(rate), *taus, 0.5, n=n)
+        assert type(got) is type(want)
+        assert np.shape(got) == np.shape(want)
+        assert np.max(np.abs(np.asarray(got) - want)) <= 1e-13 * plateau
+    assert max(seen) <= block
+    if case != "scalar":
+        assert len(seen) > 2
+
+
 def test_box_average_surface_separable():
     k1, k2, window = 2.0, 5.0, 1.5
 

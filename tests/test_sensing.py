@@ -150,6 +150,15 @@ def test_find_extrema_monotone_curve_fails_with_count():
         find_extrema(curve, "dips")
 
 
+# the 1e300 offset overflows the scan arithmetic on purpose
+@pytest.mark.filterwarnings("ignore:first-stage delay too small",
+                            "ignore:overflow encountered", "ignore:invalid value encountered")
+def test_find_extrema_refuses_overflowing_positions():
+    scenario = SensingScenario(dl1_0=1e300, dl2_0=-1.3)
+    with pytest.raises(ExtremaError, match="^feature positions overflow at this scan step$"):
+        run_sensing(scenario, "cp", CoherentSpectrum(5.0, 1.0), n=401)
+
+
 def test_find_extrema_requires_central_peak():
     with pytest.raises(ExtremaError, match="central maximum"):
         find_extrema(synthetic_double_dip(), "peak_and_dips")
