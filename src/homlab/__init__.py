@@ -10,141 +10,22 @@ fluctuation-averaged scan curves into recovered path-length offsets,
 sphere, and ``figures``/``cli`` generate the standard plot datasets.
 """
 
-from .spectra import (
-    CoherentSpectrum,
-    FrequencyGrid,
-    GaussianJointSpectrum,
-    make_grid,
-)
-from .network import (
-    AchromaticPhase,
-    BalancedBS,
-    OpticalNetwork,
-    RelativeDelay,
-    ScalarLoss,
-    hom_network,
-    mhom_network,
-    transfer_at,
-)
-from .rates import (
-    MAX_WINDOW_NODES,
-    LossParams,
-    RateCurve,
-    RateSurface,
-    RegimeError,
-    RegimeWarning,
-    bp_plateau,
-    bp_rate_oracle,
-    box_average_curve,
-    box_average_surface,
-    cl_s_rate,
-    coarse_grain_curve,
-    coarse_grain_surface,
-    cp_plateau,
-    cp_rate_oracle,
-    hom_bp_analytic,
-    hom_cp_analytic,
-    hom_cp_coarse_analytic,
-    mhom_bp_analytic,
-    mhom_bp_coarse_analytic,
-    mhom_bp_loss_coarse,
-    mhom_bp_windowed,
-    mhom_cp_analytic,
-    mhom_cp_coarse_analytic,
-    mhom_cp_loss_coarse,
-    mhom_cp_windowed,
-    pair_grid,
-    pulse_grid,
-    sample_curve,
-    sample_surface,
-)
-from .sensing import (
-    ExtremaError,
-    ExtremaReport,
-    SensingResult,
-    SensingScenario,
-    find_extrema,
-    invert_bp,
-    invert_cp,
-    run_sensing,
-    scan_f,
-    visibility,
-)
-from .qps import (
-    QpsDelays,
-    QpsInversion,
-    QpsScanResult,
-    QpsTarget,
-    qps_forward,
-    qps_invert,
-    qps_scan,
-    qps_scan_samples,
-)
+from . import network, qps, rates, sensing, spectra
+from .spectra import *
+from .network import *
+from .rates import *
+from .sensing import *
+from .qps import *
 from .figures import FIGURE_PRESETS, build_figure
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "AchromaticPhase",
-    "BalancedBS",
-    "CoherentSpectrum",
-    "ExtremaError",
-    "ExtremaReport",
+    *spectra.__all__,
+    *network.__all__,
+    *rates.__all__,
+    *sensing.__all__,
+    *qps.__all__,
     "FIGURE_PRESETS",
-    "FrequencyGrid",
-    "GaussianJointSpectrum",
-    "LossParams",
-    "MAX_WINDOW_NODES",
-    "OpticalNetwork",
-    "QpsDelays",
-    "QpsInversion",
-    "QpsScanResult",
-    "QpsTarget",
-    "RateCurve",
-    "RateSurface",
-    "RegimeError",
-    "RegimeWarning",
-    "RelativeDelay",
-    "ScalarLoss",
-    "SensingResult",
-    "SensingScenario",
-    "bp_plateau",
-    "bp_rate_oracle",
-    "box_average_curve",
-    "box_average_surface",
     "build_figure",
-    "cl_s_rate",
-    "coarse_grain_curve",
-    "coarse_grain_surface",
-    "cp_plateau",
-    "cp_rate_oracle",
-    "find_extrema",
-    "hom_bp_analytic",
-    "hom_cp_analytic",
-    "hom_cp_coarse_analytic",
-    "hom_network",
-    "invert_bp",
-    "invert_cp",
-    "make_grid",
-    "mhom_bp_analytic",
-    "mhom_bp_coarse_analytic",
-    "mhom_bp_loss_coarse",
-    "mhom_bp_windowed",
-    "mhom_cp_analytic",
-    "mhom_cp_coarse_analytic",
-    "mhom_cp_loss_coarse",
-    "mhom_cp_windowed",
-    "mhom_network",
-    "pair_grid",
-    "pulse_grid",
-    "qps_forward",
-    "qps_invert",
-    "qps_scan",
-    "qps_scan_samples",
-    "run_sensing",
-    "sample_curve",
-    "sample_surface",
-    "scan_f",
-    "transfer_at",
-    "visibility",
 ]

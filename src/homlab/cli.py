@@ -60,7 +60,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .figures import CURVE_PRESETS, FIGURE_PRESETS, FigureBundle, build_figure
+from .figures import CURVE_PRESETS, FIGURE_PRESETS, build_figure
 from .qps import QpsTarget, qps_scan, qps_scan_samples
 # coarse_grain_surface is not called here any more, but perfbench/tracing.py
 # wraps it under the name cli.coarse_grain_surface, so it stays imported.
@@ -84,6 +84,7 @@ from .rates import (
     mhom_cp_windowed,
     sample_curve,
     sample_surface,
+    window_nodes,
 )
 from .sensing import ExtremaError, SensingScenario, run_sensing
 from .spectra import CoherentSpectrum, GaussianJointSpectrum
@@ -283,6 +284,15 @@ def _count_field(cfg: dict, key: str, least: int, most: int, default):
     return _check_count(_as_int(cfg[key], key), key, least, most)
 
 
+def _positive_field(cfg: dict, key: str, default=None):
+    if key not in cfg:
+        return default
+    value = _as_number(cfg[key], key)
+    if value <= 0.0:
+        raise ConfigError(f"{key}: must be positive")
+    return value
+
+
 def _check_figure_n(preset: str, n: int | None, path: str) -> None:
     if n is not None:
         _check_count(n, path, 16, _MAX_VALUES if preset in CURVE_PRESETS else _MAX_SIDE)
@@ -441,11 +451,7 @@ def _build_hom(cfg: dict) -> list:
 
 def _parse_window(cfg: dict) -> tuple[float | None, int | None]:
     """``window`` and ``window_n`` of a coarse run; ``theta`` needs the window too."""
-    window = None
-    if "window" in cfg:
-        window = _as_number(cfg["window"], "window")
-        if window <= 0.0:
-            raise ConfigError("window: must be positive")
+    window = _positive_field(cfg, "window")
     for key in ("theta", "window_n"):
         if key in cfg and window is None:
             raise ConfigError(f"{key}: only meaningful together with 'window'")
@@ -485,10 +491,10 @@ def _build_surface(cfg: dict) -> list:
         surface = sample_surface(lambda a, b: form(a, b, model, loss), t1, t2, plateau)
     else:
         form = mhom_bp_windowed if bp else mhom_cp_windowed
-        # the automatic node count for this window and carrier may exceed the cap
+        # the automatic count may exceed the cap; a RegimeError comes first and passes
         with _wrap_model_error("window"):
-            values = form(t1, t2, theta, model, window, n=window_n)
-        surface = RateSurface(t1, t2, values, plateau)
+            nodes = window_nodes(window_n, window, model.omega0, model.window_envelope)
+        surface = RateSurface(t1, t2, form(t1, t2, theta, model, window, n=nodes), plateau)
     stem = _parse_stem(cfg, f"{mode}_{source}")
     params = {
         "mode": mode,
@@ -518,11 +524,9 @@ def _build_sense(cfg: dict) -> list:
     scenario = _parse_record(cfg.get("scenario"), "scenario", SensingScenario)
     loss, loss_record = _loss_field(cfg)
     n = _count_field(cfg, "n", 51, _MAX_VALUES, 2001)
-    span = _as_number(cfg["span"], "span") if "span" in cfg else None
-    if span is not None and span <= 0.0:
-        raise ConfigError("span: must be positive")
+    span = _positive_field(cfg, "span")
     _plateau(source, model, loss)
-    with _wrap_model_error("scenario"), _scan_resolves("scenario"):
+    with _scan_resolves("scenario"):
         result = run_sensing(scenario, source, model, loss=loss, n=n, span=span)
     stem = _parse_stem(cfg, f"sense_{source}")
     dl1_eff = scenario.dl1_0 - 2.0 * scenario.x1
@@ -552,9 +556,7 @@ def _build_qps(cfg: dict) -> list:
     spectrum = _parse_record(cfg.get("spectrum"), "spectrum", GaussianJointSpectrum)
     loss, loss_record = _loss_field(cfg)
     _plateau("bp", spectrum, loss)
-    c = _as_number(cfg["c"], "c") if "c" in cfg else 1.0
-    if c <= 0.0:
-        raise ConfigError("c: must be positive")
+    c = _positive_field(cfg, "c", 1.0)
     n = _count_field(cfg, "n", 51, _MAX_VALUES, None)
     if n is None and (need := qps_scan_samples(target, spectrum, c)) > _MAX_VALUES:
         raise ConfigError(
@@ -562,7 +564,7 @@ def _build_qps(cfg: dict) -> list:
             f"{need:.4g} samples, more than {_MAX_VALUES}"
         )
     surface_n = _count_field(cfg, "surface_n", 2, _MAX_SIDE, 81)
-    with _wrap_model_error("target"), _scan_resolves("n"):
+    with _scan_resolves("n"):
         result = qps_scan(target, spectrum, loss=loss, c=c, n=n,
                           surface_n=surface_n)
     stem = _parse_stem(cfg, "qps")
@@ -597,7 +599,12 @@ def _build_qps(cfg: dict) -> list:
     })
 
 
-def _bundle_artifacts(bundle: FigureBundle) -> list:
+def _figure_artifacts(preset: str, theta: float | None, n: int | None,
+                      n_path: str = "n", path: str = "preset") -> list:
+    """The files of one preset; ``n_path`` names the sample count, ``path`` model errors."""
+    _check_figure_n(preset, n, n_path)
+    with _wrap_model_error(path):
+        bundle = build_figure(preset, theta=theta, n=n)
     data = [
         (ds.name + ".csv", curve_csv(ds.data, ds.labels[0]) if isinstance(ds.data, RateCurve)
          else surface_csv(ds.data, ds.labels))
@@ -615,10 +622,7 @@ def _build_figure_mode(cfg: dict) -> list:
         )
     theta = parse_angle(cfg["theta"], "theta") if "theta" in cfg else None
     n = _as_int(cfg["n"], "n") if "n" in cfg else None
-    _check_figure_n(preset, n, "n")
-    with _wrap_model_error("preset"):
-        bundle = build_figure(preset, theta=theta, n=n)
-    return _bundle_artifacts(bundle)
+    return _figure_artifacts(preset, theta, n)
 
 
 _BUILDERS = {
@@ -638,10 +642,7 @@ _BUILDERS = {
 def run_figure(preset: str, out_dir, theta: float | None = None,
                n: int | None = None) -> list[Path]:
     """Build one preset and write its files; returns the written paths."""
-    _check_figure_n(preset, n, "--n")
-    with _wrap_model_error("figure"):
-        bundle = build_figure(preset, theta=theta, n=n)
-    return _write_artifacts(Path(out_dir), _bundle_artifacts(bundle))
+    return _write_artifacts(Path(out_dir), _figure_artifacts(preset, theta, n, "--n", "figure"))
 
 
 def run_scenario(config: dict, out_dir) -> list[Path]:

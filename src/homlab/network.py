@@ -50,6 +50,15 @@ def validate_amplitude(value, name: str) -> complex:
     return z
 
 
+def store_finite(record, *names: str) -> None:
+    """Store each named field of a frozen record as a finite float."""
+    for name in names:
+        value = float(getattr(record, name))
+        if not np.isfinite(value):
+            raise ValueError(f"{name} must be finite")
+        object.__setattr__(record, name, value)
+
+
 # ----- Elements -----
 #
 # Every element is diagonal except the splitter, so each one acts on the
@@ -80,10 +89,7 @@ class RelativeDelay(_Element):
     tau: float
 
     def __post_init__(self) -> None:
-        tau = float(self.tau)
-        if not np.isfinite(tau):
-            raise ValueError("tau must be finite")
-        object.__setattr__(self, "tau", tau)
+        store_finite(self, "tau")
 
     def _update_rows(self, rows, om) -> None:
         ph = np.exp(-1j * om * self.tau)
@@ -98,10 +104,7 @@ class AchromaticPhase(_Element):
     theta: float
 
     def __post_init__(self) -> None:
-        theta = float(self.theta)
-        if not np.isfinite(theta):
-            raise ValueError("theta must be finite")
-        object.__setattr__(self, "theta", theta)
+        store_finite(self, "theta")
 
     def _update_rows(self, rows, om) -> None:
         rows[1] *= np.exp(1j * self.theta)

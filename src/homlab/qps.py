@@ -32,7 +32,7 @@ from .rates import (
     sample_curve,
     sample_surface,
 )
-from .sensing import ExtremaReport, find_extrema
+from .sensing import ExtremaReport, find_extrema, invert_bp
 from .spectra import GaussianJointSpectrum
 
 __all__ = [
@@ -239,7 +239,8 @@ def qps_scan_samples(target: QpsTarget, spectrum: GaussianJointSpectrum,
     if c <= 0.0:
         raise ValueError("c must be positive")
     width = spectrum.d_omega_minus
-    steps = _scan_span(target, width, c) * width / (0.05 * c)
+    # a subnormal c underflows the step 0.05 c to zero: infinitely many samples
+    steps = _scan_span(target, width, c) * width / (0.05 * c) if 0.05 * c > 0.0 else math.inf
     return max(2001.0, 2.0 * float(np.ceil(steps)) + 1.0)
 
 
@@ -266,26 +267,24 @@ def qps_scan(target: QpsTarget, spectrum: GaussianJointSpectrum,
     d1_true = delays.l1 - delays.l2
     d2_true = delays.l3 - delays.l4
     offset = target.r + 2.5 * c / width
-    tau1 = (d1_true + 2.0 * offset) / (2.0 * c)
+
+    def rate_at(s1p, s2p):
+        """Averaged pair rate at control settings ``(s1p, s2p)``, module control frame."""
+        return mhom_bp_coarse_analytic((d1_true + 2.0 * np.asarray(s1p)) / (2.0 * c),
+                                       (d2_true + 2.0 * np.asarray(s2p)) / (2.0 * c),
+                                       spectrum, loss)
 
     span = _scan_span(target, width, c)
     if n is None:
         n = qps_scan_samples(target, spectrum, c)
     axis = np.linspace(-span, span, int(n))
-
-    def rate2(t1, t2):
-        return mhom_bp_coarse_analytic(t1, t2, spectrum, loss)
-
     plateau = bp_plateau(loss)
-
-    def cut(s2p):
-        return rate2(tau1, (d2_true + 2.0 * np.asarray(s2p)) / (2.0 * c))
-
-    curve = sample_curve(cut, axis, plateau)
+    curve = sample_curve(lambda s2p: rate_at(offset, s2p), axis, plateau)
     report = find_extrema(curve, "peak_and_dips")
 
-    d2_hat = -2.0 * report.x_max
-    d1_hat = 2.0 * (report.x_min_right - report.x_max) - 2.0 * offset
+    dl1, dl2 = invert_bp(report.x_max, report.x_min_right)
+    d1_hat = dl1 - 2.0 * offset
+    d2_hat = -dl2
     sign_u = -1 if d1_hat < 0.0 else 1
     sign_v = 1 if d2_hat < 0.0 else -1
 
@@ -301,14 +300,7 @@ def qps_scan(target: QpsTarget, spectrum: GaussianJointSpectrum,
 
     s_axis = np.linspace(-(target.r + 3.0 * c / width),
                          target.r + 3.0 * c / width, int(surface_n))
-
-    def over_controls(s1p, s2p):
-        return rate2(
-            (d1_true + 2.0 * np.asarray(s1p)) / (2.0 * c),
-            (d2_true + 2.0 * np.asarray(s2p)) / (2.0 * c),
-        )
-
-    surface = sample_surface(over_controls, s_axis, s_axis, plateau)
+    surface = sample_surface(rate_at, s_axis, s_axis, plateau)
 
     return QpsScanResult(
         recovered=recovered,

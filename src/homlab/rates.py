@@ -14,9 +14,12 @@ Three layers live here and deliberately stay independent of each other:
   averaged rates under flat path losses; the lossless interferometer is
   ``LossParams()``, every amplitude one.
 
-The closed forms take a spectrum object and broadcast over delay arrays.
-Rates are non-negative by construction; values driven a hair below zero
-by round-off are clamped, anything beyond round-off raises.
+The closed forms take a spectrum object, broadcast over delay arrays and
+return the raw value of their formula, as do the window averages.
+Rates are non-negative by construction; round-off can still drive a
+value a hair below zero. ``RateCurve`` and ``RateSurface``, the
+containers every written artifact passes through, clamp those to zero
+and raise on anything beyond round-off: that is the one clamping pass.
 """
 
 from __future__ import annotations
@@ -58,6 +61,7 @@ __all__ = [
     "mhom_bp_windowed",
     "mhom_cp_windowed",
     "MAX_WINDOW_NODES",
+    "window_nodes",
     "sample_curve",
     "sample_surface",
 ]
@@ -88,11 +92,19 @@ def _as_rate(values):
     if np.any(v < -_NEGATIVE_TOL):
         worst = float(np.min(v))
         raise ValueError(f"coincidence rate went negative beyond round-off ({worst})")
-    out = np.where(v < 0.0, 0.0, v)
-    return out if out.ndim else float(out)
+    return np.where(v < 0.0, 0.0, v)
 
 
 # ----- Result containers -----
+
+
+def _store_rates(container, values: np.ndarray, **axes: np.ndarray) -> None:
+    """Check a container's plateau, then store its axes, clamped values and plateau."""
+    plateau = float(container.plateau)
+    if not np.isfinite(plateau) or plateau <= 0.0:
+        raise ValueError(f"plateau must be positive, got {plateau!r}")
+    for name, value in {**axes, "values": values, "plateau": plateau}.items():
+        object.__setattr__(container, name, value)
 
 
 @dataclass(frozen=True)
@@ -105,15 +117,10 @@ class RateCurve:
 
     def __post_init__(self) -> None:
         axis = np.asarray(self.axis, dtype=float)
-        values = np.asarray(_as_rate(self.values), dtype=float)
+        values = _as_rate(self.values)
         if axis.ndim != 1 or values.shape != axis.shape:
             raise ValueError("axis and values must be matching 1-D arrays")
-        plateau = float(self.plateau)
-        if not np.isfinite(plateau) or plateau <= 0.0:
-            raise ValueError(f"plateau must be positive, got {plateau!r}")
-        object.__setattr__(self, "axis", axis)
-        object.__setattr__(self, "values", values)
-        object.__setattr__(self, "plateau", plateau)
+        _store_rates(self, values, axis=axis)
 
 
 @dataclass(frozen=True)
@@ -128,16 +135,10 @@ class RateSurface:
     def __post_init__(self) -> None:
         t1 = np.asarray(self.tau1_axis, dtype=float)
         t2 = np.asarray(self.tau2_axis, dtype=float)
-        values = np.asarray(_as_rate(self.values), dtype=float)
+        values = _as_rate(self.values)
         if t1.ndim != 1 or t2.ndim != 1 or values.shape != (t1.size, t2.size):
             raise ValueError("surface values must have shape (len(tau1), len(tau2))")
-        plateau = float(self.plateau)
-        if not np.isfinite(plateau) or plateau <= 0.0:
-            raise ValueError(f"plateau must be positive, got {plateau!r}")
-        object.__setattr__(self, "tau1_axis", t1)
-        object.__setattr__(self, "tau2_axis", t2)
-        object.__setattr__(self, "values", values)
-        object.__setattr__(self, "plateau", plateau)
+        _store_rates(self, values, tau1_axis=t1, tau2_axis=t2)
 
 
 def sample_curve(func, axis, plateau: float) -> RateCurve:
@@ -238,7 +239,7 @@ def hom_bp_analytic(tau, spectrum: GaussianJointSpectrum):
     """
     t = np.asarray(tau, dtype=float)
     dm = spectrum.d_omega_minus
-    return _as_rate(0.5 * (1.0 - np.exp(-2.0 * dm * dm * t * t)))
+    return 0.5 * (1.0 - np.exp(-2.0 * dm * dm * t * t))
 
 
 def hom_cp_analytic(tau, pulse: CoherentSpectrum):
@@ -251,7 +252,7 @@ def hom_cp_analytic(tau, pulse: CoherentSpectrum):
     t = np.asarray(tau, dtype=float)
     w0, dw = pulse.omega0, pulse.d_omega
     a2 = pulse.total_intensity**2
-    return _as_rate(a2 * (1.0 - np.cos(2.0 * w0 * t) ** 2 * np.exp(-4.0 * dw * dw * t * t)))
+    return a2 * (1.0 - np.cos(2.0 * w0 * t) ** 2 * np.exp(-4.0 * dw * dw * t * t))
 
 
 def hom_cp_coarse_analytic(tau, pulse: CoherentSpectrum):
@@ -259,7 +260,7 @@ def hom_cp_coarse_analytic(tau, pulse: CoherentSpectrum):
     t = np.asarray(tau, dtype=float)
     dw = pulse.d_omega
     a2 = pulse.total_intensity**2
-    return _as_rate(a2 * (1.0 - 0.5 * np.exp(-4.0 * dw * dw * t * t)))
+    return a2 * (1.0 - 0.5 * np.exp(-4.0 * dw * dw * t * t))
 
 
 # ----- Closed forms, two-delay interferometer -----
@@ -291,7 +292,7 @@ def mhom_bp_analytic(tau1, tau2, theta: float, spectrum: GaussianJointSpectrum):
         * (1.0 + g(t1))
         * np.cos(4.0 * t2 * w0 + 2.0 * theta)
     )
-    return _as_rate(bracket / 8.0)
+    return bracket / 8.0
 
 
 def mhom_cp_analytic(tau1, tau2, theta: float, pulse: CoherentSpectrum):
@@ -313,7 +314,7 @@ def mhom_cp_analytic(tau1, tau2, theta: float, pulse: CoherentSpectrum):
     b = np.cos(theta + 2.0 * w0 * (t2 + t1)) * e(t1 + t2) - np.cos(
         theta + 2.0 * w0 * (t2 - t1)
     ) * e(t1 - t2)
-    return _as_rate(a2 * (1.0 - 0.25 * b * b))
+    return a2 * (1.0 - 0.25 * b * b)
 
 
 def mhom_bp_coarse_analytic(tau1, tau2, spectrum: GaussianJointSpectrum,
@@ -343,7 +344,7 @@ def mhom_bp_coarse_analytic(tau1, tau2, spectrum: GaussianJointSpectrum,
         - g_diff
         + loss.eta_b * (-2.0 * g2 + 4.0 * g(t1) + g_sum + g_diff)
     )
-    return _as_rate(loss.a_bp_loss * bracket)
+    return loss.a_bp_loss * bracket
 
 
 def mhom_cp_coarse_analytic(tau1, tau2, pulse: CoherentSpectrum,
@@ -374,7 +375,7 @@ def mhom_cp_coarse_analytic(tau1, tau2, pulse: CoherentSpectrum,
         + eta_b * (d + 0.5 * e1)
         + eta_a * eta_b * (0.5 * (e2 - e1) - d)
     )
-    return _as_rate(loss.a_cp_loss(pulse.total_intensity) * bracket)
+    return loss.a_cp_loss(pulse.total_intensity) * bracket
 
 
 # The averaged forms under their older lossy names, which callers still import.
@@ -526,7 +527,7 @@ def cl_s_rate(mixture, grid: FrequencyGrid, tau1: float, tau2: float,
         intensity = float(grid.integrate(p))
         overlap = float(grid.integrate(p * mod))
         total += float(wk) * (intensity * intensity - overlap * overlap)
-    return float(_as_rate(total))
+    return total
 
 
 # ----- Coarse graining -----
@@ -592,7 +593,14 @@ def box_average_surface(rate2, tau1, tau2, window: float, n: int = 129):
     return _box_average(rate2, (tau1, tau2), window, n)
 
 
-def _check_window(window: float, carrier: float, envelope: float) -> None:
+def window_nodes(n: int | None, window: float, carrier: float, envelope: float) -> int:
+    """Averaging nodes for a window, after guarding its regime.
+
+    A ``RegimeError`` names the bound a window breaks: at least twenty
+    carrier radians, at most a fifth of the envelope time. ``n`` (2 to
+    ``MAX_WINDOW_NODES``) is returned as given; ``None`` picks the
+    automatic count, refused above the cap.
+    """
     if window <= 0.0 or carrier <= 0.0 or envelope <= 0.0:
         raise ValueError("window, carrier and envelope must all be positive")
     if window * carrier < 20.0:
@@ -605,9 +613,6 @@ def _check_window(window: float, carrier: float, envelope: float) -> None:
             "averaging window wide enough to smear the envelope: "
             f"window * envelope = {window * envelope:.4g} > 0.2"
         )
-
-
-def _window_nodes(n: int | None, window: float, carrier: float) -> int:
     if n is None:
         # fastest fringe sweeps 4 * carrier * window radians across the window
         sweep = 2.0 * carrier * window
@@ -642,21 +647,19 @@ def coarse_grain_curve(rate, tau, window: float, *, carrier: float,
                        envelope: float, n: int | None = None):
     """Average a rate curve over delay fluctuations of width ``window``.
 
-    The window must sit between the carrier period and the envelope time
-    scale: at least twenty carrier radians wide, at most a fifth of the
-    envelope time. Outside that band the average would either keep
-    carrier fringes or wash out the envelope, so the call is rejected
+    Outside the regime ``window_nodes`` guards, the average would either
+    keep carrier fringes or wash out the envelope, so the call is rejected
     with a ``RegimeError`` naming the violated bound. ``n`` (at least 2)
     overrides the automatic Gauss-Legendre node count.
     """
-    _check_window(window, carrier, envelope)
+    n = window_nodes(n, window, carrier, envelope)
     f, support = _curve_callable(rate)
     t = np.asarray(tau, dtype=float)
     if support is not None:
         lo, hi = support
         if np.min(t) - 0.5 * window < lo or np.max(t) + 0.5 * window > hi:
             raise ValueError("tabulated curve does not cover the averaging window")
-    return _as_rate(box_average_curve(f, t, window, n=_window_nodes(n, window, carrier)))
+    return box_average_curve(f, t, window, n=n)
 
 
 def coarse_grain_surface(rate2, tau1, tau2, window: float, *, carrier: float,
@@ -668,25 +671,23 @@ def coarse_grain_surface(rate2, tau1, tau2, window: float, *, carrier: float,
     carrier terms in the other delay untouched. Same regime bounds as
     ``coarse_grain_curve``.
     """
-    _check_window(window, carrier, envelope)
+    n = window_nodes(n, window, carrier, envelope)
     if not callable(rate2):
         raise TypeError("rate2 must be callable on (tau1, tau2)")
-    return _as_rate(
-        box_average_surface(rate2, tau1, tau2, window, n=_window_nodes(n, window, carrier))
-    )
+    return box_average_surface(rate2, tau1, tau2, window, n=n)
 
 
 # ----- Structured window averages of the two-delay closed forms -----
 
 
-def _windowed_setup(tau1, tau2, window, carrier, envelope, n):
+def _windowed_setup(tau1, tau2, window, model, n):
     """Guard the window, then build the box and triangle rules (``_window_rules``)."""
-    _check_window(window, carrier, envelope)
+    n = window_nodes(n, window, model.omega0, model.window_envelope)
     t1 = np.asarray(tau1, dtype=float)
     t2 = np.asarray(tau2, dtype=float)
     if t1.ndim != 1 or t2.ndim != 1:
         raise ValueError("tau1 and tau2 must be 1-D axes")
-    return (t1, t2, *_window_rules(window, _window_nodes(n, window, carrier)))
+    return (t1, t2, *_window_rules(window, n))
 
 
 def mhom_bp_windowed(tau1, tau2, theta: float, spectrum: GaussianJointSpectrum,
@@ -694,11 +695,11 @@ def mhom_bp_windowed(tau1, tau2, theta: float, spectrum: GaussianJointSpectrum,
     """Pair rate of the two-delay interferometer averaged over delay fluctuations.
 
     The same average as ``coarse_grain_surface`` of ``mhom_bp_analytic``
-    with carrier ``omega0`` and envelope ``max(d_omega_minus,
-    2 d_omega_plus)``: same regime guard, same ``RegimeError`` messages,
-    same node count ``n``. The rate is averaged term by term, with
-    ``g(x) = exp(-2 d_omega_minus**2 x**2)`` and ``h(x) = exp(-8
-    d_omega_plus**2 x**2) cos(4 omega0 x + 2 theta)``. Terms in one delay
+    with carrier ``omega0`` and envelope ``spectrum.window_envelope``: same
+    regime guard, same ``RegimeError`` messages, same node count ``n``.
+    The rate is averaged term by term, with ``g(x) = exp(-2
+    d_omega_minus**2 x**2)`` and ``h(x) = exp(-8 d_omega_plus**2 x**2)
+    cos(4 omega0 x + 2 theta)``. Terms in one delay
     are 1-D box averages, the fringe term ``h(tau2) (1 + g(tau1))`` is the
     outer product of two of them, and the terms in ``tau1 +- tau2`` are
     1-D averages under the triangular kernel, so the cost is cells x n
@@ -706,8 +707,7 @@ def mhom_bp_windowed(tau1, tau2, theta: float, spectrum: GaussianJointSpectrum,
     1-D axes ``tau1`` x ``tau2``.
     """
     dm, dp, w0 = spectrum.d_omega_minus, spectrum.d_omega_plus, spectrum.omega0
-    t1, t2, box, triangle = _windowed_setup(
-        tau1, tau2, window, w0, max(dm, 2.0 * dp), n)
+    t1, t2, box, triangle = _windowed_setup(tau1, tau2, window, spectrum, n)
 
     def g(x):
         return np.exp(-2.0 * dm * dm * x * x)
@@ -722,7 +722,7 @@ def mhom_bp_windowed(tau1, tau2, theta: float, spectrum: GaussianJointSpectrum,
         - _rule_average(g, (t1[:, None] - t2[None, :],), *triangle)
         + 2.0 * np.outer(1.0 + _rule_average(g, (t1,), *box), _rule_average(h, (t2,), *box))
     )
-    return _as_rate(bracket / 8.0)
+    return bracket / 8.0
 
 
 def mhom_cp_windowed(tau1, tau2, theta: float, pulse: CoherentSpectrum,
@@ -730,8 +730,8 @@ def mhom_cp_windowed(tau1, tau2, theta: float, pulse: CoherentSpectrum,
     """Coherent-pulse rate of the two-delay interferometer averaged over delay fluctuations.
 
     The same average as ``coarse_grain_surface`` of ``mhom_cp_analytic``
-    with carrier ``omega0`` and envelope ``sqrt(2) d_omega``: same regime
-    guard, same ``RegimeError`` messages, same node count ``n``. It
+    with carrier ``omega0`` and envelope ``pulse.window_envelope``: same
+    regime guard, same ``RegimeError`` messages, same node count ``n``. It
     averages ``1 - b**2 / 4`` term by term, using
 
         ``b**2 = cos(A)**2 E(tau1 + tau2) + cos(B)**2 E(tau1 - tau2)
@@ -746,8 +746,7 @@ def mhom_cp_windowed(tau1, tau2, theta: float, pulse: CoherentSpectrum,
     """
     w0, dw = pulse.omega0, pulse.d_omega
     a2 = pulse.total_intensity**2
-    t1, t2, box, triangle = _windowed_setup(
-        tau1, tau2, window, w0, math.sqrt(2.0) * dw, n)
+    t1, t2, box, triangle = _windowed_setup(tau1, tau2, window, pulse, n)
 
     def env(x):
         return np.exp(-4.0 * dw * dw * x * x)
@@ -766,4 +765,4 @@ def mhom_cp_windowed(tau1, tau2, theta: float, pulse: CoherentSpectrum,
                    _rule_average(fringe(2.0 * theta), (t2,), *box))
         - np.outer(_rule_average(fringe(0.0), (t1,), *box), _rule_average(env, (t2,), *box))
     )
-    return _as_rate(a2 * (1.0 - 0.25 * b2))
+    return a2 * (1.0 - 0.25 * b2)

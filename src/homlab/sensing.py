@@ -26,6 +26,7 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
+from .network import store_finite
 from .rates import (
     LossParams,
     RateCurve,
@@ -73,11 +74,7 @@ class SensingScenario:
     c: float = 1.0
 
     def __post_init__(self) -> None:
-        for name in ("dl1_0", "dl2_0", "x1", "c"):
-            v = float(getattr(self, name))
-            if not np.isfinite(v):
-                raise ValueError(f"{name} must be finite")
-            object.__setattr__(self, name, v)
+        store_finite(self, "dl1_0", "dl2_0", "x1", "c")
         if self.c <= 0.0:
             raise ValueError("c must be positive")
 

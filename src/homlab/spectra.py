@@ -14,6 +14,7 @@ evaluation methods broadcast over numpy arrays.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -133,6 +134,11 @@ class GaussianJointSpectrum:
         """
         return float(np.sqrt(self.d_omega_minus**2 + 4.0 * self.d_omega_plus**2) / 2.0)
 
+    @property
+    def window_envelope(self) -> float:
+        """Envelope scale of the two-delay pair rate; an averaging window stays below 0.2 / it."""
+        return max(self.d_omega_minus, 2.0 * self.d_omega_plus)
+
     def joint_density(self, omega, omega_prime):
         """Joint probability density of the pair frequencies.
 
@@ -193,6 +199,11 @@ class CoherentSpectrum:
         object.__setattr__(
             self, "total_intensity", _positive(self.total_intensity, "total_intensity")
         )
+
+    @property
+    def window_envelope(self) -> float:
+        """Envelope scale of the two-delay pulse rate; an averaging window stays below 0.2 / it."""
+        return math.sqrt(2.0) * self.d_omega
 
     def frequency_density(self, omega):
         """Normalized power spectrum: a normal density at ``omega0``."""

@@ -1,0 +1,147 @@
+"""Fault corpus: every small ``homlab run`` config with one field broken at a time.
+
+Usage: ``PYTHONPATH=src python tests/fault_corpus.py OUT.json``
+
+The corpus starts from ``test_cli.RUN_CONFIGS`` plus a small ``figure``
+config. Each field, at the top level and inside every block, is set in turn
+to each of ``VALUES`` or deleted, and every block gets one unknown key. The
+optional fields a base config leaves out (``_OPTIONAL`` at the top level, the
+record fields of ``_RECORDS`` in a block) are set to each value too. Each
+config runs through ``homlab.cli.main`` in a scratch directory, and OUT.json
+maps the config's id to its exit code (or the exception that escaped
+``main``), its stderr, the warnings it raised and the SHA-256 of every file
+it wrote. Run it on two trees and diff the two outputs to see what a change
+did to error handling. It is not collected by pytest.
+"""
+
+import contextlib
+import dataclasses
+import hashlib
+import io
+import json
+import os
+import shutil
+import sys
+import tempfile
+import warnings
+from collections import Counter
+from pathlib import Path
+
+from homlab.cli import main
+from homlab.qps import QpsTarget
+from homlab.rates import LossParams
+from homlab.sensing import SensingScenario
+from homlab.spectra import CoherentSpectrum, GaussianJointSpectrum
+from test_cli import RUN_CONFIGS
+
+VALUES = (None, True, "x", [1, 2], {}, -1.0, 0.0, 1e308, -1e308, 10**30, "pi/2",
+          [0.5, 0.5], [2.0, 0.0], 5e-324)
+_DELETE = object()
+_UNKNOWN = "unknown_field"
+# top-level fields each mode accepts besides the ones its base configs set
+_OPTIONAL = {
+    "hom": ("stem",),
+    "mhom": ("theta", "stem"),
+    "coarse": ("window", "window_n", "theta", "stem"),
+    "loss": ("stem",),
+    "sense": ("loss", "n", "span", "stem"),
+    "qps": ("loss", "c", "n", "surface_n", "stem"),
+    "figure": ("theta", "n"),
+}
+# the library record each config block is built from
+_RECORDS = {"spectrum": GaussianJointSpectrum, "pulse": CoherentSpectrum,
+            "loss": LossParams, "scenario": SensingScenario, "target": QpsTarget}
+
+
+def _bases() -> dict:
+    bases = {name: {"version": 1, **cfg} for name, cfg in RUN_CONFIGS.items()}
+    bases["figure_fig3"] = {"version": 1, "mode": "figure", "preset": "fig3", "n": 16}
+    return bases
+
+
+def _variant(base: dict, path: tuple, value) -> dict:
+    cfg = json.loads(json.dumps(base))
+    *parents, key = path
+    block = cfg
+    for parent in parents:
+        block = block[parent]
+    if value is _DELETE:
+        del block[key]
+    else:
+        block[key] = value
+    return cfg
+
+
+def _optional(base: dict, block: tuple) -> list:
+    """Fields the top level (``block == ()``) or a block of ``base`` accepts."""
+    if not block:
+        return list(_OPTIONAL[base["mode"]])
+    record = _RECORDS.get(block[0])
+    return [f.name for f in dataclasses.fields(record)] if record else []
+
+
+def corpus() -> dict:
+    """Config id -> config, for every broken variant of every base config."""
+    out = {}
+    for name, base in _bases().items():
+        blocks = [()] + [(key,) for key, value in base.items() if isinstance(value, dict)]
+        for block in blocks:
+            present = base if not block else base[block[0]]
+            for key in dict.fromkeys([*present, *_optional(base, block)]):
+                for value in (*VALUES, _DELETE) if key in present else VALUES:
+                    label = "deleted" if value is _DELETE else json.dumps(value)
+                    out[f"{name}/{'.'.join((*block, key))}={label}"] = _variant(
+                        base, (*block, key), value)
+            out[f"{name}/{'.'.join((*block, _UNKNOWN))}"] = _variant(
+                base, (*block, _UNKNOWN), 1)
+    return out
+
+
+def run_one(cfg: dict) -> dict:
+    """Outcome of ``homlab run`` on ``cfg``, run in the current directory."""
+    Path("config.json").write_text(json.dumps(cfg), encoding="utf-8")
+    shutil.rmtree("out", ignore_errors=True)
+    err = io.StringIO()
+    with warnings.catch_warnings(record=True) as caught, \
+            contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+        warnings.simplefilter("always")
+        try:
+            result = main(["run", "config.json", "--out", "out"])
+        except Exception as exc:  # a bug escaping main is part of the record
+            result = f"{type(exc).__name__}: {exc}"
+    files = {}
+    if os.path.isdir("out"):
+        files = {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
+                 for p in sorted(Path("out").iterdir())}
+    return {
+        "exit": result,
+        "stderr": err.getvalue(),
+        "warnings": [f"{w.category.__name__}: {w.message}" for w in caught],
+        "files": files,
+    }
+
+
+def main_corpus(out_path: str) -> None:
+    out_path = os.path.abspath(out_path)
+    configs = corpus()
+    records = {}
+    here = os.getcwd()
+    with tempfile.TemporaryDirectory() as scratch:
+        os.chdir(scratch)
+        try:
+            for cid, cfg in configs.items():
+                records[cid] = run_one(cfg)
+        finally:
+            os.chdir(here)
+    with open(out_path, "w", encoding="utf-8") as fh:
+        json.dump(records, fh, indent=1, sort_keys=True)
+        fh.write("\n")
+    counts = Counter(str(record["exit"]) for record in records.values())
+    print(f"{len(records)} configs; exit codes: "
+          + ", ".join(f"{code} x {n}" for code, n in counts.most_common()))
+
+
+if __name__ == "__main__":
+    if len(sys.argv) != 2:
+        sys.exit("usage: PYTHONPATH=src python tests/fault_corpus.py OUT.json")
+    main_corpus(sys.argv[1])

@@ -129,3 +129,18 @@ def test_every_name_the_benchmark_reaches_resolves():
         except AttributeError:
             missing.append(f"{where}: {'.'.join([module, *chain])}")
     assert not missing, "perfbench reaches names the package no longer has:\n" + "\n".join(missing)
+
+
+def test_package_exports_are_the_module_exports():
+    import homlab
+    from homlab import network, qps, rates, sensing, spectra
+
+    modules = (spectra, network, rates, sensing, qps)
+    assert len(homlab.__all__) == len(set(homlab.__all__))
+    assert set(homlab.__all__) == {
+        *(name for module in modules for name in module.__all__),
+        "FIGURE_PRESETS", "build_figure",
+    }
+    assert "window_nodes" in homlab.__all__
+    for name in homlab.__all__:
+        assert getattr(homlab, name) is not None

@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 import homlab.cli as cli
+from homlab import qps, rates, sensing
 from homlab.cli import (
     _MAX_VALUES,
     ConfigError,
@@ -1181,5 +1182,65 @@ def test_internal_errors_are_not_reported_as_config_errors(tmp_path, monkeypatch
     monkeypatch.setattr(cli, "surface_csv", broken)
     cfg = write_config(tmp_path, {"version": 1, **RUN_CONFIGS["mhom_bp"]})
     with pytest.raises(ValueError, match="formatter bug"):
+        main(["run", cfg, "--out", str(tmp_path / "out")])
+    assert not (tmp_path / "out").exists()
+
+
+# ----- one clamp pass, model errors converted only where config enters -----
+
+
+@pytest.mark.parametrize("name", sorted(RUN_CONFIGS))
+def test_each_written_csv_is_clamped_once(tmp_path, monkeypatch, name):
+    calls = []
+    clamp = rates._as_rate
+    monkeypatch.setattr(rates, "_as_rate", lambda values: calls.append(1) or clamp(values))
+    cfg = write_config(tmp_path, {"version": 1, **RUN_CONFIGS[name]})
+    out = tmp_path / "out"
+    assert main(["run", cfg, "--out", str(out)]) == 0
+    assert len(calls) == len(list(out.glob("*.csv")))
+
+
+@pytest.mark.parametrize("c", [5e-324, 1e-320])
+def test_qps_subnormal_c_refused_as_an_oversized_scan(tmp_path, capsys, c):
+    cfg = write_config(tmp_path, {"version": 1, **RUN_CONFIGS["qps"], "c": c})
+    out = tmp_path / "out"
+    assert main(["run", cfg, "--out", str(out)]) == 2
+    assert capsys.readouterr().err == (
+        "error: target.r: the default scan for r / c = inf needs inf samples, "
+        f"more than {_MAX_VALUES}\n"
+    )
+    assert not out.exists()
+
+
+def test_window_too_wide_for_the_envelope_is_a_regime_error_before_the_node_cap(
+        tmp_path, capsys):
+    # window * carrier = 5e31 is far over the node cap, but the window also
+    # smears the envelope, and that is what the run reports
+    cfg = write_config(tmp_path, _coarse_window(window=1e30))
+    assert main(["run", cfg, "--out", str(tmp_path / "out")]) == 3
+    assert capsys.readouterr().err == (
+        "regime error: averaging window wide enough to smear the envelope: "
+        "window * envelope = 1e+30 > 0.2\n"
+    )
+
+
+def _boom(*args, **kwargs):
+    raise ValueError("boom")
+
+
+@pytest.mark.parametrize(
+    "owner, attr, config",
+    [
+        (sensing, "scan_f", "sense_bp"),
+        (qps, "mhom_bp_coarse_analytic", "qps"),
+        (rates, "_rule_average", "coarse_bp_window"),
+    ],
+    ids=["sensing_scan", "qps_closed_form", "window_average"],
+)
+def test_model_bugs_after_parsing_are_not_config_errors(tmp_path, monkeypatch,
+                                                        owner, attr, config):
+    monkeypatch.setattr(owner, attr, _boom)
+    cfg = write_config(tmp_path, {"version": 1, **RUN_CONFIGS[config]})
+    with pytest.raises(ValueError, match="boom"):
         main(["run", cfg, "--out", str(tmp_path / "out")])
     assert not (tmp_path / "out").exists()

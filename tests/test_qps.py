@@ -12,6 +12,7 @@ from homlab.qps import (
     qps_forward,
     qps_invert,
     qps_scan,
+    qps_scan_samples,
 )
 from homlab.rates import LossParams
 from homlab.spectra import GaussianJointSpectrum
@@ -247,3 +248,10 @@ def test_scan_rejects_fully_dark_input_path():
 def test_scan_validates_speed_of_light():
     with pytest.raises(ValueError, match="c must be positive"):
         qps_scan(QpsTarget(r=1.0, gamma=0.5, vartheta=0.5), SPECTRUM, c=0.0)
+
+
+def test_scan_samples_for_a_subnormal_c_are_infinite():
+    target = QpsTarget(r=2.0, gamma=0.8, vartheta=2.2)
+    assert qps_scan_samples(target, SPECTRUM, 5e-324) == math.inf
+    assert qps_scan_samples(target, SPECTRUM, 1e-320) == math.inf
+    assert qps_scan_samples(target, SPECTRUM, 1.0) == 2001.0
