@@ -201,15 +201,14 @@ def parse_angle(value, path: str = "theta") -> float:
 def _wrap_model_error(path: str):
     """Report a model's rejection of parsed values as a config error at ``path``.
 
-    Regime errors pass through; a message that already names ``path`` is kept.
+    Regime errors pass through.
     """
     try:
         yield
     except (ConfigError, RegimeError):
         raise
     except (ValueError, TypeError) as exc:
-        text = str(exc)
-        raise ConfigError(text if text.startswith(f"{path}: ") else f"{path}: {text}") from None
+        raise ConfigError(f"{path}: {exc}") from None
 
 
 @contextmanager

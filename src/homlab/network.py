@@ -1,10 +1,14 @@
 """Two-port linear optical elements and frequency-resolved transfer matrices.
 
 An ``OpticalNetwork`` is an ordered chain of elements applied input to
-output. ``transfer_at`` multiplies the element matrices at a given
-frequency, last element leftmost, so the chain ``(A, B)`` has transfer
-``B @ A``. Lossless chains are unitary at every frequency; scalar losses
-make the transfer sub-unitary but never amplifying.
+output, so the chain ``(A, B)`` has transfer ``B @ A``. Every element
+acts as an in-place update of the two rows of whatever it is applied
+to, and ``push_rows`` applies a chain that way, input first:
+``transfer_at`` pushes the identity, giving the full transfer at each
+frequency, and the pulse oracle pushes the input field ``(1, 1)``,
+giving only the two output fields it integrates. Lossless chains are
+unitary at every frequency; scalar losses make the transfer
+sub-unitary but never amplifying.
 
 Loss amplitudes are frequency-flat scalars. This encodes a white-noise
 loss model where each path attenuation is evaluated at the carrier;
@@ -13,6 +17,8 @@ frequency-dependent loss profiles are rejected at construction.
 
 from __future__ import annotations
 
+import cmath
+import math
 import numbers
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
@@ -43,7 +49,7 @@ def validate_amplitude(value, name: str) -> complex:
             f"{name} must be a frequency-flat scalar amplitude, got {type(value).__name__}"
         )
     z = complex(value)
-    if not np.isfinite(z.real) or not np.isfinite(z.imag):
+    if not cmath.isfinite(z):
         raise ValueError(f"{name} must be finite")
     if abs(z) > 1.0 + 1e-12:
         raise ValueError(f"{name} must satisfy |amp| <= 1, got |{z}| = {abs(z)}")
@@ -51,18 +57,23 @@ def validate_amplitude(value, name: str) -> complex:
 
 
 def store_finite(record, *names: str) -> None:
-    """Store each named field of a frozen record as a finite float."""
+    """Store each named field of a frozen record as a finite float; bools and
+    values that are not real numbers are refused with a ``TypeError``."""
     for name in names:
-        value = float(getattr(record, name))
-        if not np.isfinite(value):
+        value = getattr(record, name)
+        if isinstance(value, bool) or not isinstance(value, numbers.Real):
+            raise TypeError(f"{name} must be a real number, got {type(value).__name__}")
+        value = float(value)
+        if not math.isfinite(value):
             raise ValueError(f"{name} must be finite")
         object.__setattr__(record, name, value)
 
 
 # ----- Elements -----
 #
-# Every element is diagonal except the splitter, so each one acts on the
-# chain's transfer as an in-place update of its two output rows.
+# Every element is diagonal except the splitter, so each one acts as an
+# in-place update of the two rows of an array of shape (2, ..., n): the
+# rows of a transfer matrix, or the two fields of a pushed input.
 
 
 class _Element:
@@ -79,7 +90,10 @@ class BalancedBS(_Element):
 
     def _update_rows(self, rows, om) -> None:
         r0, r1 = rows
-        rows[0], rows[1] = (r0 + r1) * _INV_SQRT2, (r0 - r1) * _INV_SQRT2
+        total = r0 + r1
+        np.subtract(r0, r1, out=r1)
+        r0[...] = total
+        rows *= _INV_SQRT2
 
 
 @dataclass(frozen=True)
@@ -92,9 +106,14 @@ class RelativeDelay(_Element):
         store_finite(self, "tau")
 
     def _update_rows(self, rows, om) -> None:
-        ph = np.exp(-1j * om * self.tau)
-        rows[0] *= ph
-        rows[1] *= np.conj(ph)
+        # exp(i omega tau) from the real cos and sin of omega tau, which cost
+        # about half of a complex exp of the same phases
+        x = self.tau * om
+        ph = np.empty(x.shape, dtype=complex)
+        np.cos(x, out=ph.real)
+        np.sin(x, out=ph.imag)
+        rows[1] *= ph
+        rows[0] *= np.conjugate(ph, out=ph)
 
 
 @dataclass(frozen=True)
@@ -107,7 +126,7 @@ class AchromaticPhase(_Element):
         store_finite(self, "theta")
 
     def _update_rows(self, rows, om) -> None:
-        rows[1] *= np.exp(1j * self.theta)
+        rows[1] *= cmath.exp(1j * self.theta)
 
 
 @dataclass(frozen=True)
@@ -146,20 +165,28 @@ class OpticalNetwork:
         object.__setattr__(self, "elements", elements)
 
 
+def push_rows(network: OpticalNetwork, rows: np.ndarray, om: np.ndarray) -> np.ndarray:
+    """Apply the chain, input first, to ``rows`` of shape ``(2, ..., n)`` in place.
+
+    ``rows[i]`` holds output port ``i``; ``om`` (shape ``(n,)`` or
+    broadcast against the trailing axes) is the frequency of each column.
+    """
+    for el in network.elements:
+        el._update_rows(rows, om)
+    return rows
+
+
 def transfer_at(network: OpticalNetwork, omega) -> np.ndarray:
     """Input-to-output transfer matrix of the chain at frequency ``omega``.
 
     Returns an array of shape ``(2, 2) + shape(omega)``; annihilation
-    operators map as ``out = S @ in`` entrywise in frequency. The product
-    starts from the identity and each element, input first, updates its
-    two rows in place.
+    operators map as ``out = S @ in`` entrywise in frequency. It is the
+    identity pushed through the chain.
     """
     om = np.asarray(omega, dtype=float)
     out = np.zeros((2, 2) + om.shape, dtype=complex)
     out[0, 0] = out[1, 1] = 1.0
-    for el in network.elements:
-        el._update_rows(out, om)
-    return out
+    return push_rows(network, out, om)
 
 
 def hom_network(tau: float) -> OpticalNetwork:

@@ -29,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .network import OpticalNetwork, transfer_at, validate_amplitude
+from .network import OpticalNetwork, push_rows, transfer_at, validate_amplitude
 from .spectra import CoherentSpectrum, FrequencyGrid, GaussianJointSpectrum, make_grid
 
 __all__ = [
@@ -52,7 +52,9 @@ __all__ = [
     "pair_grid",
     "pulse_grid",
     "bp_rate_oracle",
+    "bp_rate_oracle_batch",
     "cp_rate_oracle",
+    "cp_rate_oracle_batch",
     "cl_s_rate",
     "box_average_curve",
     "box_average_surface",
@@ -424,12 +426,34 @@ def pulse_grid(pulse: CoherentSpectrum, tau_max: float = 4.0,
 
 
 def _abs2(z):
+    if not np.iscomplexobj(z):
+        return z * z
     return z.real ** 2 + z.imag ** 2
 
 
-def bp_rate_oracle(amplitude: np.ndarray, grid: FrequencyGrid,
-                   network: OpticalNetwork) -> float:
-    """Pair-coincidence rate by direct double quadrature.
+def _real_or_complex(values) -> np.ndarray:
+    """A tabulated table as a float array, or a complex one if it is complex."""
+    values = np.asarray(values)
+    return values.astype(complex if np.iscomplexobj(values) else float, copy=False)
+
+
+def _column_dots(x, y):
+    return np.add.reduce(x * y, axis=0)
+
+
+def _chains(networks) -> tuple:
+    """The batch as a non-empty tuple of chains; a bad entry is named by index."""
+    nets = tuple(networks)
+    if not nets:
+        raise ValueError("networks must hold at least one chain")
+    for i, net in enumerate(nets):
+        if not isinstance(net, OpticalNetwork):
+            raise TypeError(f"networks[{i}] must be an OpticalNetwork, got {type(net).__name__}")
+    return nets
+
+
+def bp_rate_oracle_batch(amplitude: np.ndarray, grid: FrequencyGrid, networks) -> np.ndarray:
+    """Pair-coincidence rate of each chain in ``networks``, by direct double quadrature.
 
     ``amplitude`` is the joint spectral amplitude tabulated on
     ``grid x grid`` and must be normalized to one there. The two-photon
@@ -444,59 +468,86 @@ def bp_rate_oracle(amplitude: np.ndarray, grid: FrequencyGrid,
 
     Expanding the square leaves two direct terms weighted by
     ``P = |amp|^2`` and a cross term weighted by ``Q = amp * conj(amp^T)``.
-    The normalization is one matrix-vector product with ``P``, the rate
-    one n x 2 product with ``P`` and one product with ``Q``. A real
-    table is never made complex.
+    The k chains share ``P``, ``Q`` and the normalization ``w . P . w``;
+    the rates are one n x 2k product with ``P`` and one with ``Q``. A
+    real table is never made complex. The n x 2k operands grow with k,
+    so very large batches are best passed in blocks.
     """
-    psi = np.asarray(amplitude)
-    is_complex = np.iscomplexobj(psi)
-    psi = psi.astype(complex if is_complex else float, copy=False)
+    psi = _real_or_complex(amplitude)
     n = grid.size
     if psi.shape != (n, n):
         raise ValueError(f"amplitude must be tabulated on the full grid, expected {(n, n)}, got {psi.shape}")
+    nets = _chains(networks)
     w = grid.weights
-    p = _abs2(psi) if is_complex else psi * psi
+    p = _abs2(psi)
+    # a product of its own rather than a column w in the product with P below:
+    # for one chain an n x 3 product at 641 nodes crosses OpenBLAS's threading
+    # threshold, and waking its threads costs more than the product on two cores
     norm = float(w @ (p @ w))
     # written so that a nan or inf norm fails too
     if not abs(norm - 1.0) <= 1e-6:
         raise ValueError(f"joint amplitude must be normalized on the grid, got norm {norm:.8g}")
-    s = transfer_at(network, grid.nodes)
-    a, c, d, b = s[0, 0], s[0, 1], s[1, 0], s[1, 1]
-    # two columns, not three with w: an n x 3 product at 641 nodes crosses
-    # OpenBLAS's threading threshold, and waking its threads costs more
-    # than the product on a two-core machine
-    pw = p @ np.stack([w * _abs2(b), w * _abs2(c)], axis=1)
-    direct = (w * _abs2(a)) @ pw[:, 0] + (w * _abs2(d)) @ pw[:, 1]
-    u = w * a * np.conj(c)
-    v = w * b * np.conj(d)
-    if is_complex:
-        cross = (u @ ((psi * np.conj(psi.T)) @ v)).real
+    k = len(nets)
+    s = np.empty((2, 2, n, k), dtype=complex)
+    for j, net in enumerate(nets):
+        s[..., j] = transfer_at(net, grid.nodes)
+    (a, c), (d, b) = s
+    wk = w[:, None]
+    (wa2, wc2), (wd2, wb2) = wk * _abs2(s)
+    pw = p @ np.concatenate((wb2, wc2), axis=1)
+    direct = _column_dots(wa2, pw[:, :k]) + _column_dots(wd2, pw[:, k:])
+    u = wk * a * np.conj(c)
+    v = wk * b * np.conj(d)
+    if np.iscomplexobj(psi):
+        qv = (psi * np.conjugate(psi.T, order="C")) @ v
     else:
-        qv = (psi * psi.T) @ np.stack([v.real, v.imag], axis=1)
-        cross = u.real @ qv[:, 0] - u.imag @ qv[:, 1]
-    return float(direct + 2.0 * cross)
+        # Q stays real and maps the interleaved real and imaginary parts of v alike
+        qv = ((psi * psi.T) @ v.view(float)).view(complex)
+    cross = _column_dots(u, qv).real
+    return direct + 2.0 * cross
 
 
-def cp_rate_oracle(alpha: np.ndarray, grid: FrequencyGrid,
+def bp_rate_oracle(amplitude: np.ndarray, grid: FrequencyGrid,
                    network: OpticalNetwork) -> float:
-    """Coincidence rate for identical coherent amplitudes on both inputs.
+    """Pair-coincidence rate of one chain: ``bp_rate_oracle_batch`` of one."""
+    return float(bp_rate_oracle_batch(amplitude, grid, (network,))[0])
+
+
+def cp_rate_oracle_batch(alpha: np.ndarray, grid: FrequencyGrid, networks) -> np.ndarray:
+    """Coincidence rate of each chain for identical coherent amplitudes on both inputs.
 
     The outputs stay coherent with amplitudes ``(Si1 + Si2) alpha``, so
     the coincidence rate is the product of the two output intensities.
     Feeding the two ports differently is outside this model, which is why
-    the signature accepts a single tabulated amplitude.
+    the signature accepts a single tabulated amplitude. Each chain pushes
+    the input field ``(1, 1)``, with ``alpha`` factored out, through its
+    elements; the chains share ``w |alpha|^2`` and one quadrature product.
+    The pushed fields take 32 n bytes per chain, so very large batches are
+    best passed in blocks.
     """
-    a = np.asarray(alpha, dtype=complex)
-    if a.shape != (grid.size,):
-        raise ValueError(f"alpha must be tabulated on the grid, expected {(grid.size,)}, got {a.shape}")
+    a = _real_or_complex(alpha)
+    n = grid.size
+    if a.shape != (n,):
+        raise ValueError(f"alpha must be tabulated on the grid, expected {(n,)}, got {a.shape}")
     if not np.all(np.isfinite(a)):
         raise ValueError("alpha must be finite")
-    s = transfer_at(network, grid.nodes)
-    g1 = (s[0, 0] + s[0, 1]) * a
-    g2 = (s[1, 0] + s[1, 1]) * a
-    n1 = float(grid.integrate(np.abs(g1) ** 2))
-    n2 = float(grid.integrate(np.abs(g2) ** 2))
-    return n1 * n2
+    nets = _chains(networks)
+    om = grid.nodes
+    fields = np.ones((len(nets), 2, n), dtype=complex)
+    for j, net in enumerate(nets):
+        push_rows(net, fields[j], om)
+    # |field|^2 w |alpha|^2: square the interleaved real and imaginary parts
+    # in place and weight each pair alike
+    sq = fields.view(float)
+    np.square(sq, out=sq)
+    n12 = sq @ np.repeat(grid.weights * _abs2(a), 2)
+    return n12[:, 0] * n12[:, 1]
+
+
+def cp_rate_oracle(alpha: np.ndarray, grid: FrequencyGrid,
+                   network: OpticalNetwork) -> float:
+    """Coherent-pulse coincidence rate of one chain: ``cp_rate_oracle_batch`` of one."""
+    return float(cp_rate_oracle_batch(alpha, grid, (network,))[0])
 
 
 def cl_s_rate(mixture, grid: FrequencyGrid, tau1: float, tau2: float,
@@ -619,7 +670,7 @@ def window_nodes(n: int | None, window: float, carrier: float, envelope: float) 
         need = max(48, math.ceil(sweep) + 16) if math.isfinite(sweep) else math.inf
         if need > MAX_WINDOW_NODES:
             raise ValueError(
-                f"window: window * carrier = {window * carrier:.4g} needs about "
+                f"window * carrier = {window * carrier:.4g} needs about "
                 f"{need:.4g} averaging nodes, more than {MAX_WINDOW_NODES}"
             )
         return need

@@ -177,3 +177,24 @@ def test_mhom_network_element_order_with_loss():
         "AchromaticPhase",
         "BalancedBS",
     ]
+
+
+@pytest.mark.parametrize("bad", [True, False, "0.3", None, 0.3 + 0j, [0.3], np.array(0.3)])
+def test_real_fields_refuse_bools_and_non_real_values(bad):
+    from homlab.sensing import SensingScenario
+
+    with pytest.raises(TypeError, match="^tau must be a real number"):
+        RelativeDelay(bad)
+    with pytest.raises(TypeError, match="^theta must be a real number"):
+        AchromaticPhase(bad)
+    with pytest.raises(TypeError, match="^dl2_0 must be a real number"):
+        SensingScenario(dl1_0=1.0, dl2_0=bad)
+
+
+@pytest.mark.parametrize("value", [3, np.int64(3), np.float64(0.25), 0.25])
+def test_real_fields_store_plain_floats(value):
+    for el, name in ((RelativeDelay(value), "tau"), (AchromaticPhase(value), "theta")):
+        stored = getattr(el, name)
+        assert type(stored) is float and stored == float(value)
+    with pytest.raises(ValueError, match="^tau must be finite"):
+        RelativeDelay(math.inf)

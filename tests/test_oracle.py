@@ -22,9 +22,11 @@ from homlab.network import (
 from homlab.rates import (
     LossParams,
     bp_rate_oracle,
+    bp_rate_oracle_batch,
     box_average_surface,
     cl_s_rate,
     cp_rate_oracle,
+    cp_rate_oracle_batch,
     hom_bp_analytic,
     hom_cp_analytic,
     mhom_bp_analytic,
@@ -197,6 +199,13 @@ def _pair_table(kind, grid):
 TABLE_KINDS = ("real_symmetric", "real_asymmetric", "complex_asymmetric")
 
 
+def _chirped_pulse(chirp, grid):
+    alpha = PULSE.amplitude(grid.nodes)
+    if chirp:
+        alpha = alpha * np.exp(1j * chirp * (grid.nodes - PULSE.omega0) ** 2)
+    return alpha
+
+
 @pytest.mark.parametrize("nodes", [257, 641])
 def test_transfer_matches_reference_chain_product(nodes):
     grid = pair_grid(SPECTRUM, n=nodes)
@@ -225,15 +234,91 @@ def test_bp_oracle_matches_reference_quadrature(kind, nodes):
 @pytest.mark.parametrize("chirp", [0.0, 0.8])
 def test_cp_oracle_matches_reference_quadrature(chirp, nodes):
     grid = pulse_grid(PULSE, n=nodes)
-    alpha = PULSE.amplitude(grid.nodes)
-    if chirp:
-        alpha = alpha * np.exp(1j * chirp * (grid.nodes - PULSE.omega0) ** 2)
+    alpha = _chirped_pulse(chirp, grid)
     before = alpha.copy()
     for net in _reference_chains():
         got = cp_rate_oracle(alpha, grid, net)
         want = _reference_cp_rate_oracle(alpha, grid, net)
         assert abs(got - want) <= 1e-13, net
     np.testing.assert_array_equal(alpha, before)
+
+
+@pytest.mark.parametrize("nodes", [257, 641])
+@pytest.mark.parametrize("kind", TABLE_KINDS)
+def test_bp_oracle_batch_matches_reference_quadrature(kind, nodes):
+    grid = pair_grid(SPECTRUM, n=nodes)
+    psi = _pair_table(kind, grid)
+    before = psi.copy()
+    chains = _reference_chains()
+    got = bp_rate_oracle_batch(psi, grid, chains)
+    assert got.shape == (len(chains),)
+    for value, net in zip(got, chains):
+        assert abs(value - _reference_bp_rate_oracle(psi, grid, net)) <= 1e-13, (kind, net)
+    np.testing.assert_array_equal(psi, before)
+
+
+@pytest.mark.parametrize("nodes", [257, 641])
+@pytest.mark.parametrize("chirp", [0.0, 0.8])
+def test_cp_oracle_batch_matches_reference_quadrature(chirp, nodes):
+    grid = pulse_grid(PULSE, n=nodes)
+    alpha = _chirped_pulse(chirp, grid)
+    before = alpha.copy()
+    chains = _reference_chains()
+    got = cp_rate_oracle_batch(alpha, grid, chains)
+    assert got.shape == (len(chains),)
+    for value, net in zip(got, chains):
+        assert abs(value - _reference_cp_rate_oracle(alpha, grid, net)) <= 1e-13, net
+    np.testing.assert_array_equal(alpha, before)
+
+
+def test_scalar_oracles_are_the_batch_of_one():
+    pgrid = pair_grid(SPECTRUM, n=257)
+    psi = _pair_table("complex_asymmetric", pgrid)
+    cgrid = pulse_grid(PULSE, n=257)
+    alpha = _chirped_pulse(0.8, cgrid)
+    for net in _reference_chains():
+        assert bp_rate_oracle(psi, pgrid, net) == bp_rate_oracle_batch(psi, pgrid, [net])[0]
+        assert cp_rate_oracle(alpha, cgrid, net) == cp_rate_oracle_batch(alpha, cgrid, [net])[0]
+
+
+@pytest.mark.parametrize("source", ["bp", "cp"])
+def test_oracle_batch_refuses_empty_and_foreign_entries(source):
+    if source == "bp":
+        grid = pair_grid(SPECTRUM, n=257)
+        table, batch = tabulated_pair(SPECTRUM, grid), bp_rate_oracle_batch
+    else:
+        grid = pulse_grid(PULSE, n=257)
+        table, batch = PULSE.amplitude(grid.nodes), cp_rate_oracle_batch
+    with pytest.raises(ValueError, match="at least one chain"):
+        batch(table, grid, [])
+    with pytest.raises(ValueError, match="at least one chain"):
+        batch(table, grid, iter(()))
+    for bad in (hom_network(0.2).elements, None, BalancedBS()):
+        with pytest.raises(TypeError, match=r"^networks\[1\] must be an OpticalNetwork"):
+            batch(table, grid, [hom_network(0.1), bad, hom_network(0.3)])
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+@pytest.mark.parametrize("kind", TABLE_KINDS)
+def test_bp_oracle_batch_rejects_nonfinite_entries(kind, bad):
+    grid = pair_grid(SPECTRUM, n=257)
+    psi = _pair_table(kind, grid).copy()
+    psi[3, 5] = bad
+    before = psi.copy()
+    with pytest.raises(ValueError, match="normalized"):
+        bp_rate_oracle_batch(psi, grid, _reference_chains())
+    np.testing.assert_array_equal(psi, before)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_cp_oracle_batch_rejects_nonfinite_amplitudes(bad):
+    grid = pulse_grid(PULSE, n=257)
+    alpha = PULSE.amplitude(grid.nodes)
+    alpha[7] = bad
+    with pytest.raises(ValueError, match="finite"):
+        cp_rate_oracle_batch(alpha, grid, _reference_chains())
+    with pytest.raises(ValueError, match="grid"):
+        cp_rate_oracle_batch(alpha[:-1], grid, _reference_chains())
 
 
 @pytest.mark.parametrize("kind", ["real_asymmetric", "complex_asymmetric"])
@@ -374,11 +459,12 @@ def test_cp_loss_coarse_matches_averaged_oracle():
 
     def exact(t1, t2):
         t1, t2 = np.broadcast_arrays(np.asarray(t1, float), np.asarray(t2, float))
-        out = np.empty(t1.shape)
-        for idx in np.ndindex(t1.shape):
-            net = mhom_network(float(t1[idx]), float(t2[idx]), theta, loss=loss)
-            out[idx] = cp_rate_oracle(alpha, grid, net)
-        return out
+        points = list(zip(t1.ravel().tolist(), t2.ravel().tolist()))
+        # blocks of 256 chains keep the pushed fields near 2 MB
+        out = [cp_rate_oracle_batch(alpha, grid, [mhom_network(a, b, theta, loss=loss)
+                                                  for a, b in points[i:i + 256]])
+               for i in range(0, len(points), 256)]
+        return np.concatenate(out).reshape(t1.shape)
 
     window = 0.4  # window * carrier = 20, window * spread = 0.2
     plateau = loss.a_cp_loss(1.0)
