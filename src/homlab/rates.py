@@ -79,6 +79,11 @@ MAX_WINDOW_NODES = 2048
 # cells are taken in blocks of this many points, so memory stays flat for any grid.
 _BLOCK_POINTS = 1 << 20
 
+# Table entries per row block of the pair oracle's |psi|^2 and Q buffers
+# (256 KB for a real table). Buffers of the whole n x n table, several MB,
+# would be mapped and faulted in again on every call.
+_ORACLE_BLOCK_ENTRIES = 1 << 15
+
 
 class RegimeError(ValueError):
     """An averaging window falls outside the fast-fluctuation regime."""
@@ -468,10 +473,16 @@ def bp_rate_oracle_batch(amplitude: np.ndarray, grid: FrequencyGrid, networks) -
 
     Expanding the square leaves two direct terms weighted by
     ``P = |amp|^2`` and a cross term weighted by ``Q = amp * conj(amp^T)``.
-    The k chains share ``P``, ``Q`` and the normalization ``w . P . w``;
-    the rates are one n x 2k product with ``P`` and one with ``Q``. A
-    real table is never made complex. The n x 2k operands grow with k,
-    so very large batches are best passed in blocks.
+    The k chains share ``P``, ``Q`` and the normalization ``w . P . w``.
+    Neither ``P`` nor ``Q`` is formed whole: the table is read in blocks of
+    rows, and each block of ``P`` and of ``Q`` is written into one of two
+    buffers allocated once per call (about ``_ORACLE_BLOCK_ENTRIES``
+    entries each), then multiplied into an n x (1 + 2k) and an n x 2k
+    result. Besides the table, a call holds those two buffers and about
+    190 n k bytes of chain operands: a 1025-node call of one chain peaks
+    below a quarter of its table. A real table is never made complex.
+    The chain operands grow with k, so very large batches are best passed
+    in blocks. Nothing is cached between calls.
     """
     psi = _real_or_complex(amplitude)
     n = grid.size
@@ -479,14 +490,6 @@ def bp_rate_oracle_batch(amplitude: np.ndarray, grid: FrequencyGrid, networks) -
         raise ValueError(f"amplitude must be tabulated on the full grid, expected {(n, n)}, got {psi.shape}")
     nets = _chains(networks)
     w = grid.weights
-    p = _abs2(psi)
-    # a product of its own rather than a column w in the product with P below:
-    # for one chain an n x 3 product at 641 nodes crosses OpenBLAS's threading
-    # threshold, and waking its threads costs more than the product on two cores
-    norm = float(w @ (p @ w))
-    # written so that a nan or inf norm fails too
-    if not abs(norm - 1.0) <= 1e-6:
-        raise ValueError(f"joint amplitude must be normalized on the grid, got norm {norm:.8g}")
     k = len(nets)
     s = np.empty((2, 2, n, k), dtype=complex)
     for j, net in enumerate(nets):
@@ -494,16 +497,41 @@ def bp_rate_oracle_batch(amplitude: np.ndarray, grid: FrequencyGrid, networks) -
     (a, c), (d, b) = s
     wk = w[:, None]
     (wa2, wc2), (wd2, wb2) = wk * _abs2(s)
-    pw = p @ np.concatenate((wb2, wc2), axis=1)
-    direct = _column_dots(wa2, pw[:, :k]) + _column_dots(wd2, pw[:, k:])
     u = wk * a * np.conj(c)
     v = wk * b * np.conj(d)
-    if np.iscomplexobj(psi):
-        qv = (psi * np.conjugate(psi.T, order="C")) @ v
-    else:
-        # Q stays real and maps the interleaved real and imaginary parts of v alike
-        qv = ((psi * psi.T) @ v.view(float)).view(complex)
-    cross = _column_dots(u, qv).real
+    real = not np.iscomplexobj(psi)
+    # P maps the normalization column w and the direct columns; a real Q
+    # maps the interleaved real and imaginary parts of v alike
+    p_cols = np.concatenate((wk, wb2, wc2), axis=1)
+    q_cols = v.view(float) if real else v
+    pw = np.empty((n, 1 + 2 * k))
+    qv = np.empty(q_cols.shape, dtype=psi.dtype)
+    rows = max(1, min(n, _ORACLE_BLOCK_ENTRIES // n))
+    p_buf = np.empty((rows, n))
+    q_buf = np.empty((rows, n), dtype=psi.dtype)
+    # a nan or inf entry fails the norm check below; its block products
+    # (inf * 0) must not warn before that
+    with np.errstate(invalid="ignore", over="ignore"):
+        for lo in range(0, n, rows):
+            hi = min(n, lo + rows)
+            blk, pb, qb = psi[lo:hi], p_buf[:hi - lo], q_buf[:hi - lo]
+            if real:
+                np.multiply(blk, blk, out=pb)
+                np.multiply(blk, psi[:, lo:hi].T, out=qb)
+            else:
+                # |z|^2 as re^2 + im^2, with the real part of Q's buffer as scratch
+                np.square(blk.real, out=pb)
+                pb += np.square(blk.imag, out=qb.real)
+                np.conjugate(psi[:, lo:hi].T, out=qb)
+                qb *= blk
+            np.matmul(pb, p_cols, out=pw[lo:hi])
+            np.matmul(qb, q_cols, out=qv[lo:hi])
+    norm = float(w @ pw[:, 0])
+    # written so that a nan or inf norm fails too
+    if not abs(norm - 1.0) <= 1e-6:
+        raise ValueError(f"joint amplitude must be normalized on the grid, got norm {norm:.8g}")
+    direct = _column_dots(wa2, pw[:, 1:1 + k]) + _column_dots(wd2, pw[:, 1 + k:])
+    cross = _column_dots(u, qv.view(complex) if real else qv).real
     return direct + 2.0 * cross
 
 

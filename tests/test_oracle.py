@@ -5,6 +5,7 @@ validates both the closed forms and the network conventions at once.
 """
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -243,7 +244,9 @@ def test_cp_oracle_matches_reference_quadrature(chirp, nodes):
     np.testing.assert_array_equal(alpha, before)
 
 
-@pytest.mark.parametrize("nodes", [257, 641])
+# the table is read in row blocks: 17 nodes fit in one, 449 end on a
+# partial block and 1025 take many
+@pytest.mark.parametrize("nodes", [17, 257, 449, 641, 1025])
 @pytest.mark.parametrize("kind", TABLE_KINDS)
 def test_bp_oracle_batch_matches_reference_quadrature(kind, nodes):
     grid = pair_grid(SPECTRUM, n=nodes)
@@ -253,8 +256,40 @@ def test_bp_oracle_batch_matches_reference_quadrature(kind, nodes):
     got = bp_rate_oracle_batch(psi, grid, chains)
     assert got.shape == (len(chains),)
     for value, net in zip(got, chains):
-        assert abs(value - _reference_bp_rate_oracle(psi, grid, net)) <= 1e-13, (kind, net)
+        want = _reference_bp_rate_oracle(psi, grid, net)
+        assert abs(value - want) <= 1e-13, (kind, net)
+        assert abs(bp_rate_oracle_batch(psi, grid, [net])[0] - want) <= 1e-13, (kind, net)
     np.testing.assert_array_equal(psi, before)
+
+
+@pytest.mark.parametrize("kind", TABLE_KINDS)
+def test_bp_oracle_reads_any_table_layout(kind):
+    grid = pair_grid(SPECTRUM, n=449)
+    psi = _pair_table(kind, grid)
+    chains = _reference_chains()
+    want = bp_rate_oracle_batch(psi, grid, chains)
+    padded = np.zeros((2 * grid.size, 3 * grid.size), dtype=psi.dtype)
+    padded[1::2, ::3] = psi
+    for table in (np.asfortranarray(psi), padded[1::2, ::3]):
+        before = table.copy()
+        got = bp_rate_oracle_batch(table, grid, chains)
+        np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-15)
+        np.testing.assert_array_equal(table, before)
+
+
+@pytest.mark.parametrize("kind", ["real_symmetric", "complex_asymmetric"])
+def test_bp_oracle_peak_memory_stays_below_the_table(kind):
+    grid = pair_grid(SPECTRUM, n=1025)
+    psi = _pair_table(kind, grid)
+    net = mhom_network(0.7, -1.1, 0.9, loss=COMPLEX_LOSS)
+    bp_rate_oracle(psi, grid, net)
+    tracemalloc.start()
+    try:
+        bp_rate_oracle(psi, grid, net)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < psi.nbytes / 4, (peak, psi.nbytes)
 
 
 @pytest.mark.parametrize("nodes", [257, 641])
