@@ -38,10 +38,12 @@ records they build (``GaussianJointSpectrum``, ``CoherentSpectrum``,
 
 Ranges are ``{"min": a, "max": b, "n": k}``. All emitted rates are
 divided by the model plateau; every artifact gets the parameters echoed
-into a JSON sidecar or report. A run's files are renamed into place only
-after all of them are written, and are byte-identical for identical
-configurations (nothing in the pipeline is randomized). Exit codes: 0 success, 2 validation error, 3 averaging
-regime violation, 1 I/O failure.
+into a JSON sidecar or report. Every rate of a run is computed before its
+first byte is written; each CSV is then streamed into a temp file in chunks
+of rows, and the files are renamed into place only after all of them are
+written. Files are byte-identical for identical configurations (nothing in
+the pipeline is randomized). Exit codes: 0 success, 2 validation error, 3
+averaging regime violation, 1 I/O failure.
 """
 
 from __future__ import annotations
@@ -182,8 +184,8 @@ def parse_angle(value, path: str = "theta") -> float:
                 if not tail.startswith("/"):
                     raise ValueError
                 den = float(tail[1:])
-                if den == 0.0:
-                    raise ValueError
+            if den == 0.0 or not (math.isfinite(coef) and math.isfinite(den)):
+                raise ValueError
             angle = coef * math.pi / den
         else:
             angle = float(text)
@@ -318,25 +320,57 @@ def _parse_stem(cfg, default: str) -> str:
 # ----- Serialization -----
 
 
-# Every number is written with ``%.12g``, through one ``%`` call per surface
-# row (or per curve) on a template, so all float conversions of a row run
-# inside one C-level call.
+# Every number is written with ``%.12g``. A CSV is produced in chunks of at
+# most about ``_CHUNK_VALUES`` numbers, so writing it holds one chunk of text
+# at a time. A surface row (or column block) and a block of curve rows are
+# each formatted by one ``%`` call on a template, so all float conversions
+# there run inside one C-level call. Each chunk divides its own slice of
+# rates by the plateau: the same elementwise division as over the whole
+# array, so the bits do not change. The size keeps a row at the grid cap
+# (1448 lines) in one chunk and a chunk's text to a few hundred kB.
+_CHUNK_VALUES = 1 << 14
+
+
+def curve_rows(curve: RateCurve, label: str = "delay"):
+    """The CSV text of ``curve`` in chunks: the header, then blocks of rows."""
+    yield f"{label},rate_rescaled\n"
+    step = _CHUNK_VALUES // 2
+    for lo in range(0, curve.axis.size, step):
+        axis = curve.axis[lo:lo + step]
+        scaled = curve.values[lo:lo + step] / curve.plateau
+        pairs = np.column_stack((axis, scaled)).ravel().tolist()
+        yield ("%.12g,%.12g\n" * axis.size) % tuple(pairs)
+
+
+def surface_rows(surface: RateSurface, labels=("tau1", "tau2")):
+    """The CSV text of ``surface`` in chunks: the header, then blocks of whole
+    rows, or blocks of columns of one row where a row holds more than a chunk."""
+    yield f"{labels[0]},{labels[1]},rate_rescaled\n"
+    n1, n2 = surface.values.shape
+    cols = _CHUNK_VALUES // 3
+    rows = max(1, cols // max(1, n2))
+
+    def template(j):
+        # "\0" marks where each line's tau1 prefix goes; axis strings never contain it
+        t2 = surface.tau2_axis[j:j + cols].tolist()
+        return ("\0%.12g,%%.12g\n" * len(t2)) % tuple(t2)
+
+    whole = template(0) if n2 <= cols else None
+    for i in range(0, n1, rows):
+        t1 = surface.tau1_axis[i:i + rows].tolist()
+        for j in range(0, n2, cols):
+            body = template(j) if whole is None else whole
+            scaled = surface.values[i:i + rows, j:j + cols] / surface.plateau
+            yield "".join(body.replace("\0", "%.12g," % a) % tuple(row)
+                          for a, row in zip(t1, scaled.tolist()))
 
 
 def curve_csv(curve: RateCurve, label: str = "delay") -> str:
-    scaled = np.asarray(curve.values, dtype=float) / curve.plateau
-    pairs = np.column_stack((curve.axis, scaled)).ravel().tolist()
-    return f"{label},rate_rescaled\n" + ("%.12g,%.12g\n" * len(curve.axis)) % tuple(pairs)
+    return "".join(curve_rows(curve, label))
 
 
 def surface_csv(surface: RateSurface, labels=("tau1", "tau2")) -> str:
-    scaled = np.asarray(surface.values, dtype=float) / surface.plateau
-    # "\0" marks where each line's tau1 prefix goes; axis strings never contain it
-    body = "".join("\0%.12g,%%.12g\n" % t2 for t2 in surface.tau2_axis.tolist())
-    parts = [f"{labels[0]},{labels[1]},rate_rescaled\n"]
-    for t1, row in zip(surface.tau1_axis.tolist(), scaled.tolist()):
-        parts.append(body.replace("\0", "%.12g," % t1) % tuple(row))
-    return "".join(parts)
+    return "".join(surface_rows(surface, labels))
 
 
 def _json_text(obj) -> str:
@@ -383,27 +417,43 @@ def _range_dict(axis: np.ndarray) -> dict:
 _TMP_SERIAL = itertools.count()
 
 
+def _write_file(path: Path, content) -> None:
+    """Write ``content``, a ``str`` or an iterable of ``str`` chunks, to
+    ``path`` as ``Path.write_text`` would (UTF-8, default newline)."""
+    with path.open("w", encoding="utf-8") as fh:
+        fh.writelines([content] if isinstance(content, str) else content)
+
+
 def _write_artifacts(out_dir: Path, artifacts) -> list[Path]:
     """Write a set of files: every temp file first, then rename them all.
 
-    Temp names carry the process id and a per-process serial, so runs
-    writing into one directory at the same time never share a temp file.
-    A failure while writing removes every temp file of the set and leaves
-    every target as it was.
+    Each artifact is a ``(name, content)`` pair, its content a ``str`` or an
+    iterable of ``str`` chunks written one after another. Temp names carry
+    the process id and a per-process serial, so runs writing into one
+    directory at the same time never share a temp file. A failure while
+    writing, in the file system or in a chunk generator, removes every temp
+    file of the set and every directory this call created, and leaves every
+    target as it was.
     """
+    created = list(itertools.takewhile(lambda d: not d.exists(), (out_dir, *out_dir.parents)))
     out_dir.mkdir(parents=True, exist_ok=True)
     staged = []
     try:
-        for name, text in artifacts:
+        for name, content in artifacts:
             tmp = out_dir / f".{name}.{os.getpid()}.{next(_TMP_SERIAL)}.tmp"
             staged.append((tmp, out_dir / name))
-            tmp.write_text(text, encoding="utf-8")
+            _write_file(tmp, content)
         for tmp, target in staged:
             os.replace(tmp, target)
-    finally:
-        # no-op after a full set of renames
+    except BaseException:
         for tmp, _ in staged:
             tmp.unlink(missing_ok=True)
+        for directory in created:  # deepest first; one that is not empty stays
+            try:
+                directory.rmdir()
+            except OSError:
+                break
+        raise
     return [target for _, target in staged]
 
 
@@ -438,7 +488,7 @@ def _build_hom(cfg: dict) -> list:
     plateau = _plateau(source, model)
     curve = sample_curve(lambda t: form(t, model), axis, plateau)
     stem = _parse_stem(cfg, f"hom_{source}")
-    return _with_record([(f"{stem}.csv", curve_csv(curve))], f"{stem}.json", {
+    return _with_record([(f"{stem}.csv", curve_rows(curve))], f"{stem}.json", {
         "mode": "hom",
         "source": source,
         "tau": _range_dict(axis),
@@ -512,7 +562,7 @@ def _build_surface(cfg: dict) -> list:
         params["window_n"] = window_n
     if loss_record is not None:
         params["loss"] = loss_record
-    return _with_record([(f"{stem}.csv", surface_csv(surface))], f"{stem}.json", params)
+    return _with_record([(f"{stem}.csv", surface_rows(surface))], f"{stem}.json", params)
 
 
 def _build_sense(cfg: dict) -> list:
@@ -529,7 +579,7 @@ def _build_sense(cfg: dict) -> list:
         result = run_sensing(scenario, source, model, loss=loss, n=n, span=span)
     stem = _parse_stem(cfg, f"sense_{source}")
     dl1_eff = scenario.dl1_0 - 2.0 * scenario.x1
-    data = [(f"{stem}_scan.csv", curve_csv(result.curve, label="x2"))]
+    data = [(f"{stem}_scan.csv", curve_rows(result.curve, label="x2"))]
     return _with_record(data, f"{stem}_report.json", {
         "mode": "sense",
         "source": source,
@@ -568,9 +618,9 @@ def _build_qps(cfg: dict) -> list:
                           surface_n=surface_n)
     stem = _parse_stem(cfg, "qps")
     data = [
-        (f"{stem}_scan.csv", curve_csv(result.curve, label="s2_control")),
+        (f"{stem}_scan.csv", curve_rows(result.curve, label="s2_control")),
         (f"{stem}_surface.csv",
-         surface_csv(result.surface, labels=("s1_control", "s2_control"))),
+         surface_rows(result.surface, labels=("s1_control", "s2_control"))),
     ]
     return _with_record(data, f"{stem}_report.json", {
         "mode": "qps",
@@ -605,8 +655,8 @@ def _figure_artifacts(preset: str, theta: float | None, n: int | None,
     with _wrap_model_error(path):
         bundle = build_figure(preset, theta=theta, n=n)
     data = [
-        (ds.name + ".csv", curve_csv(ds.data, ds.labels[0]) if isinstance(ds.data, RateCurve)
-         else surface_csv(ds.data, ds.labels))
+        (ds.name + ".csv", curve_rows(ds.data, ds.labels[0]) if isinstance(ds.data, RateCurve)
+         else surface_rows(ds.data, ds.labels))
         for ds in bundle.datasets
     ]
     return _with_record(data, bundle.preset + ".json", dict(bundle.params))
@@ -647,8 +697,10 @@ def run_figure(preset: str, out_dir, theta: float | None = None,
 def run_scenario(config: dict, out_dir) -> list[Path]:
     """Validate a configuration document, run it, write its artifacts.
 
-    Everything is computed before the first byte is written, so a
-    rejected configuration leaves no partial files behind.
+    Every rate is computed before the first byte is written, so a
+    rejected configuration leaves no partial files behind; the CSVs are
+    then formatted chunk by chunk while they are written, and a failure
+    there removes the whole set (see ``_write_artifacts``).
     """
     config = _require_mapping(config, "")
     if "version" not in config:

@@ -4,7 +4,7 @@ import hashlib
 import json
 import math
 import os
-import pathlib
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -15,11 +15,13 @@ from homlab.cli import (
     _MAX_VALUES,
     ConfigError,
     curve_csv,
+    curve_rows,
     main,
     parse_angle,
     run_figure,
     run_scenario,
     surface_csv,
+    surface_rows,
 )
 from homlab.figures import FIGURE_PRESETS, build_figure, chi2_for_eta_b, theta_tag
 from homlab.rates import (
@@ -162,6 +164,12 @@ def test_parse_angle_rejects_junk():
         parse_angle(None, "theta")
 
 
+@pytest.mark.parametrize("text", ["pi/inf", "pi/-inf", "pi/nan", "infpi", "-infpi", "nanpi"])
+def test_parse_angle_rejects_non_finite_parts(text):
+    with pytest.raises(ConfigError, match=f"theta: cannot parse angle '{text}'"):
+        parse_angle(text, "theta")
+
+
 # ----- CSV formatting -----
 
 
@@ -219,6 +227,21 @@ def test_surface_csv_matches_reference(labels, plateau):
     assert surface_csv(surface, labels) == _reference_csv(surface, labels)
     single = RateSurface(np.array([-0.0]), np.array([5e-324]), np.array([[0.1 + 0.2]]), plateau)
     assert surface_csv(single, labels) == _reference_csv(single, labels)
+
+
+@pytest.mark.parametrize("chunk", [3, 6, 9, 60, 300])
+def test_csv_chunks_are_bounded_and_join_to_the_reference(monkeypatch, chunk):
+    monkeypatch.setattr(cli, "_CHUNK_VALUES", chunk)
+    finite = [v for v in EDGE_VALUES if math.isfinite(v)]
+    t1, t2 = np.array(finite[:5]) - 0.5, np.array(finite[4:11])
+    surface = RateSurface(t1, t2, np.abs(np.add.outer(t1, t2)) * 1e-3, 0.3)
+    curve = RateCurve(-t2, np.array(finite[:t2.size]), 0.3)
+    for chunks, obj, labels in (
+            (list(surface_rows(surface)), surface, ("tau1", "tau2")),
+            (list(curve_rows(curve)), curve, ("delay", "tau2"))):
+        assert "".join(chunks) == _reference_csv(obj, labels)
+        numbers = [chunk_text.count(",") + chunk_text.count("\n") for chunk_text in chunks[1:]]
+        assert max(numbers) <= chunk
 
 
 def test_csv_writers_match_reference_on_presets():
@@ -1079,9 +1102,9 @@ def test_windowed_coarse_run_matches_generic_average(tmp_path, monkeypatch, sour
 
     def capture(surface, *args, **kwargs):
         written.append(surface)
-        return surface_csv(surface, *args, **kwargs)
+        return surface_rows(surface, *args, **kwargs)
 
-    monkeypatch.setattr(cli, "surface_csv", capture)
+    monkeypatch.setattr(cli, "surface_rows", capture)
     run_scenario(payload, tmp_path)
     t1, t2 = np.linspace(-2.5, 1.5, 11), np.linspace(-1.0, 3.0, 8)
     want = coarse_grain_surface(exact, t1[:, None], t2[None, :], 0.15,
@@ -1124,16 +1147,16 @@ QPS = {
 
 
 def _fail_on_second_write(monkeypatch):
-    real = pathlib.Path.write_text
+    real = cli._write_file
     calls = []
 
-    def write_text(self, *args, **kwargs):
-        calls.append(self)
+    def write_file(path, content):
+        calls.append(path)
         if len(calls) == 2:
             raise OSError("disk full")
-        return real(self, *args, **kwargs)
+        return real(path, content)
 
-    monkeypatch.setattr(pathlib.Path, "write_text", write_text)
+    monkeypatch.setattr(cli, "_write_file", write_file)
 
 
 def test_failed_write_leaves_no_partial_set(tmp_path, monkeypatch):
@@ -1160,14 +1183,14 @@ def test_artifacts_keep_default_file_mode(tmp_path):
 
 
 def test_temp_names_are_unique_per_write(tmp_path, monkeypatch):
-    real = pathlib.Path.write_text
+    real = cli._write_file
     names = []
 
-    def write_text(self, *args, **kwargs):
-        names.append(self.name)
-        return real(self, *args, **kwargs)
+    def write_file(path, content):
+        names.append(path.name)
+        return real(path, content)
 
-    monkeypatch.setattr(pathlib.Path, "write_text", write_text)
+    monkeypatch.setattr(cli, "_write_file", write_file)
     run_scenario(HOM_BP, tmp_path)
     run_scenario(HOM_BP, tmp_path)
     assert len(names) == 4 and len(set(names)) == 4
@@ -1179,10 +1202,76 @@ def test_internal_errors_are_not_reported_as_config_errors(tmp_path, monkeypatch
     def broken(*args, **kwargs):
         raise ValueError("formatter bug")
 
-    monkeypatch.setattr(cli, "surface_csv", broken)
+    monkeypatch.setattr(cli, "surface_rows", broken)
     cfg = write_config(tmp_path, {"version": 1, **RUN_CONFIGS["mhom_bp"]})
     with pytest.raises(ValueError, match="formatter bug"):
         main(["run", cfg, "--out", str(tmp_path / "out")])
+    assert not (tmp_path / "out").exists()
+
+
+def _surface_with_shape(n1, n2):
+    values = np.random.default_rng(7).random((n1, n2))
+    return RateSurface(np.linspace(-3.0, 3.0, n1), np.linspace(-3.0, 3.0, n2), values, 0.7)
+
+
+@pytest.mark.parametrize("shape", [(501, 501), (2, 1 << 18)], ids=["square", "elongated"])
+def test_streamed_surface_write_peaks_far_below_the_file_size(tmp_path, shape):
+    surface = _surface_with_shape(*shape)
+    tracemalloc.start()
+    try:
+        [path] = cli._write_artifacts(tmp_path, [("s.csv", surface_rows(surface))])
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    size = path.stat().st_size
+    assert peak < size / 8
+    assert path.read_bytes() == surface_csv(surface).encode()
+
+
+def test_write_failure_after_the_first_chunk_leaves_no_trace(tmp_path, capsys, monkeypatch):
+    cfg = write_config(tmp_path, {"version": 1, **RUN_CONFIGS["mhom_bp"]})
+    old = tmp_path / "old"
+    assert main(["run", cfg, "--out", str(old)]) == 0
+    before = {p.name: p.read_bytes() for p in old.iterdir()}
+    capsys.readouterr()
+    monkeypatch.setattr(cli, "_CHUNK_VALUES", 12)
+    real = cli._write_file
+    temp_existed = []
+
+    def write_file(path, content):
+        def header_and_first_chunk_then_fail():
+            yield next(content)
+            yield next(content)
+            temp_existed.append(path.exists())
+            raise OSError("disk full")
+
+        return real(path, content if isinstance(content, str)
+                    else header_and_first_chunk_then_fail())
+
+    monkeypatch.setattr(cli, "_write_file", write_file)
+    cfg = write_config(tmp_path, {"version": 1, **RUN_CONFIGS["mhom_bp"], "theta": 1.0})
+    for out in (old, tmp_path / "new" / "deeper"):
+        assert main(["run", cfg, "--out", str(out)]) == 1
+        assert capsys.readouterr().err == "i/o error: disk full\n"
+    assert temp_existed == [True, True]
+    assert {p.name: p.read_bytes() for p in old.iterdir()} == before
+    assert not (tmp_path / "new").exists()
+
+
+def test_formatter_bug_midway_is_a_traceback_and_leaves_no_output(tmp_path, monkeypatch):
+    monkeypatch.setattr(cli, "_CHUNK_VALUES", 12)
+    real = surface_rows
+
+    def buggy(surface, *args, **kwargs):
+        chunks = real(surface, *args, **kwargs)
+        yield next(chunks)
+        yield next(chunks)
+        raise ValueError("formatter bug midway")
+
+    monkeypatch.setattr(cli, "surface_rows", buggy)
+    cfg = write_config(tmp_path, {"version": 1, **RUN_CONFIGS["mhom_bp"]})
+    with pytest.raises(ValueError, match="formatter bug midway"):
+        main(["run", cfg, "--out", str(tmp_path / "out" / "run")])
     assert not (tmp_path / "out").exists()
 
 
