@@ -397,12 +397,13 @@ def _loss_field(cfg: dict) -> tuple[LossParams, dict | None]:
     return loss, _loss_dict(loss)
 
 
-def _plateau(source: str, model, loss: LossParams = LossParams()) -> float:
-    """Plateau every rate is divided by; a model or loss that makes it vanish
-    or overflow is refused, naming the lossless model first."""
+def _plateau(model, loss: LossParams = LossParams()) -> float:
+    """Plateau every rate of ``model``'s source is divided by; a model or loss
+    that makes it vanish or overflow is refused, naming the lossless model first."""
+    pair = isinstance(model, GaussianJointSpectrum)
     for path, lo in (("pulse.total_intensity", LossParams()), ("loss", loss)):
         try:
-            plateau = bp_plateau(lo) if source == "bp" else cp_plateau(model, lo)
+            plateau = bp_plateau(lo) if pair else cp_plateau(model, lo)
         except OverflowError:
             plateau = math.inf
         if not 0.0 < plateau < math.inf:
@@ -485,7 +486,7 @@ def _build_hom(cfg: dict) -> list:
     axis = _parse_range(cfg.get("tau"), "tau")
     form = {"bp": hom_bp_analytic, "cp": hom_cp_analytic,
             "cp_coarse": hom_cp_coarse_analytic}[source]
-    plateau = _plateau(source, model)
+    plateau = _plateau(model)
     curve = sample_curve(lambda t: form(t, model), axis, plateau)
     stem = _parse_stem(cfg, f"hom_{source}")
     return _with_record([(f"{stem}.csv", curve_rows(curve))], f"{stem}.json", {
@@ -531,7 +532,7 @@ def _build_surface(cfg: dict) -> list:
     theta = parse_angle(cfg.get("theta", 0.0), "theta")
     t1, t2 = _parse_grid(cfg)
     bp = source == "bp"
-    plateau = _plateau(source, model, loss)
+    plateau = _plateau(model, loss)
     if mode == "mhom":
         form = mhom_bp_analytic if bp else mhom_cp_analytic
         surface = sample_surface(lambda a, b: form(a, b, theta, model), t1, t2, plateau)
@@ -574,9 +575,9 @@ def _build_sense(cfg: dict) -> list:
     loss, loss_record = _loss_field(cfg)
     n = _count_field(cfg, "n", 51, _MAX_VALUES, 2001)
     span = _positive_field(cfg, "span")
-    _plateau(source, model, loss)
+    _plateau(model, loss)
     with _scan_resolves("scenario"):
-        result = run_sensing(scenario, source, model, loss=loss, n=n, span=span)
+        result = run_sensing(scenario, model, loss=loss, n=n, span=span)
     stem = _parse_stem(cfg, f"sense_{source}")
     dl1_eff = scenario.dl1_0 - 2.0 * scenario.x1
     data = [(f"{stem}_scan.csv", curve_rows(result.curve, label="x2"))]
@@ -586,7 +587,7 @@ def _build_sense(cfg: dict) -> list:
         "scenario": asdict(scenario),
         "loss": loss_record,
         "plateau": result.curve.plateau,
-        "extrema": result.report.to_dict(),
+        "extrema": asdict(result.report),
         "recovered": {"dl1": result.dl1_recovered, "dl2": result.dl2_recovered},
         "residuals": {
             "dl1": result.dl1_recovered - abs(dl1_eff),
@@ -604,7 +605,7 @@ def _build_qps(cfg: dict) -> list:
                            gamma=parse_angle, vartheta=parse_angle)
     spectrum = _parse_record(cfg.get("spectrum"), "spectrum", GaussianJointSpectrum)
     loss, loss_record = _loss_field(cfg)
-    _plateau("bp", spectrum, loss)
+    _plateau(spectrum, loss)
     c = _positive_field(cfg, "c", 1.0)
     n = _count_field(cfg, "n", 51, _MAX_VALUES, None)
     if n is None and (need := qps_scan_samples(target, spectrum, c)) > _MAX_VALUES:
@@ -643,7 +644,7 @@ def _build_qps(cfg: dict) -> list:
             "vartheta_error": result.vartheta_error,
             "position_error": result.position_error,
         },
-        "extrema": result.report.to_dict(),
+        "extrema": asdict(result.report),
         "units": _UNITS,
     })
 

@@ -56,17 +56,20 @@ def validate_amplitude(value, name: str) -> complex:
     return z
 
 
+def finite_real(value, name: str) -> float:
+    """``value`` as a finite float; a bool or a value that is not real raises ``TypeError``."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise TypeError(f"{name} must be a real number, got {type(value).__name__}")
+    value = float(value)
+    if not math.isfinite(value):
+        raise ValueError(f"{name} must be finite")
+    return value
+
+
 def store_finite(record, *names: str) -> None:
-    """Store each named field of a frozen record as a finite float; bools and
-    values that are not real numbers are refused with a ``TypeError``."""
+    """Store each named field of a frozen record as its ``finite_real`` value."""
     for name in names:
-        value = getattr(record, name)
-        if isinstance(value, bool) or not isinstance(value, numbers.Real):
-            raise TypeError(f"{name} must be a real number, got {type(value).__name__}")
-        value = float(value)
-        if not math.isfinite(value):
-            raise ValueError(f"{name} must be finite")
-        object.__setattr__(record, name, value)
+        object.__setattr__(record, name, finite_real(getattr(record, name), name))
 
 
 # ----- Elements -----

@@ -8,7 +8,10 @@ of the two-delay interferometer, so the stage delays encode the
 path-length differences ``L1 - L2`` and ``L3 - L4``. Locating the scan
 features of the coarse-grained pair rate yields the compensating
 control delays, and simple algebra inverts those into the elevation and
-azimuth of the emitter.
+azimuth of the emitter. ``qps_invert`` (control magnitudes and quadrant
+signs given) and ``qps_scan`` (both read off a simulated scan) share
+that inversion. In ``qps_scan``, direction cosines that measurement
+error pushes outside the unit disk read as the horizon.
 
 Control frame: a control setting ``S'`` on a stage adds ``2 S'`` to
 that stage's path difference, so the stage delays during a scan are
@@ -23,6 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .network import finite_real, store_finite
 from .rates import (
     LossParams,
     RateCurve,
@@ -64,21 +68,13 @@ class QpsTarget:
     vartheta: float
 
     def __post_init__(self) -> None:
-        r = float(self.r)
-        gamma = float(self.gamma)
-        vartheta = float(self.vartheta)
-        if not (np.isfinite(r) and r > 0.0):
+        store_finite(self, "r", "gamma", "vartheta")
+        if self.r <= 0.0:
             raise ValueError(f"radius must be positive and finite, got {self.r!r}")
-        if not (np.isfinite(gamma) and 0.0 <= gamma <= 0.5 * math.pi):
+        if not 0.0 <= self.gamma <= 0.5 * math.pi:
             raise ValueError(f"elevation must lie in [0, pi/2], got {self.gamma!r}")
-        if not np.isfinite(vartheta):
-            raise ValueError(f"azimuth must be finite, got {self.vartheta!r}")
-        vartheta = math.fmod(vartheta, _TWO_PI)
-        if vartheta < 0.0:
-            vartheta += _TWO_PI
-        object.__setattr__(self, "r", r)
-        object.__setattr__(self, "gamma", gamma)
-        object.__setattr__(self, "vartheta", vartheta)
+        vartheta = math.fmod(self.vartheta, _TWO_PI)
+        object.__setattr__(self, "vartheta", vartheta + _TWO_PI if vartheta < 0.0 else vartheta)
 
     @property
     def u(self) -> float:
@@ -145,10 +141,15 @@ class QpsInversion:
     degenerate_azimuth: bool
 
 
-def _abs_direction_cosine(r: float, s: float) -> float:
-    """|direction cosine| from a control delay, inverting the forward map."""
-    w = 1.0 - (s / r) ** 2
-    return math.sqrt(max(0.0, 1.0 - w * w))
+def _direction_cosines(r: float, s1: float, s2: float, sign_u: int,
+                       sign_v: int) -> tuple[float, float]:
+    """Direction cosines ``(u, v)`` from the control magnitudes ``s1, s2`` in
+    ``[0, r]`` and the quadrant signs, inverting the forward map."""
+    def magnitude(s):
+        w = 1.0 - (s / r) ** 2
+        return math.sqrt(max(0.0, 1.0 - w * w))
+
+    return sign_u * magnitude(s1), sign_v * magnitude(s2)
 
 
 def _from_direction_cosines(r: float, u: float, v: float) -> tuple[QpsTarget, bool]:
@@ -167,20 +168,19 @@ def qps_invert(r: float, s1: float, s2: float, sign_u: int = 1,
     cosines; the caller supplies their signs (the quadrant), which the
     scan-based pipeline reads off the signed feature positions.
     """
-    r = float(r)
-    if not (np.isfinite(r) and r > 0.0):
+    r = finite_real(r, "r")
+    if r <= 0.0:
         raise ValueError(f"radius must be positive and finite, got {r!r}")
     if sign_u not in (-1, 1) or sign_v not in (-1, 1):
         raise ValueError("sign_u and sign_v must be +1 or -1")
     tol = 1e-9 * r
     values = []
     for name, s in (("s1", s1), ("s2", s2)):
-        s = float(s)
-        if not np.isfinite(s) or s < -tol or s > r + tol:
+        s = finite_real(s, name)
+        if s < -tol or s > r + tol:
             raise ValueError(f"{name} must lie in [0, r], got {s!r}")
         values.append(min(max(s, 0.0), r))
-    u = sign_u * _abs_direction_cosine(r, values[0])
-    v = sign_v * _abs_direction_cosine(r, values[1])
+    u, v = _direction_cosines(r, *values, sign_u, sign_v)
     norm2 = u * u + v * v
     if norm2 > 1.0 + 1e-9:
         raise ValueError(
@@ -256,9 +256,10 @@ def qps_scan(target: QpsTarget, spectrum: GaussianJointSpectrum,
     is compensated and a dip pair split by the first-stage delay; the
     feature positions give both signed baseline differences, whose signs
     select the azimuth quadrant. Recovered control magnitudes are
-    truncated at the geometric bound ``r`` before inversion, and the
-    pair of direction cosines is radially projected into the unit disk
-    if measurement error pushes it outside.
+    truncated at the geometric bound ``r`` before inversion. If
+    measurement error puts the pair of direction cosines outside the unit
+    disk, the recovered elevation is exactly 0 (the horizon) and the
+    azimuth is the direction of the pair.
     """
     if c <= 0.0:
         raise ValueError("c must be positive")
@@ -290,12 +291,7 @@ def qps_scan(target: QpsTarget, spectrum: GaussianJointSpectrum,
 
     s1_hat = min(0.5 * abs(d1_hat), target.r)
     s2_hat = min(0.5 * abs(d2_hat), target.r)
-    u = sign_u * _abs_direction_cosine(target.r, s1_hat)
-    v = sign_v * _abs_direction_cosine(target.r, s2_hat)
-    norm = math.hypot(u, v)
-    if norm > 1.0:
-        u /= norm
-        v /= norm
+    u, v = _direction_cosines(target.r, s1_hat, s2_hat, sign_u, sign_v)
     recovered, degenerate = _from_direction_cosines(target.r, u, v)
 
     s_axis = np.linspace(-(target.r + 3.0 * c / width),

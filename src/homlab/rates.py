@@ -25,6 +25,7 @@ and raise on anything beyond round-off: that is the one clamping pass.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -676,9 +677,9 @@ def window_nodes(n: int | None, window: float, carrier: float, envelope: float) 
     """Averaging nodes for a window, after guarding its regime.
 
     A ``RegimeError`` names the bound a window breaks: at least twenty
-    carrier radians, at most a fifth of the envelope time. ``n`` (2 to
-    ``MAX_WINDOW_NODES``) is returned as given; ``None`` picks the
-    automatic count, refused above the cap.
+    carrier radians, at most a fifth of the envelope time. ``n``, a whole
+    number from 2 to ``MAX_WINDOW_NODES``, is returned as an ``int``;
+    ``None`` picks the automatic count, refused above the cap.
     """
     if window <= 0.0 or carrier <= 0.0 or envelope <= 0.0:
         raise ValueError("window, carrier and envelope must all be positive")
@@ -702,6 +703,11 @@ def window_nodes(n: int | None, window: float, carrier: float, envelope: float) 
                 f"{need:.4g} averaging nodes, more than {MAX_WINDOW_NODES}"
             )
         return need
+    if isinstance(n, bool) or not isinstance(n, numbers.Real):
+        raise TypeError(f"n must be a whole number of averaging nodes, got {type(n).__name__}")
+    if not isinstance(n, numbers.Integral) and not float(n).is_integer():
+        raise ValueError(f"n must be a whole number of averaging nodes, got {n!r}")
+    n = int(n)
     if n < 2:
         raise ValueError(f"need at least 2 averaging nodes, got n = {n}")
     if n > MAX_WINDOW_NODES:
@@ -709,22 +715,9 @@ def window_nodes(n: int | None, window: float, carrier: float, envelope: float) 
     return n
 
 
-def _curve_callable(rate):
-    if callable(rate):
-        return rate, None
-    if isinstance(rate, RateCurve):
-        lo, hi = float(rate.axis[0]), float(rate.axis[-1])
-
-        def f(t):
-            return np.interp(t, rate.axis, rate.values)
-
-        return f, (lo, hi)
-    raise TypeError("rate must be a callable or a RateCurve")
-
-
 def coarse_grain_curve(rate, tau, window: float, *, carrier: float,
                        envelope: float, n: int | None = None):
-    """Average a rate curve over delay fluctuations of width ``window``.
+    """Average a rate function of one delay over its fluctuations of width ``window``.
 
     Outside the regime ``window_nodes`` guards, the average would either
     keep carrier fringes or wash out the envelope, so the call is rejected
@@ -732,13 +725,9 @@ def coarse_grain_curve(rate, tau, window: float, *, carrier: float,
     overrides the automatic Gauss-Legendre node count.
     """
     n = window_nodes(n, window, carrier, envelope)
-    f, support = _curve_callable(rate)
-    t = np.asarray(tau, dtype=float)
-    if support is not None:
-        lo, hi = support
-        if np.min(t) - 0.5 * window < lo or np.max(t) + 0.5 * window > hi:
-            raise ValueError("tabulated curve does not cover the averaging window")
-    return box_average_curve(f, t, window, n=n)
+    if not callable(rate):
+        raise TypeError("rate must be callable on tau")
+    return box_average_curve(rate, tau, window, n=n)
 
 
 def coarse_grain_surface(rate2, tau1, tau2, window: float, *, carrier: float,

@@ -5,7 +5,10 @@ stage is left at a fixed control setting chosen so its delay is large
 against the inverse spectral width; the second-stage control is swept
 and the coincidence rate recorded. Feature positions of the resulting
 curve (a central maximum flanked by two dips for the photon-pair source,
-two dips for the coherent-pulse source) determine both offsets.
+two dips for the coherent-pulse source) determine both offsets. The
+model passed to ``scan_f`` and ``run_sensing`` names the source: a
+``GaussianJointSpectrum`` is the photon pair, a ``CoherentSpectrum`` the
+coherent pulse.
 
 Control convention: controls are push-pull. Setting a control to ``x``
 lengthens one arm by ``x`` and shortens the other, so a stage with
@@ -22,7 +25,7 @@ scan resolution.
 from __future__ import annotations
 
 import warnings
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -118,38 +121,29 @@ class ExtremaReport:
     def v_min(self) -> float:
         return 0.5 * (self.v_min_left + self.v_min_right)
 
-    def to_dict(self) -> dict:
-        return asdict(self)
-
 
 # ----- Scanning -----
 
 
-def _model_width(source: str, model) -> float:
-    if source == "bp":
-        if not isinstance(model, GaussianJointSpectrum):
-            raise TypeError("source 'bp' needs a GaussianJointSpectrum model")
-        return model.d_omega_minus
-    if source == "cp":
-        if not isinstance(model, CoherentSpectrum):
-            raise TypeError("source 'cp' needs a CoherentSpectrum model")
-        return model.d_omega
-    raise ValueError(f"source must be 'bp' or 'cp', got {source!r}")
-
-
-def scan_f(scenario: SensingScenario, source: str, model,
-           loss: LossParams = LossParams(), n: int = 2001,
-           span: float | None = None) -> RateCurve:
+def scan_f(scenario: SensingScenario, model, loss: LossParams = LossParams(),
+           n: int = 2001, span: float | None = None) -> RateCurve:
     """Sweep the second-stage control and tabulate the averaged rate.
 
-    Samples the fluctuation-averaged closed form of the chosen source on
-    ``n`` control settings over ``[-span, span]``. The default span
-    covers both offsets plus several feature widths. If the fixed
+    Samples the fluctuation-averaged closed form of the source ``model``
+    describes (a ``GaussianJointSpectrum`` pair or a ``CoherentSpectrum``
+    pulse) on ``n`` control settings over ``[-span, span]``. The default
+    span covers both offsets plus several feature widths. If the fixed
     first-stage delay is not large against the inverse spectral width
     the features merge; the scan is still produced but flagged with a
     ``RegimeWarning``.
     """
-    width = _model_width(source, model)
+    if isinstance(model, GaussianJointSpectrum):
+        width, form, plateau = model.d_omega_minus, mhom_bp_coarse_analytic, bp_plateau(loss)
+    elif isinstance(model, CoherentSpectrum):
+        width, form, plateau = model.d_omega, mhom_cp_coarse_analytic, cp_plateau(model, loss)
+    else:
+        raise TypeError("model must be a GaussianJointSpectrum or a CoherentSpectrum, "
+                        f"got {type(model).__name__}")
     if int(n) != n or n < 51:
         raise ValueError(f"need at least 51 scan samples, got {n!r}")
     tau1 = scenario.tau1
@@ -167,14 +161,7 @@ def scan_f(scenario: SensingScenario, source: str, model,
     if span <= 0.0:
         raise ValueError("span must be positive")
     x2 = np.linspace(-span, span, int(n))
-    t2 = scenario.tau2(x2)
-    if source == "bp":
-        values = mhom_bp_coarse_analytic(tau1, t2, model, loss)
-        plateau = bp_plateau(loss)
-    else:
-        values = mhom_cp_coarse_analytic(tau1, t2, model, loss)
-        plateau = cp_plateau(model, loss)
-    return RateCurve(x2, values, plateau)
+    return RateCurve(x2, form(tau1, scenario.tau2(x2), model, loss), plateau)
 
 
 # ----- Feature extraction -----
@@ -318,19 +305,19 @@ class SensingResult:
     dl2_recovered: float
 
 
-def run_sensing(scenario: SensingScenario, source: str, model,
-                loss: LossParams = LossParams(), n: int = 2001,
-                span: float | None = None) -> SensingResult:
+def run_sensing(scenario: SensingScenario, model, loss: LossParams = LossParams(),
+                n: int = 2001, span: float | None = None) -> SensingResult:
     """Scan, extract features and recover both offsets in one call.
 
-    The pair source uses the peak and the right dip, the pulse source the
-    two dips. The first-stage recovery is a magnitude: both scan patterns
-    are even in the first-stage delay, so its sign is not observable.
+    ``model`` names the source, as in ``scan_f``. The pair source uses
+    the peak and the right dip, the pulse source the two dips. The
+    first-stage recovery is a magnitude: both scan patterns are even in
+    the first-stage delay, so its sign is not observable.
     With a nonzero fixed control the recovered first value refers to the
     effective offset ``dl1_0 - 2 x1``.
     """
-    curve = scan_f(scenario, source, model, loss=loss, n=n, span=span)
-    if source == "bp":
+    curve = scan_f(scenario, model, loss=loss, n=n, span=span)
+    if isinstance(model, GaussianJointSpectrum):
         report = find_extrema(curve, "peak_and_dips")
         dl1, dl2 = invert_bp(report.x_max, report.x_min_right)
     else:

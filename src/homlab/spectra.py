@@ -19,6 +19,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .network import finite_real, store_finite
+
 __all__ = [
     "FrequencyGrid",
     "GaussianJointSpectrum",
@@ -29,11 +31,11 @@ __all__ = [
 _SQRT_2PI = float(np.sqrt(2.0 * np.pi))
 
 
-def _positive(value: float, name: str) -> float:
-    value = float(value)
-    if not np.isfinite(value) or value <= 0.0:
-        raise ValueError(f"{name} must be positive and finite, got {value!r}")
-    return value
+def _require_positive(**values: float) -> None:
+    """Refuse any of the named finite floats that is not positive."""
+    for name, value in values.items():
+        if value <= 0.0:
+            raise ValueError(f"{name} must be positive and finite, got {value!r}")
 
 
 # ----- Quadrature grid -----
@@ -86,8 +88,8 @@ def make_grid(center: float, half_width: float, n: int = 257) -> FrequencyGrid:
     several standard deviations) the trapezoid rule on this grid is
     accurate to the truncated tail mass.
     """
-    center = float(center)
-    half_width = _positive(half_width, "half_width")
+    center, half_width = finite_real(center, "center"), finite_real(half_width, "half_width")
+    _require_positive(half_width=half_width)
     if int(n) != n or n < 16:
         raise ValueError(f"node count must be an integer >= 16, got {n!r}")
     n = int(n)
@@ -120,9 +122,8 @@ class GaussianJointSpectrum:
     d_omega_minus: float
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "omega0", _positive(self.omega0, "omega0"))
-        object.__setattr__(self, "d_omega_plus", _positive(self.d_omega_plus, "d_omega_plus"))
-        object.__setattr__(self, "d_omega_minus", _positive(self.d_omega_minus, "d_omega_minus"))
+        store_finite(self, "omega0", "d_omega_plus", "d_omega_minus")
+        _require_positive(**vars(self))
 
     @property
     def local_spread(self) -> float:
@@ -194,11 +195,8 @@ class CoherentSpectrum:
     total_intensity: float = 1.0
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "omega0", _positive(self.omega0, "omega0"))
-        object.__setattr__(self, "d_omega", _positive(self.d_omega, "d_omega"))
-        object.__setattr__(
-            self, "total_intensity", _positive(self.total_intensity, "total_intensity")
-        )
+        store_finite(self, "omega0", "d_omega", "total_intensity")
+        _require_positive(**vars(self))
 
     @property
     def window_envelope(self) -> float:

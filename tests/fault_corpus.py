@@ -1,6 +1,6 @@
 """Fault corpus: every small ``homlab run`` config with one field broken at a time.
 
-Usage: ``PYTHONPATH=src python tests/fault_corpus.py OUT.json``
+Usage: ``PYTHONPATH=src python tests/fault_corpus.py OUT.json [--against OLD.json]``
 
 The corpus starts from ``test_cli.RUN_CONFIGS`` plus a small ``figure``
 config. Each field, at the top level and inside every block, is set in turn
@@ -10,10 +10,14 @@ record fields of ``_RECORDS`` in a block) are set to each value too. Each
 config runs through ``homlab.cli.main`` in a scratch directory, and OUT.json
 maps the config's id to its exit code (or the exception that escaped
 ``main``), its stderr, the warnings it raised and the SHA-256 of every file
-it wrote. Run it on two trees and diff the two outputs to see what a change
-did to error handling. It is not collected by pytest.
+it wrote. Run it on two trees and compare the two outputs to see what a
+change did to error handling: with ``--against OLD.json`` (the output of
+the other tree) it prints the id of every config whose record differs or
+is in only one of the files, and exits 1 if there is any. It is not
+collected by pytest.
 """
 
+import argparse
 import contextlib
 import dataclasses
 import hashlib
@@ -141,7 +145,21 @@ def main_corpus(out_path: str) -> None:
           + ", ".join(f"{code} x {n}" for code, n in counts.most_common()))
 
 
+def differing(new_path: str, old_path: str) -> list:
+    """Ids of the configs whose records differ between two corpus outputs."""
+    new, old = (json.loads(Path(path).read_text(encoding="utf-8"))
+                for path in (new_path, old_path))
+    return sorted(cid for cid in new.keys() | old.keys() if new.get(cid) != old.get(cid))
+
+
 if __name__ == "__main__":
-    if len(sys.argv) != 2:
-        sys.exit("usage: PYTHONPATH=src python tests/fault_corpus.py OUT.json")
-    main_corpus(sys.argv[1])
+    parser = argparse.ArgumentParser(
+        description="Run every broken config; optionally compare with an earlier output.")
+    parser.add_argument("out", metavar="OUT.json")
+    parser.add_argument("--against", metavar="OLD.json")
+    args = parser.parse_args()
+    main_corpus(args.out)
+    if args.against:
+        ids = differing(args.out, args.against)
+        print("\n".join(ids + [f"{len(ids)} configs differ from {args.against}"]))
+        sys.exit(1 if ids else 0)

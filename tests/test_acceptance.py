@@ -261,8 +261,8 @@ def test_criterion_5_visibility_table(capfd):
     v_cp_coarse = 1.0 - hom_cp_coarse_analytic(tau, PULSE).min()
 
     scenario = SensingScenario(dl1_0=5.0, dl2_0=-0.9)
-    bp = run_sensing(scenario, "bp", SPECTRUM).report
-    cp = run_sensing(scenario, "cp", PULSE).report
+    bp = run_sensing(scenario, SPECTRUM).report
+    cp = run_sensing(scenario, PULSE).report
 
     checks = [
         (v_bp, 1.00, 0.01),
@@ -285,11 +285,11 @@ def test_criterion_5_visibility_table(capfd):
 
 def test_criterion_6_loss_scaling_and_shape_invariance(capfd):
     scenario = SensingScenario(dl1_0=5.0, dl2_0=-0.8)
-    clean = run_sensing(scenario, "bp", SPECTRUM).report
+    clean = run_sensing(scenario, SPECTRUM).report
     worst_vis = 0.0
     for eta in (0.0, 0.3, 0.6, 0.9):
         loss = LossParams(chi2=chi2_for_eta_b(eta))
-        r = run_sensing(scenario, "bp", SPECTRUM, loss=loss).report
+        r = run_sensing(scenario, SPECTRUM, loss=loss).report
         worst_vis = max(
             worst_vis,
             abs(r.v_max - (1.0 - eta) * clean.v_max),
@@ -336,13 +336,13 @@ def test_criterion_7_sensing_round_trip(capfd):
         scenario = SensingScenario(
             dl1_0=2.0 * rng.uniform(1.5, 4.0), dl2_0=rng.uniform(-4.0, 4.0)
         )
-        got = run_sensing(scenario, "bp", SPECTRUM)
+        got = run_sensing(scenario, SPECTRUM)
         worst_bp = max(
             worst_bp,
             abs(got.dl1_recovered - scenario.dl1_0),
             abs(got.dl2_recovered - scenario.dl2_0),
         )
-        got = run_sensing(scenario, "cp", PULSE)
+        got = run_sensing(scenario, PULSE)
         worst_cp = max(
             worst_cp,
             abs(got.dl1_recovered - scenario.dl1_0),

@@ -18,6 +18,9 @@ from homlab.network import (
     transfer_at,
     validate_amplitude,
 )
+from homlab.qps import QpsTarget, qps_invert
+from homlab.sensing import SensingScenario
+from homlab.spectra import CoherentSpectrum, GaussianJointSpectrum, make_grid
 
 INV_SQRT2 = 1.0 / math.sqrt(2.0)
 
@@ -179,22 +182,43 @@ def test_mhom_network_element_order_with_loss():
     ]
 
 
+_PAIR = {"omega0": 5.0, "d_omega_plus": 0.2, "d_omega_minus": 1.0}
+_PULSE = {"omega0": 5.0, "d_omega": 0.5, "total_intensity": 1.0}
+_TARGET = {"r": 4.0, "gamma": 0.3, "vartheta": 1.0}
+_INVERT = {"r": 4.0, "s1": 0.0, "s2": 0.0}
+
+# Every real scalar field of a record and every real scalar argument checked
+# by ``finite_real``: its name and a call with it set to x (the others valid).
+_REAL_INPUTS = [
+    ("tau", lambda x: RelativeDelay(x)),
+    ("theta", lambda x: AchromaticPhase(x)),
+    ("dl2_0", lambda x: SensingScenario(dl1_0=1.0, dl2_0=x)),
+    *[(k, lambda x, k=k: GaussianJointSpectrum(**{**_PAIR, k: x})) for k in _PAIR],
+    *[(k, lambda x, k=k: CoherentSpectrum(**{**_PULSE, k: x})) for k in _PULSE],
+    *[(k, lambda x, k=k: QpsTarget(**{**_TARGET, k: x})) for k in _TARGET],
+    ("center", lambda x: make_grid(x, 1.0, 16).nodes.tolist()),
+    ("half_width", lambda x: make_grid(0.0, x, 16).nodes.tolist()),
+    *[(k, lambda x, k=k: qps_invert(**{**_INVERT, k: x})) for k in _INVERT],
+]
+
+
 @pytest.mark.parametrize("bad", [True, False, "0.3", None, 0.3 + 0j, [0.3], np.array(0.3)])
 def test_real_fields_refuse_bools_and_non_real_values(bad):
-    from homlab.sensing import SensingScenario
-
-    with pytest.raises(TypeError, match="^tau must be a real number"):
-        RelativeDelay(bad)
-    with pytest.raises(TypeError, match="^theta must be a real number"):
-        AchromaticPhase(bad)
-    with pytest.raises(TypeError, match="^dl2_0 must be a real number"):
-        SensingScenario(dl1_0=1.0, dl2_0=bad)
+    for name, call in _REAL_INPUTS:
+        with pytest.raises(TypeError, match=f"^{name} must be a real number"):
+            call(bad)
 
 
-@pytest.mark.parametrize("value", [3, np.int64(3), np.float64(0.25), 0.25])
+@pytest.mark.parametrize("value", [3, np.int64(3), np.float64(0.25), 0.25, 1, np.int64(1)])
 def test_real_fields_store_plain_floats(value):
-    for el, name in ((RelativeDelay(value), "tau"), (AchromaticPhase(value), "theta")):
-        stored = getattr(el, name)
-        assert type(stored) is float and stored == float(value)
+    for name, call in _REAL_INPUTS:
+        if name == "gamma" and value > math.pi / 2.0:
+            continue  # outside the elevation range; the int 1 cases cover gamma
+        out = call(value)
+        if hasattr(out, name):  # a record stores the field
+            stored = getattr(out, name)
+            assert type(stored) is float and stored == float(value), name
+        else:  # a function returns what it returns for the float
+            assert out == call(float(value)), name
     with pytest.raises(ValueError, match="^tau must be finite"):
         RelativeDelay(math.inf)

@@ -195,6 +195,21 @@ def test_scan_near_zenith():
     assert out.position_error <= 0.01 * target.r
 
 
+@pytest.mark.parametrize("r", [0.7, 2.0, 5.0])
+def test_scan_reads_cosines_outside_the_disk_as_the_horizon(r):
+    # scan error puts a horizon target's recovered direction cosines on
+    # either side of the unit circle; outside it the elevation is exactly 0,
+    # not acos(1 - 2**-53)
+    outside = 0
+    for k in range(12):
+        target = QpsTarget(r=r, gamma=0.0, vartheta=2.0 * math.pi * k / 12.0)
+        out = qps_scan(target, SPECTRUM, surface_n=2)
+        if math.hypot(abs_direction_cosine(r, out.s1), abs_direction_cosine(r, out.s2)) >= 1.0:
+            outside += 1
+            assert out.recovered.gamma == 0.0, k
+    assert outside >= 3
+
+
 def test_scan_curve_and_surface_payloads():
     target = QpsTarget(r=2.0, gamma=0.8, vartheta=2.5)
     out = qps_scan(target, SPECTRUM, surface_n=41)

@@ -32,6 +32,7 @@ from homlab.rates import (
     mhom_cp_windowed,
     sample_curve,
     sample_surface,
+    window_nodes,
 )
 from homlab.spectra import CoherentSpectrum, GaussianJointSpectrum
 
@@ -445,13 +446,11 @@ def test_coarse_curve_preserves_constant():
     assert got == pytest.approx(0.37, rel=1e-13)
 
 
-def test_coarse_curve_accepts_tabulated_curve():
+def test_coarse_curve_refuses_a_tabulated_curve():
     axis = np.linspace(-3.0, 3.0, 4001)
     curve = sample_curve(lambda t: hom_bp_analytic(t, FAST_SPECTRUM), axis, 0.5)
-    got = coarse_grain_curve(curve, 0.8, WINDOW, carrier=500.0, envelope=1.0)
-    assert got == pytest.approx(hom_bp_analytic(0.8, FAST_SPECTRUM), abs=0.01)
-    with pytest.raises(ValueError, match="cover"):
-        coarse_grain_curve(curve, 2.95, WINDOW, carrier=500.0, envelope=1.0)
+    with pytest.raises(TypeError, match="^rate must be callable"):
+        coarse_grain_curve(curve, 0.8, WINDOW, carrier=500.0, envelope=1.0)
 
 
 def test_coarse_surface_recovers_bp_closed_form():
@@ -605,3 +604,35 @@ def test_window_node_cap_is_checked_before_building_a_rule(monkeypatch):
             mhom_cp_windowed(axis, axis, 0.0, pulse, 0.2, n=n)
         with pytest.raises(ValueError, match="at most"):
             coarse_grain_curve(lambda t: t, axis, 0.2, carrier=500.0, envelope=0.7, n=n)
+
+
+def _windowed_calls(n):
+    """Both windowed forms and both regime-guarded averages, with ``n`` nodes."""
+    axis = np.linspace(-1.0, 1.0, 3)
+    window = 0.1
+    return [
+        lambda: mhom_bp_windowed(axis, axis, 0.3, FAST_SPECTRUM, window, n=n),
+        lambda: mhom_cp_windowed(axis, axis, 0.3, FAST_PULSE, window, n=n),
+        lambda: coarse_grain_curve(lambda t: hom_cp_analytic(t, FAST_PULSE), axis, window,
+                                   carrier=500.0, envelope=1.0, n=n),
+        lambda: coarse_grain_surface(lambda a, b: mhom_bp_analytic(a, b, 0.3, FAST_SPECTRUM),
+                                     axis[:, None], axis[None, :], window,
+                                     carrier=500.0, envelope=1.0, n=n),
+    ]
+
+
+@pytest.mark.parametrize("n, error", [(96.5, ValueError), (2.5, ValueError),
+                                      (math.nan, ValueError), (math.inf, ValueError),
+                                      ("64", TypeError), (True, TypeError), (2 + 0j, TypeError)])
+def test_window_node_count_must_be_a_whole_number(n, error):
+    for call in _windowed_calls(n):
+        with pytest.raises(error, match="^n must be a whole number of averaging nodes"):
+            call()
+
+
+@pytest.mark.parametrize("n", [2.0, 96.0, np.float64(96.0), np.int64(96)])
+def test_window_node_count_takes_whole_numbers_of_any_type(n):
+    got = window_nodes(n, 0.1, 500.0, 1.0)
+    assert type(got) is int and got == n
+    for call, want in zip(_windowed_calls(n), _windowed_calls(int(n))):
+        np.testing.assert_array_equal(call(), want())

@@ -2,6 +2,7 @@
 
 import json
 import math
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -41,7 +42,7 @@ def test_scenario_validation():
 
 def test_bp_scan_has_three_features():
     sc = SensingScenario(dl1_0=4.4, dl2_0=-1.3)
-    result = run_sensing(sc, "bp", SPECTRUM)
+    result = run_sensing(sc, SPECTRUM)
     r = result.report
     assert r.x_max == pytest.approx(-0.65, abs=1e-3)
     assert r.x_min_left == pytest.approx(-0.65 - 2.2, abs=1e-2)
@@ -52,14 +53,14 @@ def test_bp_scan_has_three_features():
 
 def test_bp_scan_recovers_offsets():
     sc = SensingScenario(dl1_0=4.4, dl2_0=-1.3)
-    result = run_sensing(sc, "bp", SPECTRUM)
+    result = run_sensing(sc, SPECTRUM)
     assert result.dl1_recovered == pytest.approx(4.4, abs=0.1)
     assert result.dl2_recovered == pytest.approx(-1.3, abs=0.1)
 
 
 def test_cp_scan_has_two_dips_and_recovers():
     sc = SensingScenario(dl1_0=3.0, dl2_0=0.8)
-    result = run_sensing(sc, "cp", PULSE)
+    result = run_sensing(sc, PULSE)
     r = result.report
     assert r.x_max is None
     assert r.x_min_left == pytest.approx(0.4 - 1.5, abs=1e-2)
@@ -70,8 +71,8 @@ def test_cp_scan_has_two_dips_and_recovers():
 
 def test_visibility_table():
     """Feature excursions for the two sources, against their plateaus."""
-    bp = run_sensing(SensingScenario(dl1_0=4.4, dl2_0=0.6), "bp", SPECTRUM).report
-    cp = run_sensing(SensingScenario(dl1_0=4.4, dl2_0=0.6), "cp", PULSE).report
+    bp = run_sensing(SensingScenario(dl1_0=4.4, dl2_0=0.6), SPECTRUM).report
+    cp = run_sensing(SensingScenario(dl1_0=4.4, dl2_0=0.6), PULSE).report
     assert bp.v_max == pytest.approx(0.5, abs=0.02)
     assert bp.v_min == pytest.approx(0.25, abs=0.02)
     assert cp.v_min == pytest.approx(0.125, abs=0.02)
@@ -82,7 +83,7 @@ def test_visibility_table():
 def test_scan_warns_when_first_stage_too_small():
     sc = SensingScenario(dl1_0=1.0, dl2_0=0.5)
     with pytest.warns(RegimeWarning, match="first-stage"):
-        curve = scan_f(sc, "bp", SPECTRUM)
+        curve = scan_f(sc, SPECTRUM)
     assert curve.values.size == 2001
 
 
@@ -90,7 +91,7 @@ def test_cp_merged_dips_fail_extraction():
     sc = SensingScenario(dl1_0=0.2, dl2_0=0.0)
     with pytest.warns(RegimeWarning):
         with pytest.raises(ExtremaError, match="found 1"):
-            run_sensing(sc, "cp", PULSE)
+            run_sensing(sc, PULSE)
 
 
 def test_degenerate_scan_is_flat_at_sample_resolution():
@@ -98,7 +99,7 @@ def test_degenerate_scan_is_flat_at_sample_resolution():
     spacing, so almost all samples sit on the plateau."""
     wide = GaussianJointSpectrum(omega0=5.0, d_omega_plus=0.2, d_omega_minus=500.0)
     sc = SensingScenario(dl1_0=3.0, dl2_0=1.0)
-    curve = scan_f(sc, "bp", wide)
+    curve = scan_f(sc, wide)
     deviation = np.abs(curve.values - curve.plateau) / curve.plateau
     assert np.quantile(deviation, 0.99) < 0.01
 
@@ -106,13 +107,9 @@ def test_degenerate_scan_is_flat_at_sample_resolution():
 def test_scan_validates_inputs():
     sc = SensingScenario(dl1_0=4.0, dl2_0=0.0)
     with pytest.raises(ValueError, match="samples"):
-        scan_f(sc, "bp", SPECTRUM, n=10)
-    with pytest.raises(ValueError, match="source"):
-        scan_f(sc, "xx", SPECTRUM)
-    with pytest.raises(TypeError):
-        scan_f(sc, "cp", SPECTRUM)
-    with pytest.raises(TypeError):
-        scan_f(sc, "bp", PULSE)
+        scan_f(sc, SPECTRUM, n=10)
+    with pytest.raises(TypeError, match="^model must be a GaussianJointSpectrum"):
+        scan_f(sc, "bp")
 
 
 # ----- feature extraction on synthetic curves -----
@@ -156,7 +153,7 @@ def test_find_extrema_monotone_curve_fails_with_count():
 def test_find_extrema_refuses_overflowing_positions():
     scenario = SensingScenario(dl1_0=1e300, dl2_0=-1.3)
     with pytest.raises(ExtremaError, match="^feature positions overflow at this scan step$"):
-        run_sensing(scenario, "cp", CoherentSpectrum(5.0, 1.0), n=401)
+        run_sensing(scenario, CoherentSpectrum(5.0, 1.0), n=401)
 
 
 def test_find_extrema_requires_central_peak():
@@ -216,7 +213,7 @@ def test_extrema_report_validation_and_serialization():
         width_max=0.7,
     )
     assert report.v_min == pytest.approx(0.2)
-    blob = json.dumps(report.to_dict())
+    blob = json.dumps(asdict(report))
     assert "x_min_left" in blob
     with pytest.raises(ValueError):
         ExtremaReport(
@@ -246,7 +243,7 @@ def test_bp_and_cp_inversions_agree_on_one_pair_scan():
     """The pulse-style inversion applied to the pair scan's two dips must
     agree with the peak-based pair inversion."""
     sc = SensingScenario(dl1_0=5.0, dl2_0=-0.9)
-    result = run_sensing(sc, "bp", SPECTRUM)
+    result = run_sensing(sc, SPECTRUM)
     r = result.report
     dl1_alt, dl2_alt = invert_cp(r.x_min_left, r.x_min_right)
     assert dl1_alt == pytest.approx(result.dl1_recovered, abs=5e-3)
@@ -259,10 +256,10 @@ def test_round_trip_random_scenarios():
         tau1 = rng.uniform(1.5, 4.0)
         dl2 = rng.uniform(-4.0, 4.0)
         sc = SensingScenario(dl1_0=2.0 * tau1, dl2_0=dl2)
-        bp = run_sensing(sc, "bp", SPECTRUM)
+        bp = run_sensing(sc, SPECTRUM)
         assert bp.dl1_recovered == pytest.approx(sc.dl1_0, abs=0.1)
         assert bp.dl2_recovered == pytest.approx(sc.dl2_0, abs=0.1)
-        cp = run_sensing(sc, "cp", PULSE)
+        cp = run_sensing(sc, PULSE)
         assert cp.dl1_recovered == pytest.approx(sc.dl1_0, abs=0.1)
         assert cp.dl2_recovered == pytest.approx(sc.dl2_0, abs=0.1)
 
@@ -271,10 +268,10 @@ def test_lossy_scan_visibilities_scale_with_imbalance():
     from homlab.figures import chi2_for_eta_b
 
     sc = SensingScenario(dl1_0=5.0, dl2_0=-0.8)
-    clean = run_sensing(sc, "bp", SPECTRUM).report
+    clean = run_sensing(sc, SPECTRUM).report
     for eta in (0.3, 0.6, 0.9):
         loss = LossParams(chi2=chi2_for_eta_b(eta))
-        lossy = run_sensing(sc, "bp", SPECTRUM, loss=loss).report
+        lossy = run_sensing(sc, SPECTRUM, loss=loss).report
         assert lossy.v_max == pytest.approx((1.0 - eta) * clean.v_max, abs=0.02)
         assert lossy.v_min == pytest.approx((1.0 - eta) * clean.v_min, abs=0.02)
         # positions survive the loss
