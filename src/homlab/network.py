@@ -66,6 +66,20 @@ def finite_real(value, name: str) -> float:
     return value
 
 
+def whole_number(value, name: str, unit: str) -> int:
+    """``value`` as an ``int`` count of ``unit``.
+
+    A bool or a value that is not real raises ``TypeError``; a real value
+    that is not a whole number (a fraction, nan or an infinity) raises
+    ``ValueError``. Both name the argument. Range checks stay with callers.
+    """
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise TypeError(f"{name} must be a whole number of {unit}, got {type(value).__name__}")
+    if not isinstance(value, numbers.Integral) and not float(value).is_integer():
+        raise ValueError(f"{name} must be a whole number of {unit}, got {value!r}")
+    return int(value)
+
+
 def store_finite(record, *names: str) -> None:
     """Store each named field of a frozen record as its ``finite_real`` value."""
     for name in names:

@@ -22,11 +22,12 @@ that stage's path difference, so the stage delays during a scan are
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
-from .network import finite_real, store_finite
+from .network import finite_real, store_finite, whole_number
 from .rates import (
     LossParams,
     RateCurve,
@@ -171,8 +172,11 @@ def qps_invert(r: float, s1: float, s2: float, sign_u: int = 1,
     r = finite_real(r, "r")
     if r <= 0.0:
         raise ValueError(f"radius must be positive and finite, got {r!r}")
-    if sign_u not in (-1, 1) or sign_v not in (-1, 1):
-        raise ValueError("sign_u and sign_v must be +1 or -1")
+    for name, sign in (("sign_u", sign_u), ("sign_v", sign_v)):
+        if isinstance(sign, bool) or not isinstance(sign, numbers.Integral):
+            raise TypeError(f"{name} must be the int +1 or -1, got {type(sign).__name__}")
+        if sign not in (-1, 1):
+            raise ValueError(f"{name} must be +1 or -1, got {sign!r}")
     tol = 1e-9 * r
     values = []
     for name, s in (("s1", s1), ("s2", s2)):
@@ -236,6 +240,7 @@ def qps_scan_samples(target: QpsTarget, spectrum: GaussianJointSpectrum,
     bound before anything is allocated; it is a whole number whenever an
     array that long could exist.
     """
+    c = finite_real(c, "c")
     if c <= 0.0:
         raise ValueError("c must be positive")
     width = spectrum.d_omega_minus
@@ -261,8 +266,10 @@ def qps_scan(target: QpsTarget, spectrum: GaussianJointSpectrum,
     disk, the recovered elevation is exactly 0 (the horizon) and the
     azimuth is the direction of the pair.
     """
+    c = finite_real(c, "c")
     if c <= 0.0:
         raise ValueError("c must be positive")
+    surface_n = whole_number(surface_n, "surface_n", "surface samples")
     width = spectrum.d_omega_minus
     delays = qps_forward(target)
     d1_true = delays.l1 - delays.l2
@@ -276,9 +283,9 @@ def qps_scan(target: QpsTarget, spectrum: GaussianJointSpectrum,
                                        spectrum, loss)
 
     span = _scan_span(target, width, c)
-    if n is None:
-        n = qps_scan_samples(target, spectrum, c)
-    axis = np.linspace(-span, span, int(n))
+    n = whole_number(qps_scan_samples(target, spectrum, c) if n is None else n,
+                     "n", "scan samples")
+    axis = np.linspace(-span, span, n)
     plateau = bp_plateau(loss)
     curve = sample_curve(lambda s2p: rate_at(offset, s2p), axis, plateau)
     report = find_extrema(curve, "peak_and_dips")
@@ -295,7 +302,7 @@ def qps_scan(target: QpsTarget, spectrum: GaussianJointSpectrum,
     recovered, degenerate = _from_direction_cosines(target.r, u, v)
 
     s_axis = np.linspace(-(target.r + 3.0 * c / width),
-                         target.r + 3.0 * c / width, int(surface_n))
+                         target.r + 3.0 * c / width, surface_n)
     surface = sample_surface(rate_at, s_axis, s_axis, plateau)
 
     return QpsScanResult(

@@ -25,13 +25,18 @@ and raise on anything beyond round-off: that is the one clamping pass.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
-from .network import OpticalNetwork, push_rows, transfer_at, validate_amplitude
-from .spectra import CoherentSpectrum, FrequencyGrid, GaussianJointSpectrum, make_grid
+from .network import OpticalNetwork, push_rows, transfer_at, validate_amplitude, whole_number
+from .spectra import (
+    CoherentSpectrum,
+    FrequencyGrid,
+    GaussianJointSpectrum,
+    blockwise,
+    make_grid,
+)
 
 __all__ = [
     "RegimeError",
@@ -156,11 +161,17 @@ def sample_curve(func, axis, plateau: float) -> RateCurve:
 
 
 def sample_surface(func, tau1_axis, tau2_axis, plateau: float) -> RateSurface:
-    """Tabulate a broadcasting two-delay rate function on an outer grid."""
+    """Tabulate a two-delay rate function on an outer grid.
+
+    ``func`` must be elementwise: each value depends only on its own
+    ``(tau1, tau2)`` pair. It is called once per block of rows, as
+    ``func(tau1[lo:hi, None], tau2[None, :])``, and the blocks fill one
+    preallocated surface, so the peak is the surface plus its clamped
+    copy rather than every whole-grid temporary of the formula.
+    """
     t1 = np.asarray(tau1_axis, dtype=float)
     t2 = np.asarray(tau2_axis, dtype=float)
-    values = func(t1[:, None], t2[None, :])
-    return RateSurface(t1, t2, values, plateau)
+    return RateSurface(t1, t2, blockwise(func, t1[:, None], t2[None, :]), plateau)
 
 
 # ----- Path losses -----
@@ -703,11 +714,7 @@ def window_nodes(n: int | None, window: float, carrier: float, envelope: float) 
                 f"{need:.4g} averaging nodes, more than {MAX_WINDOW_NODES}"
             )
         return need
-    if isinstance(n, bool) or not isinstance(n, numbers.Real):
-        raise TypeError(f"n must be a whole number of averaging nodes, got {type(n).__name__}")
-    if not isinstance(n, numbers.Integral) and not float(n).is_integer():
-        raise ValueError(f"n must be a whole number of averaging nodes, got {n!r}")
-    n = int(n)
+    n = whole_number(n, "n", "averaging nodes")
     if n < 2:
         raise ValueError(f"need at least 2 averaging nodes, got n = {n}")
     if n > MAX_WINDOW_NODES:

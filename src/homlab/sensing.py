@@ -29,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .network import store_finite
+from .network import finite_real, store_finite, whole_number
 from .rates import (
     LossParams,
     RateCurve,
@@ -144,7 +144,8 @@ def scan_f(scenario: SensingScenario, model, loss: LossParams = LossParams(),
     else:
         raise TypeError("model must be a GaussianJointSpectrum or a CoherentSpectrum, "
                         f"got {type(model).__name__}")
-    if int(n) != n or n < 51:
+    n = whole_number(n, "n", "scan samples")
+    if n < 51:
         raise ValueError(f"need at least 51 scan samples, got {n!r}")
     tau1 = scenario.tau1
     if abs(tau1) * width <= 1.0:
@@ -157,10 +158,11 @@ def scan_f(scenario: SensingScenario, model, loss: LossParams = LossParams(),
     if span is None:
         dl1_eff = scenario.dl1_0 - 2.0 * scenario.x1
         span = abs(scenario.dl2_0) + 2.0 * abs(dl1_eff) + 6.0 * scenario.c / width
-    span = float(span)
+    else:
+        span = finite_real(span, "span")
     if span <= 0.0:
         raise ValueError("span must be positive")
-    x2 = np.linspace(-span, span, int(n))
+    x2 = np.linspace(-span, span, n)
     return RateCurve(x2, form(tau1, scenario.tau2(x2), model, loss), plateau)
 
 

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .network import finite_real, store_finite
+from .network import finite_real, store_finite, whole_number
 
 __all__ = [
     "FrequencyGrid",
@@ -30,12 +30,42 @@ __all__ = [
 
 _SQRT_2PI = float(np.sqrt(2.0 * np.pi))
 
+# Output entries per block of ``blockwise``: a block's temporaries (128 KB
+# each) stay in cache, while temporaries of a whole table are mapped and
+# faulted in again on every call.
+_BLOCK_ENTRIES = 1 << 14
+
 
 def _require_positive(**values: float) -> None:
     """Refuse any of the named finite floats that is not positive."""
     for name, value in values.items():
         if value <= 0.0:
             raise ValueError(f"{name} must be positive and finite, got {value!r}")
+
+
+def blockwise(f, *arrays):
+    """Evaluate ``f(*arrays)`` in row blocks into one preallocated output.
+
+    ``f`` must be elementwise in its broadcast arguments. The output has
+    their broadcast shape and is filled in blocks along axis 0 of about
+    ``_BLOCK_ENTRIES`` entries; only arguments whose first axis has the
+    full length are sliced, so a term in a length-1 axis is still
+    evaluated on that axis alone. Each block runs the same expression on
+    a slice, so every value keeps its bits. 0-d input returns a ``float``.
+    """
+    shape = np.broadcast_shapes(*(np.shape(a) for a in arrays))
+    if not shape:
+        return float(f(*arrays))
+    cut = [np.ndim(a) == len(shape) and np.shape(a)[0] == shape[0] for a in arrays]
+    rows = max(1, _BLOCK_ENTRIES // max(1, math.prod(shape[1:])))
+    out = None
+    # an empty first axis still makes one call, which gives the output its dtype
+    for lo in range(0, max(shape[0], 1), rows):
+        block = f(*(a[lo:lo + rows] if c else a for a, c in zip(arrays, cut)))
+        if out is None:
+            out = np.empty(shape, dtype=np.result_type(block))
+        out[lo:lo + rows] = block
+    return out
 
 
 # ----- Quadrature grid -----
@@ -90,9 +120,9 @@ def make_grid(center: float, half_width: float, n: int = 257) -> FrequencyGrid:
     """
     center, half_width = finite_real(center, "center"), finite_real(half_width, "half_width")
     _require_positive(half_width=half_width)
-    if int(n) != n or n < 16:
+    n = whole_number(n, "n", "grid nodes")
+    if n < 16:
         raise ValueError(f"node count must be an integer >= 16, got {n!r}")
-    n = int(n)
     nodes = np.linspace(center - half_width, center + half_width, n)
     step = 2.0 * half_width / (n - 1)
     weights = np.full(n, step)
@@ -147,24 +177,36 @@ class GaussianJointSpectrum:
         ``2 d_omega_plus`` around ``2 omega0``) and a Gaussian in the
         difference variable (spread ``d_omega_minus`` around zero),
         normalized so the double integral over the plane is one.
+
+        The arguments broadcast; the table is evaluated in row blocks by
+        ``blockwise``, so tabulating an n x n grid peaks at about the
+        table plus one block. Scalar arguments return a ``float``.
         """
-        w = np.asarray(omega, dtype=float)
-        wp = np.asarray(omega_prime, dtype=float)
-        s = w + wp - 2.0 * self.omega0
-        d = w - wp
         dp, dm = self.d_omega_plus, self.d_omega_minus
-        out = (
-            np.exp(-(s * s) / (8.0 * dp * dp))
-            / (_SQRT_2PI * dp)
-            * np.exp(-(d * d) / (2.0 * dm * dm))
-            / (_SQRT_2PI * dm)
-        )
-        return out if out.ndim else float(out)
+
+        def density(w, wp):
+            s = w + wp - 2.0 * self.omega0
+            d = w - wp
+            return (
+                np.exp(-(s * s) / (8.0 * dp * dp))
+                / (_SQRT_2PI * dp)
+                * np.exp(-(d * d) / (2.0 * dm * dm))
+                / (_SQRT_2PI * dm)
+            )
+
+        return blockwise(density, np.asarray(omega, dtype=float),
+                         np.asarray(omega_prime, dtype=float))
 
     def joint_amplitude(self, omega, omega_prime):
-        """Real non-negative joint amplitude, the square root of the density."""
-        out = np.sqrt(self.joint_density(omega, omega_prime))
-        return out if np.ndim(out) else float(out)
+        """Real non-negative joint amplitude, the square root of the density.
+
+        Takes the root of the block-evaluated ``joint_density`` table in
+        place, so it adds no second table. Scalar arguments return a ``float``.
+        """
+        out = self.joint_density(omega, omega_prime)
+        if isinstance(out, float):
+            return math.sqrt(out)
+        return np.sqrt(out, out=out)
 
     def difference_distribution(self, nu):
         """Density of the frequency-difference variable.

@@ -135,6 +135,13 @@ def test_invert_validation():
         qps_invert(1.0, 1.0, 1.0)
     with pytest.raises(ValueError, match="sign"):
         qps_invert(1.0, 0.5, 0.5, sign_u=2)
+    for name in ("sign_u", "sign_v"):
+        for sign in (True, 1.0, "1", None):
+            with pytest.raises(TypeError, match=f"^{name} must be the int"):
+                qps_invert(1.0, 0.5, 0.5, **{name: sign})
+        with pytest.raises(ValueError, match=f"^{name} must be \\+1 or -1, got 0"):
+            qps_invert(1.0, 0.5, 0.5, **{name: 0})
+    assert qps_invert(1.0, 0.5, 0.5, np.int64(-1), np.int64(1)) == qps_invert(1.0, 0.5, 0.5, -1, 1)
     with pytest.raises(ValueError, match="radius"):
         qps_invert(-1.0, 0.0, 0.0)
 
@@ -261,8 +268,24 @@ def test_scan_rejects_fully_dark_input_path():
 
 
 def test_scan_validates_speed_of_light():
+    target = QpsTarget(r=1.0, gamma=0.5, vartheta=0.5)
     with pytest.raises(ValueError, match="c must be positive"):
-        qps_scan(QpsTarget(r=1.0, gamma=0.5, vartheta=0.5), SPECTRUM, c=0.0)
+        qps_scan(target, SPECTRUM, c=0.0)
+    for c, error in ((True, TypeError), ("1", TypeError), (math.nan, ValueError),
+                     (math.inf, ValueError)):
+        with pytest.raises(error, match="^c must be"):
+            qps_scan(target, SPECTRUM, c=c)
+        with pytest.raises(error, match="^c must be"):
+            qps_scan_samples(target, SPECTRUM, c=c)
+
+
+def test_scan_takes_whole_sample_counts_of_any_type():
+    target = QpsTarget(r=1.0, gamma=0.5, vartheta=0.5)
+    want = qps_scan(target, SPECTRUM, n=2001, surface_n=5)
+    got = qps_scan(target, SPECTRUM, c=np.int64(1), n=2001.0, surface_n=np.int64(5))
+    assert got.surface.values.shape == (5, 5)
+    np.testing.assert_array_equal(got.curve.values, want.curve.values)
+    np.testing.assert_array_equal(got.surface.values, want.surface.values)
 
 
 def test_scan_samples_for_a_subnormal_c_are_infinite():

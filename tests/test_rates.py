@@ -1,6 +1,7 @@
 """Closed-form rates, loss scalings and delay-fluctuation averaging."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -34,7 +35,9 @@ from homlab.rates import (
     sample_surface,
     window_nodes,
 )
-from homlab.spectra import CoherentSpectrum, GaussianJointSpectrum
+from homlab.qps import QpsTarget, qps_scan
+from homlab.sensing import SensingScenario, scan_f
+from homlab.spectra import CoherentSpectrum, GaussianJointSpectrum, make_grid
 
 SPECTRUM = GaussianJointSpectrum(omega0=5.0, d_omega_plus=0.2, d_omega_minus=1.0)
 PULSE = CoherentSpectrum(omega0=5.0, d_omega=0.5, total_intensity=1.0)
@@ -205,6 +208,33 @@ def test_rate_surface_validation_and_orientation():
     assert surf.values[2, 4] == mhom_bp_coarse_analytic(t1[2], t2[4], SPECTRUM)
     with pytest.raises(ValueError):
         RateSurface(t1, t2, np.zeros((5, 3)) + 0.1, 0.5)
+
+
+LOSSY = LossParams(xi1=0.9, xi2=0.6, chi1=0.8, chi2=0.5)
+SURFACE_FORMS = {
+    "mhom_bp_analytic": lambda a, b: mhom_bp_analytic(a, b, math.pi / 2.0, SPECTRUM),
+    "mhom_cp_analytic": lambda a, b: mhom_cp_analytic(a, b, 0.4, PULSE),
+    "mhom_bp_coarse_analytic_lossy": lambda a, b: mhom_bp_coarse_analytic(a, b, SPECTRUM, LOSSY),
+    "mhom_cp_coarse_analytic_lossy": lambda a, b: mhom_cp_coarse_analytic(a, b, BRIGHT, LOSSY),
+}
+
+
+@pytest.mark.parametrize("form", sorted(SURFACE_FORMS))
+def test_sample_surface_blocks_match_whole_grid_evaluation(form):
+    func = SURFACE_FORMS[form]
+    t1 = np.linspace(-3.0, 3.0, 1001)
+    t2 = np.linspace(-2.5, 3.5, 1001)  # no block divides 1001 rows
+    want = RateSurface(t1, t2, func(t1[:, None], t2[None, :]), 0.5).values
+    sample_surface(func, t1[:8], t2, 0.5)
+    tracemalloc.start()
+    try:
+        got = sample_surface(func, t1, t2, 0.5).values
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+    # the values plus the clamp's copy and mask, not the formula's whole-grid temporaries
+    assert peak <= 2.25 * got.nbytes, (peak, got.nbytes)
 
 
 def test_sample_curve_matches_direct_evaluation():
@@ -621,12 +651,34 @@ def _windowed_calls(n):
     ]
 
 
-@pytest.mark.parametrize("n, error", [(96.5, ValueError), (2.5, ValueError),
-                                      (math.nan, ValueError), (math.inf, ValueError),
-                                      ("64", TypeError), (True, TypeError), (2 + 0j, TypeError)])
+NOT_WHOLE = [(96.5, ValueError), (2.5, ValueError), (math.nan, ValueError),
+             (math.inf, ValueError), ("64", TypeError), (True, TypeError), (2 + 0j, TypeError)]
+
+
+@pytest.mark.parametrize("n, error", NOT_WHOLE)
 def test_window_node_count_must_be_a_whole_number(n, error):
     for call in _windowed_calls(n):
         with pytest.raises(error, match="^n must be a whole number of averaging nodes"):
+            call()
+
+
+def _counted_calls(n):
+    """Every other library sample count, each with ``n``, and what its message names."""
+    scenario = SensingScenario(dl1_0=4.0, dl2_0=0.0)
+    target = QpsTarget(r=1.0, gamma=0.5, vartheta=0.5)
+    return [
+        (lambda: make_grid(0.0, 1.0, n), "n must be a whole number of grid nodes"),
+        (lambda: scan_f(scenario, SPECTRUM, n=n), "n must be a whole number of scan samples"),
+        (lambda: qps_scan(target, SPECTRUM, n=n), "n must be a whole number of scan samples"),
+        (lambda: qps_scan(target, SPECTRUM, surface_n=n),
+         "surface_n must be a whole number of surface samples"),
+    ]
+
+
+@pytest.mark.parametrize("n, error", NOT_WHOLE + [(300.7, ValueError), (2001.7, ValueError)])
+def test_sample_counts_share_the_whole_number_rule(n, error):
+    for call, message in _counted_calls(n):
+        with pytest.raises(error, match=f"^{message}"):
             call()
 
 

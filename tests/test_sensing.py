@@ -110,6 +110,15 @@ def test_scan_validates_inputs():
         scan_f(sc, SPECTRUM, n=10)
     with pytest.raises(TypeError, match="^model must be a GaussianJointSpectrum"):
         scan_f(sc, "bp")
+    for span, error in (("30", TypeError), (True, TypeError), (math.nan, ValueError),
+                        (math.inf, ValueError)):
+        with pytest.raises(error, match="^span must be"):
+            scan_f(sc, SPECTRUM, span=span)
+    with pytest.raises(ValueError, match="^span must be positive"):
+        scan_f(sc, SPECTRUM, span=-3.0)
+    whole = scan_f(sc, SPECTRUM, n=np.float64(101.0), span=np.int64(6))
+    assert whole.axis.size == 101
+    np.testing.assert_array_equal(whole.values, scan_f(sc, SPECTRUM, n=101, span=6.0).values)
 
 
 # ----- feature extraction on synthetic curves -----

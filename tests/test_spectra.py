@@ -1,6 +1,7 @@
 """Spectral densities, marginals and quadrature grids."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -38,6 +39,67 @@ def test_joint_density_peak_value(spectrum):
 def test_joint_density_scalar_returns_float(spectrum):
     out = spectrum.joint_density(W0 + 0.3, W0 - 0.2)
     assert isinstance(out, float)
+
+
+def textbook_density(spectrum, omega, omega_prime):
+    """The joint density as one whole-array expression, for bit-for-bit parity."""
+    w = np.asarray(omega, dtype=float)
+    wp = np.asarray(omega_prime, dtype=float)
+    s = w + wp - 2.0 * spectrum.omega0
+    d = w - wp
+    dp, dm = spectrum.d_omega_plus, spectrum.d_omega_minus
+    root = float(np.sqrt(2.0 * np.pi))
+    return (
+        np.exp(-(s * s) / (8.0 * dp * dp))
+        / (root * dp)
+        * np.exp(-(d * d) / (2.0 * dm * dm))
+        / (root * dm)
+    )
+
+
+def _parity_arguments(case, rng):
+    nodes = W0 + rng.uniform(-3.0, 3.0, 641)  # 641 rows: blocks of 25, the last one short
+    return {
+        "outer": (nodes[:, None], nodes[None, :]),
+        "outer_transposed": (nodes[None, :], nodes[:, None]),
+        "pairs_1d": (W0 + rng.uniform(-3.0, 3.0, 40_000), W0 + rng.uniform(-3.0, 3.0, 40_000)),
+        "first_axis_one": (nodes[None, :], nodes[None, ::-1]),
+        "first_axis_one_both": (nodes[None, :1], nodes[None, :]),
+        "broadcast_3d": (nodes[:40, None, None], W0 + rng.uniform(-3.0, 3.0, (1, 30, 40))),
+        "broadcast_3d_short_first": (W0 + rng.uniform(-3.0, 3.0, (30, 40)), nodes[:50, None, None]),
+        "wide_rows_3d": (nodes[:7, None, None], W0 + rng.uniform(-3.0, 3.0, (1, 50, 400))),
+        "python_scalars": (W0 + 0.3, W0 - 0.2),
+        "numpy_scalars": (np.float64(W0 + 0.3), np.float64(W0 - 0.2)),
+        "zero_d_arrays": (np.array(W0 + 0.3), np.array(W0 - 0.2)),
+    }[case]
+
+
+@pytest.mark.parametrize("case", ["outer", "outer_transposed", "pairs_1d", "first_axis_one",
+                                  "first_axis_one_both", "broadcast_3d",
+                                  "broadcast_3d_short_first", "wide_rows_3d",
+                                  "python_scalars", "numpy_scalars", "zero_d_arrays"])
+def test_block_tabulation_matches_the_textbook_expression_bit_for_bit(spectrum, case):
+    omega, omega_prime = _parity_arguments(case, np.random.default_rng(11))
+    want = textbook_density(spectrum, omega, omega_prime)
+    for got, expected in ((spectrum.joint_density(omega, omega_prime), want),
+                          (spectrum.joint_amplitude(omega, omega_prime), np.sqrt(want))):
+        if want.ndim == 0:
+            assert type(got) is float
+        else:
+            assert got.shape == expected.shape and got.dtype == expected.dtype
+        assert np.asarray(got).tobytes() == np.asarray(expected).tobytes()
+
+
+def test_joint_amplitude_table_peaks_near_its_own_size(spectrum):
+    nodes = pair_axes(spectrum, n=1025).nodes
+    spectrum.joint_amplitude(nodes[:8, None], nodes[None, :])
+    tracemalloc.start()
+    try:
+        table = spectrum.joint_amplitude(nodes[:, None], nodes[None, :])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.25 * table.nbytes, (peak, table.nbytes)
 
 
 def test_joint_density_normalized(spectrum):
