@@ -5,8 +5,9 @@ output, so the chain ``(A, B)`` has transfer ``B @ A``. Every element
 acts as an in-place update of the two rows of whatever it is applied
 to, and ``push_rows`` applies a chain that way, input first:
 ``transfer_at`` pushes the identity, giving the full transfer at each
-frequency, and the pulse oracle pushes the input field ``(1, 1)``,
-giving only the two output fields it integrates. Lossless chains are
+frequency, and the pulse oracle pushes the pre-weighted input field
+``sqrt(w) alpha`` on both ports (``w`` the quadrature weights), giving
+only the two weighted output fields it integrates. Lossless chains are
 unitary at every frequency; scalar losses make the transfer
 sub-unitary but never amplifying.
 
@@ -44,7 +45,10 @@ _INV_SQRT2 = 1.0 / np.sqrt(2.0)
 
 def validate_amplitude(value, name: str) -> complex:
     """Coerce a loss amplitude to complex, enforcing flat scalars and |amp| <= 1."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Number):
+    # float and complex (numpy's float64 and complex128 among them) first:
+    # the numbers ABC checks cost more than the rest of the validation
+    if not isinstance(value, (float, complex)) and (
+            isinstance(value, bool) or not isinstance(value, numbers.Number)):
         raise TypeError(
             f"{name} must be a frequency-flat scalar amplitude, got {type(value).__name__}"
         )
@@ -58,7 +62,8 @@ def validate_amplitude(value, name: str) -> complex:
 
 def finite_real(value, name: str) -> float:
     """``value`` as a finite float; a bool or a value that is not real raises ``TypeError``."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+    if not isinstance(value, float) and (
+            isinstance(value, bool) or not isinstance(value, numbers.Real)):
         raise TypeError(f"{name} must be a real number, got {type(value).__name__}")
     value = float(value)
     if not math.isfinite(value):
@@ -106,7 +111,8 @@ class BalancedBS(_Element):
     """Balanced beam splitter, real symmetric convention [[1, 1], [1, -1]]/sqrt(2)."""
 
     def _update_rows(self, rows, om) -> None:
-        r0, r1 = rows
+        # indexing the two rows costs far less than unpacking the array
+        r0, r1 = rows[0], rows[1]
         total = r0 + r1
         np.subtract(r0, r1, out=r1)
         r0[...] = total

@@ -29,7 +29,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .network import OpticalNetwork, push_rows, transfer_at, validate_amplitude, whole_number
+from .network import (
+    OpticalNetwork,
+    finite_real,
+    push_rows,
+    transfer_at,
+    validate_amplitude,
+    whole_number,
+)
 from .spectra import (
     CoherentSpectrum,
     FrequencyGrid,
@@ -406,9 +413,12 @@ mhom_cp_loss_coarse = mhom_cp_coarse_analytic
 
 
 def _resolved_nodes(half_width: float, tau_max: float, n: int | None) -> int:
-    """Node count resolving phases up to ``2 tau_max`` across the grid."""
+    """Node count resolving phases up to ``2 tau_max`` across the grid.
+
+    A given ``n`` is returned as it came, for ``make_grid`` to check.
+    """
     if n is not None:
-        return int(n)
+        return n
     base = 257
     if tau_max > 0.0:
         # keep at least 16 samples per period of exp(2 i omega tau_max)
@@ -425,27 +435,28 @@ def pair_grid(spectrum: GaussianJointSpectrum, tau_max: float = 4.0,
     Spans six marginal widths around the carrier, which also covers six
     widths of the difference variable along the anti-diagonal. The node
     count grows with ``tau_max`` so delay phases stay resolved.
+    ``tau_max`` must be a finite real number (a negative one means its
+    magnitude); a given ``n`` must be a whole number, as ``make_grid``
+    requires. Either is named when refused.
     """
     half_width = 6.0 * spectrum.local_spread
     return make_grid(spectrum.omega0, half_width,
-                     _resolved_nodes(half_width, abs(float(tau_max)), n))
+                     _resolved_nodes(half_width, abs(finite_real(tau_max, "tau_max")), n))
 
 
 def pulse_grid(pulse: CoherentSpectrum, tau_max: float = 4.0,
                n: int | None = None) -> FrequencyGrid:
-    """Quadrature grid sized for a pulse spectrum and a maximum delay."""
+    """Quadrature grid sized for a pulse spectrum and a maximum delay.
+
+    Six pulse widths around the carrier; ``tau_max`` and ``n`` are checked
+    as in ``pair_grid``.
+    """
     half_width = 6.0 * pulse.d_omega
     return make_grid(pulse.omega0, half_width,
-                     _resolved_nodes(half_width, abs(float(tau_max)), n))
+                     _resolved_nodes(half_width, abs(finite_real(tau_max, "tau_max")), n))
 
 
 # ----- Quadrature oracles -----
-
-
-def _abs2(z):
-    if not np.iscomplexobj(z):
-        return z * z
-    return z.real ** 2 + z.imag ** 2
 
 
 def _real_or_complex(values) -> np.ndarray:
@@ -486,6 +497,8 @@ def bp_rate_oracle_batch(amplitude: np.ndarray, grid: FrequencyGrid, networks) -
     Expanding the square leaves two direct terms weighted by
     ``P = |amp|^2`` and a cross term weighted by ``Q = amp * conj(amp^T)``.
     The k chains share ``P``, ``Q`` and the normalization ``w . P . w``.
+    Each chain's transfer is weighted by ``sqrt(w)`` once, so that every
+    product of two of its entries carries the quadrature weight ``w``.
     Neither ``P`` nor ``Q`` is formed whole: the table is read in blocks of
     rows, and each block of ``P`` and of ``Q`` is written into one of two
     buffers allocated once per call (about ``_ORACLE_BLOCK_ENTRIES``
@@ -506,15 +519,18 @@ def bp_rate_oracle_batch(amplitude: np.ndarray, grid: FrequencyGrid, networks) -
     s = np.empty((2, 2, n, k), dtype=complex)
     for j, net in enumerate(nets):
         s[..., j] = transfer_at(net, grid.nodes)
-    (a, c), (d, b) = s
-    wk = w[:, None]
-    (wa2, wc2), (wd2, wb2) = wk * _abs2(s)
-    u = wk * a * np.conj(c)
-    v = wk * b * np.conj(d)
+    # weight every entry by sqrt(w), so that a product of two carries w
+    s *= np.sqrt(w)[:, None]
+    u = s[0, 0] * np.conj(s[0, 1])
+    v = s[1, 1] * np.conj(s[1, 0])
+    # then w |S|^2 from the squared interleaved parts, squared in place
+    sq = s.view(float)
+    np.square(sq, out=sq)
+    s2 = sq[..., ::2] + sq[..., 1::2]
     real = not np.iscomplexobj(psi)
     # P maps the normalization column w and the direct columns; a real Q
     # maps the interleaved real and imaginary parts of v alike
-    p_cols = np.concatenate((wk, wb2, wc2), axis=1)
+    p_cols = np.concatenate((w[:, None], s2[1, 1], s2[0, 1]), axis=1)
     q_cols = v.view(float) if real else v
     pw = np.empty((n, 1 + 2 * k))
     qv = np.empty(q_cols.shape, dtype=psi.dtype)
@@ -542,7 +558,7 @@ def bp_rate_oracle_batch(amplitude: np.ndarray, grid: FrequencyGrid, networks) -
     # written so that a nan or inf norm fails too
     if not abs(norm - 1.0) <= 1e-6:
         raise ValueError(f"joint amplitude must be normalized on the grid, got norm {norm:.8g}")
-    direct = _column_dots(wa2, pw[:, 1:1 + k]) + _column_dots(wd2, pw[:, 1 + k:])
+    direct = _column_dots(s2[0, 0], pw[:, 1:1 + k]) + _column_dots(s2[1, 0], pw[:, 1 + k:])
     cross = _column_dots(u, qv.view(complex) if real else qv).real
     return direct + 2.0 * cross
 
@@ -560,27 +576,30 @@ def cp_rate_oracle_batch(alpha: np.ndarray, grid: FrequencyGrid, networks) -> np
     the coincidence rate is the product of the two output intensities.
     Feeding the two ports differently is outside this model, which is why
     the signature accepts a single tabulated amplitude. Each chain pushes
-    the input field ``(1, 1)``, with ``alpha`` factored out, through its
-    elements; the chains share ``w |alpha|^2`` and one quadrature product.
-    The pushed fields take 32 n bytes per chain, so very large batches are
-    best passed in blocks.
+    the pre-weighted input field ``sqrt(w) alpha`` on both ports through
+    its elements, where ``w`` are the grid's positive quadrature weights.
+    The elements act linearly, frequency by frequency, so every output
+    field carries the factor ``sqrt(w)``, and each output intensity is the
+    plain sum of its field's squared real and imaginary parts. The pushed
+    fields take 32 n bytes per chain, so very large batches are best
+    passed in blocks.
     """
     a = _real_or_complex(alpha)
     n = grid.size
     if a.shape != (n,):
         raise ValueError(f"alpha must be tabulated on the grid, expected {(n,)}, got {a.shape}")
-    if not np.all(np.isfinite(a)):
+    if not np.isfinite(a).all():
         raise ValueError("alpha must be finite")
     nets = _chains(networks)
     om = grid.nodes
-    fields = np.ones((len(nets), 2, n), dtype=complex)
+    fields = np.empty((len(nets), 2, n), dtype=complex)
+    fields[...] = np.sqrt(grid.weights) * a
     for j, net in enumerate(nets):
         push_rows(net, fields[j], om)
-    # |field|^2 w |alpha|^2: square the interleaved real and imaginary parts
-    # in place and weight each pair alike
+    # each output intensity: one sum of the squared interleaved real and
+    # imaginary parts of its weighted field, squared in place
     sq = fields.view(float)
-    np.square(sq, out=sq)
-    n12 = sq @ np.repeat(grid.weights * _abs2(a), 2)
+    n12 = np.add.reduce(np.square(sq, out=sq), axis=-1)
     return n12[:, 0] * n12[:, 1]
 
 
@@ -598,8 +617,11 @@ def cl_s_rate(mixture, grid: FrequencyGrid, tau1: float, tau2: float,
     weights summing to one, each ``alpha`` tabulated on the grid and fed
     identically to both inputs. Every component contributes its squared
     intensity minus a squared interference overlap, so the total is
-    strictly positive at zero delays for any mixture.
+    strictly positive at zero delays for any mixture. ``tau1``, ``tau2``
+    and ``theta`` must be finite real numbers.
     """
+    tau1, tau2 = finite_real(tau1, "tau1"), finite_real(tau2, "tau2")
+    theta = finite_real(theta, "theta")
     items = list(mixture)
     if not items:
         raise ValueError("mixture must contain at least one component")

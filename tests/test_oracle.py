@@ -36,7 +36,7 @@ from homlab.rates import (
     pair_grid,
     pulse_grid,
 )
-from homlab.spectra import CoherentSpectrum, GaussianJointSpectrum
+from homlab.spectra import CoherentSpectrum, FrequencyGrid, GaussianJointSpectrum
 
 SPECTRUM = GaussianJointSpectrum(omega0=5.0, d_omega_plus=0.2, d_omega_minus=1.0)
 PULSE = CoherentSpectrum(omega0=5.0, d_omega=0.5, total_intensity=1.0)
@@ -306,6 +306,49 @@ def test_cp_oracle_batch_matches_reference_quadrature(chirp, nodes):
     np.testing.assert_array_equal(alpha, before)
 
 
+def _nonuniform_grid(like):
+    """Nodes packed towards the centre of ``like``'s span, with their trapezoid
+    weights: unequal spacing and unequal positive weights."""
+    center = 0.5 * (like.nodes[0] + like.nodes[-1])
+    half_width = 0.5 * (like.nodes[-1] - like.nodes[0])
+    t = np.linspace(-1.0, 1.0, like.size)
+    nodes = center + half_width * np.sinh(2.0 * t) / np.sinh(2.0)
+    gaps = np.diff(nodes)
+    weights = 0.5 * (np.append(gaps, 0.0) + np.insert(gaps, 0, 0.0))
+    grid = FrequencyGrid(nodes, weights)
+    assert np.ptp(gaps) > 0.5 * gaps.min() and np.ptp(weights[1:-1]) > 0.5 * weights.min()
+    return grid
+
+
+@pytest.mark.parametrize("nodes", [257, 449])
+@pytest.mark.parametrize("chirp", [0.0, 0.8])
+def test_cp_oracle_matches_reference_on_nonuniform_grid(chirp, nodes):
+    """The pulse oracle pre-weights the pushed field by sqrt(w); neither the
+    node spacing nor a real amplitude may be assumed."""
+    grid = _nonuniform_grid(pulse_grid(PULSE, n=nodes))
+    alpha = _chirped_pulse(chirp, grid)
+    assert np.iscomplexobj(alpha) == bool(chirp)
+    chains = _reference_chains()
+    batch = cp_rate_oracle_batch(alpha, grid, chains)
+    for value, net in zip(batch, chains):
+        want = _reference_cp_rate_oracle(alpha, grid, net)
+        assert abs(cp_rate_oracle(alpha, grid, net) - want) <= 1e-13, net
+        assert abs(value - want) <= 1e-13, net
+
+
+@pytest.mark.parametrize("nodes", [257, 449])
+@pytest.mark.parametrize("kind", ["real_asymmetric", "complex_asymmetric"])
+def test_bp_oracle_matches_reference_on_nonuniform_grid(kind, nodes):
+    grid = _nonuniform_grid(pair_grid(SPECTRUM, n=nodes))
+    psi = _pair_table(kind, grid)
+    chains = _reference_chains()
+    batch = bp_rate_oracle_batch(psi, grid, chains)
+    for value, net in zip(batch, chains):
+        want = _reference_bp_rate_oracle(psi, grid, net)
+        assert abs(bp_rate_oracle(psi, grid, net) - want) <= 1e-13, (kind, net)
+        assert abs(value - want) <= 1e-13, (kind, net)
+
+
 def test_scalar_oracles_are_the_batch_of_one():
     pgrid = pair_grid(SPECTRUM, n=257)
     psi = _pair_table("complex_asymmetric", pgrid)
@@ -477,6 +520,42 @@ def test_cl_s_validates_weights():
         cl_s_rate([(0.7, alpha)], grid, 0.0, 0.0, 0.0)
     with pytest.raises(ValueError, match="component"):
         cl_s_rate([], grid, 0.0, 0.0, 0.0)
+
+
+# ----- argument checks -----
+
+# a bool or a string is not a number; nan and the infinities are not finite
+BAD_NUMBERS = [(True, TypeError), ("3", TypeError), (math.nan, ValueError),
+               (math.inf, ValueError), (-math.inf, ValueError)]
+GRIDS = {"pair": lambda **kw: pair_grid(SPECTRUM, **kw),
+         "pulse": lambda **kw: pulse_grid(PULSE, **kw)}
+
+
+@pytest.mark.parametrize("grid", sorted(GRIDS))
+@pytest.mark.parametrize("name", ["tau_max", "n"])
+@pytest.mark.parametrize("bad, error", BAD_NUMBERS)
+def test_grids_refuse_bad_tau_max_and_node_counts(grid, name, bad, error):
+    with pytest.raises(error, match=rf"^{name} must be"):
+        GRIDS[grid](**{name: bad})
+
+
+@pytest.mark.parametrize("grid", sorted(GRIDS))
+def test_grids_take_whole_node_counts_only(grid):
+    make = GRIDS[grid]
+    with pytest.raises(ValueError, match=r"^n must be a whole number of grid nodes, got 300\.7"):
+        make(n=300.7)
+    assert make(n=300.0).size == make(n=np.int64(300)).size == 300
+    # a negative tau_max means its magnitude
+    assert make(tau_max=-9.0).size == make(tau_max=9.0).size > 257
+
+
+@pytest.mark.parametrize("name", ["tau1", "tau2", "theta"])
+@pytest.mark.parametrize("bad, error", BAD_NUMBERS)
+def test_cl_s_refuses_bad_delays_and_phase(name, bad, error):
+    grid = pulse_grid(PULSE, tau_max=1.0)
+    args = {"tau1": 0.3, "tau2": -0.2, "theta": 0.4, name: bad}
+    with pytest.raises(error, match=rf"^{name} must be"):
+        cl_s_rate([(1.0, PULSE.amplitude(grid.nodes))], grid, **args)
 
 
 # ----- lossy pulse rate against a numerically averaged oracle -----
