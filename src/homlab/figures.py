@@ -31,6 +31,8 @@ from fractions import Fraction
 
 import numpy as np
 
+from .network import finite_real, whole_number
+
 # The closed forms and samplers are looked up in this module's namespace
 # when a preset is built, so wrapping them here (as the benchmark tracer
 # does) reaches every preset.
@@ -185,30 +187,35 @@ def build_figure(preset: str, theta: float | None = None,
     """Assemble the datasets and parameter record of one preset.
 
     ``theta`` narrows fig3 to a single phase or overrides the fig4
-    phase; other presets have no phase dependence and reject it. ``n``
-    overrides the number of samples per axis.
+    phase; other presets have no phase dependence and reject it. It must
+    be a finite real number. ``n`` overrides the number of samples per
+    axis: a whole number, at least 16. Other values raise an error that
+    names the argument.
     """
     if preset not in _PRESETS:
         raise ValueError(
             f"unknown preset {preset!r}; choose one of {', '.join(FIGURE_PRESETS)}"
         )
     spec = _PRESETS[preset]
-    if theta is not None and spec.theta is None:
-        raise ValueError(f"preset {preset} has no achromatic phase parameter")
+    if theta is not None:
+        if spec.theta is None:
+            raise ValueError(f"preset {preset} has no achromatic phase parameter")
+        theta = finite_real(theta, "theta")
     curve = len(spec.labels) == 1
     if n is None:
         n = _CURVE_N if curve else _SURFACE_N
-    elif int(n) != n or n < 16:
-        raise ValueError(f"need at least 16 samples per axis, got {n!r}")
+    n = whole_number(n, "n", "samples per axis")
+    if n < 16:
+        raise ValueError(f"need at least 16 samples per axis, got n = {n}")
     half_range = _CURVE_HALF_RANGE if curve else _SURFACE_HALF_RANGE
-    axis = np.linspace(-half_range, half_range, int(n))
+    axis = np.linspace(-half_range, half_range, n)
     params = {
         "preset": preset,
         "units": {"delay": "1/d_omega_minus", "rate": "rescaled by the plateau value",
                   "c": 1.0},
         "spectrum": asdict(_SPECTRUM),
         "delay_half_range": half_range,
-        "samples": int(n),
+        "samples": n,
     }
     if spec.pulse is not None:
         params["pulse"] = asdict(spec.pulse)
@@ -216,10 +223,10 @@ def build_figure(preset: str, theta: float | None = None,
         params["fixed_tau1"] = spec.fixed_tau1
     thetas = (None,)
     if isinstance(spec.theta, tuple):
-        thetas = spec.theta if theta is None else (float(theta),)
+        thetas = spec.theta if theta is None else (theta,)
         params["theta"] = list(thetas)
     elif spec.theta is not None:
-        thetas = (spec.theta if theta is None else float(theta),)
+        thetas = (spec.theta if theta is None else theta,)
         params["theta"] = thetas[0]
     losses = {None: LossParams()}
     if spec.eta_b:

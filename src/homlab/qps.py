@@ -37,7 +37,7 @@ from .rates import (
     sample_curve,
     sample_surface,
 )
-from .sensing import ExtremaReport, find_extrema, invert_bp
+from .sensing import ExtremaReport, find_extrema, invert_bp, scan_samples
 from .spectra import GaussianJointSpectrum
 
 __all__ = [
@@ -264,12 +264,16 @@ def qps_scan(target: QpsTarget, spectrum: GaussianJointSpectrum,
     truncated at the geometric bound ``r`` before inversion. If
     measurement error puts the pair of direction cosines outside the unit
     disk, the recovered elevation is exactly 0 (the horizon) and the
-    azimuth is the direction of the pair.
+    azimuth is the direction of the pair. The scan takes ``n`` samples
+    (``qps_scan_samples`` by default; at least 51) and the control surface
+    ``surface_n`` per axis (at least 2), both whole numbers.
     """
     c = finite_real(c, "c")
     if c <= 0.0:
         raise ValueError("c must be positive")
     surface_n = whole_number(surface_n, "surface_n", "surface samples")
+    if surface_n < 2:
+        raise ValueError(f"need at least 2 surface samples, got surface_n = {surface_n}")
     width = spectrum.d_omega_minus
     delays = qps_forward(target)
     d1_true = delays.l1 - delays.l2
@@ -283,8 +287,7 @@ def qps_scan(target: QpsTarget, spectrum: GaussianJointSpectrum,
                                        spectrum, loss)
 
     span = _scan_span(target, width, c)
-    n = whole_number(qps_scan_samples(target, spectrum, c) if n is None else n,
-                     "n", "scan samples")
+    n = scan_samples(qps_scan_samples(target, spectrum, c) if n is None else n)
     axis = np.linspace(-span, span, n)
     plateau = bp_plateau(loss)
     curve = sample_curve(lambda s2p: rate_at(offset, s2p), axis, plateau)

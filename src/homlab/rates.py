@@ -32,6 +32,7 @@ import numpy as np
 from .network import (
     OpticalNetwork,
     finite_real,
+    mhom_network,
     push_rows,
     transfer_at,
     validate_amplitude,
@@ -615,10 +616,12 @@ def cl_s_rate(mixture, grid: FrequencyGrid, tau1: float, tau2: float,
 
     ``mixture`` is a sequence of ``(weight, alpha)`` entries with positive
     weights summing to one, each ``alpha`` tabulated on the grid and fed
-    identically to both inputs. Every component contributes its squared
-    intensity minus a squared interference overlap, so the total is
-    strictly positive at zero delays for any mixture. ``tau1``, ``tau2``
-    and ``theta`` must be finite real numbers.
+    identically to both inputs. The rate is the weighted sum of each
+    component's ``cp_rate_oracle`` on ``mhom_network(tau1, tau2, theta)``.
+    A component's rate is its squared intensity minus a squared
+    interference overlap, so the total is strictly positive at zero delays
+    for any mixture. ``tau1``, ``tau2`` and ``theta`` must be finite real
+    numbers.
     """
     tau1, tau2 = finite_real(tau1, "tau1"), finite_real(tau2, "tau2")
     theta = finite_real(theta, "theta")
@@ -630,31 +633,37 @@ def cl_s_rate(mixture, grid: FrequencyGrid, tau1: float, tau2: float,
         raise ValueError("mixture weights must be positive")
     if abs(weights.sum() - 1.0) > 1e-9:
         raise ValueError(f"mixture weights must sum to 1, got {weights.sum():.12g}")
-    om = grid.nodes
-    mod = np.sin(2.0 * om * tau2 + theta) * np.sin(2.0 * om * tau1)
-    total = 0.0
-    for wk, alpha in items:
-        p = np.abs(np.asarray(alpha, dtype=complex)) ** 2
-        if p.shape != om.shape:
-            raise ValueError("each mixture amplitude must be tabulated on the grid")
-        intensity = float(grid.integrate(p))
-        overlap = float(grid.integrate(p * mod))
-        total += float(wk) * (intensity * intensity - overlap * overlap)
-    return total
+    net = mhom_network(tau1, tau2, theta)
+    return float(sum(float(wk) * cp_rate_oracle(alpha, grid, net) for wk, alpha in items))
 
 
 # ----- Coarse graining -----
 
 
+def _node_count(n) -> int:
+    """``n`` as an ``int`` count of averaging nodes, from 2 to ``MAX_WINDOW_NODES``."""
+    n = whole_number(n, "n", "averaging nodes")
+    if n < 2:
+        raise ValueError(f"need at least 2 averaging nodes, got n = {n}")
+    if n > MAX_WINDOW_NODES:
+        raise ValueError(f"need at most {MAX_WINDOW_NODES} averaging nodes, got n = {n}")
+    return n
+
+
 def _window_rules(window: float, n: int):
     """Box and triangle rules, as ``(offsets, weights)``, from one n-point rule.
 
-    The box rule averages over one delay's fluctuation on ``[-W/2, W/2]``.
+    Every window average builds its rules here, so this is where its
+    arguments are checked: ``window`` must be a positive finite real and
+    ``n`` a node count ``_node_count`` takes. The box rule averages over one delay's fluctuation on ``[-W/2, W/2]``.
     The sum or difference of two independent box fluctuations has the
     triangular density ``(W - |y|) / W**2`` on ``[-W, W]``; the n-point
     Gauss-Legendre rule on each half integrates that linear weight exactly.
     """
-    x, w = np.polynomial.legendre.leggauss(n)
+    window = finite_real(window, "window")
+    if window <= 0.0:
+        raise ValueError("window must be positive")
+    x, w = np.polynomial.legendre.leggauss(_node_count(n))
     box = ((0.5 * window * x,), 0.5 * w)
     y = 0.5 * window * (1.0 + x)
     half = 0.25 * w * (1.0 - x)
@@ -681,9 +690,7 @@ def _rule_average(f, points, offsets, weights):
 
 def _box_average(f, points, window: float, n: int):
     """Mean of ``f`` over a box of width ``window`` around each point, per axis."""
-    if window <= 0.0:
-        raise ValueError("window must be positive")
-    ((x,), w), _ = _window_rules(window, int(n))
+    ((x,), w), _ = _window_rules(window, n)
     # the tensor product of the 1-D rule, one factor per axis
     nodes = np.meshgrid(*[x] * len(points), indexing="ij")
     weights = np.prod(np.meshgrid(*[w] * len(points), indexing="ij"), axis=0)
@@ -697,24 +704,33 @@ def box_average_curve(rate, tau, window: float, n: int = 129):
     Averages ``rate`` over ``[tau - window/2, tau + window/2]`` with an
     ``n``-point Gauss-Legendre rule; ``n`` above half the phase swept by
     the fastest fringe across the window gives near-exact averages.
+    ``window`` must be a positive finite real and ``n`` a whole number
+    from 2 to ``MAX_WINDOW_NODES``; other values raise an error naming
+    the argument.
     """
     return _box_average(rate, (tau,), window, n)
 
 
 def box_average_surface(rate2, tau1, tau2, window: float, n: int = 129):
-    """Two-axis sliding-box average of a two-delay rate function."""
+    """Two-axis sliding-box average of a two-delay rate function.
+
+    Same rule and same argument checks as ``box_average_curve``, on both axes.
+    """
     return _box_average(rate2, (tau1, tau2), window, n)
 
 
 def window_nodes(n: int | None, window: float, carrier: float, envelope: float) -> int:
     """Averaging nodes for a window, after guarding its regime.
 
-    A ``RegimeError`` names the bound a window breaks: at least twenty
-    carrier radians, at most a fifth of the envelope time. ``n``, a whole
-    number from 2 to ``MAX_WINDOW_NODES``, is returned as an ``int``;
-    ``None`` picks the automatic count, refused above the cap.
+    ``window`` must be a finite real; it, ``carrier`` and ``envelope`` must
+    be positive (nan is not). A ``RegimeError`` names the bound a window
+    breaks: at least twenty carrier radians, at most a fifth of the
+    envelope time, so an infinite envelope is a regime error. ``n``, a
+    whole number from 2 to ``MAX_WINDOW_NODES``, is returned as an
+    ``int``; ``None`` picks the automatic count, refused above the cap.
     """
-    if window <= 0.0 or carrier <= 0.0 or envelope <= 0.0:
+    window = finite_real(window, "window")
+    if not (window > 0.0 and carrier > 0.0 and envelope > 0.0):
         raise ValueError("window, carrier and envelope must all be positive")
     if window * carrier < 20.0:
         raise RegimeError(
@@ -736,12 +752,7 @@ def window_nodes(n: int | None, window: float, carrier: float, envelope: float) 
                 f"{need:.4g} averaging nodes, more than {MAX_WINDOW_NODES}"
             )
         return need
-    n = whole_number(n, "n", "averaging nodes")
-    if n < 2:
-        raise ValueError(f"need at least 2 averaging nodes, got n = {n}")
-    if n > MAX_WINDOW_NODES:
-        raise ValueError(f"need at most {MAX_WINDOW_NODES} averaging nodes, got n = {n}")
-    return n
+    return _node_count(n)
 
 
 def coarse_grain_curve(rate, tau, window: float, *, carrier: float,

@@ -125,17 +125,25 @@ class ExtremaReport:
 # ----- Scanning -----
 
 
+def scan_samples(n) -> int:
+    """``n`` as an ``int`` count of scan samples: a whole number, at least 51."""
+    n = whole_number(n, "n", "scan samples")
+    if n < 51:
+        raise ValueError(f"need at least 51 scan samples, got n = {n}")
+    return n
+
+
 def scan_f(scenario: SensingScenario, model, loss: LossParams = LossParams(),
            n: int = 2001, span: float | None = None) -> RateCurve:
     """Sweep the second-stage control and tabulate the averaged rate.
 
     Samples the fluctuation-averaged closed form of the source ``model``
     describes (a ``GaussianJointSpectrum`` pair or a ``CoherentSpectrum``
-    pulse) on ``n`` control settings over ``[-span, span]``. The default
-    span covers both offsets plus several feature widths. If the fixed
-    first-stage delay is not large against the inverse spectral width
-    the features merge; the scan is still produced but flagged with a
-    ``RegimeWarning``.
+    pulse) on ``n`` control settings (a whole number, at least 51) over
+    ``[-span, span]``. The default span covers both offsets plus several
+    feature widths. If the fixed first-stage delay is not large against
+    the inverse spectral width the features merge; the scan is still
+    produced but flagged with a ``RegimeWarning``.
     """
     if isinstance(model, GaussianJointSpectrum):
         width, form, plateau = model.d_omega_minus, mhom_bp_coarse_analytic, bp_plateau(loss)
@@ -144,9 +152,7 @@ def scan_f(scenario: SensingScenario, model, loss: LossParams = LossParams(),
     else:
         raise TypeError("model must be a GaussianJointSpectrum or a CoherentSpectrum, "
                         f"got {type(model).__name__}")
-    n = whole_number(n, "n", "scan samples")
-    if n < 51:
-        raise ValueError(f"need at least 51 scan samples, got {n!r}")
+    n = scan_samples(n)
     tau1 = scenario.tau1
     if abs(tau1) * width <= 1.0:
         warnings.warn(

@@ -122,7 +122,7 @@ def make_grid(center: float, half_width: float, n: int = 257) -> FrequencyGrid:
     _require_positive(half_width=half_width)
     n = whole_number(n, "n", "grid nodes")
     if n < 16:
-        raise ValueError(f"node count must be an integer >= 16, got {n!r}")
+        raise ValueError(f"need at least 16 grid nodes, got n = {n}")
     nodes = np.linspace(center - half_width, center + half_width, n)
     step = 2.0 * half_width / (n - 1)
     weights = np.full(n, step)

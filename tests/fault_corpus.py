@@ -6,15 +6,17 @@ The corpus starts from ``test_cli.RUN_CONFIGS`` plus a small ``figure``
 config. Each field, at the top level and inside every block, is set in turn
 to each of ``VALUES`` or deleted, and every block gets one unknown key. The
 optional fields a base config leaves out (``_OPTIONAL`` at the top level, the
-record fields of ``_RECORDS`` in a block) are set to each value too. Each
-config runs through ``homlab.cli.main`` in a scratch directory, and OUT.json
-maps the config's id to its exit code (or the exception that escaped
-``main``), its stderr, the warnings it raised and the SHA-256 of every file
-it wrote. Run it on two trees and compare the two outputs to see what a
-change did to error handling: with ``--against OLD.json`` (the output of
-the other tree) it prints the id of every config whose record differs or
-is in only one of the files, and exits 1 if there is any. It is not
-collected by pytest.
+record fields of ``_RECORDS`` in a block) are set to each value too. The
+``figure`` subcommand runs too: ``homlab figure PRESET --theta V`` and
+``--n V`` for every preset and each of ``FIGURE_FLAGS``. Each config or
+command line runs through ``homlab.cli.main`` in a scratch directory, and
+OUT.json maps its id to its exit code (or the exception that escaped
+``main``, argparse's ``SystemExit`` included), its stderr, the warnings it
+raised and the SHA-256 of every file it wrote. Run it on two trees and
+compare the two outputs to see what a change did to error handling: with
+``--against OLD.json`` (the output of the other tree) it prints the id of
+every run whose record differs or is in only one of the files, and exits 1
+if there is any. It is not collected by pytest.
 """
 
 import argparse
@@ -32,6 +34,7 @@ from collections import Counter
 from pathlib import Path
 
 from homlab.cli import main
+from homlab.figures import FIGURE_PRESETS
 from homlab.qps import QpsTarget
 from homlab.rates import LossParams
 from homlab.sensing import SensingScenario
@@ -40,6 +43,8 @@ from test_cli import RUN_CONFIGS
 
 VALUES = (None, True, "x", [1, 2], {}, -1.0, 0.0, 1e308, -1e308, 10**30, "pi/2",
           [0.5, 0.5], [2.0, 0.0], 5e-324)
+# values of the ``--theta`` and ``--n`` flags of ``homlab figure``
+FIGURE_FLAGS = ("nan", "inf", "1e300", "-1", "0", "15", "16", "pi/2", "x")
 _DELETE = object()
 _UNKNOWN = "unknown_field"
 # top-level fields each mode accepts besides the ones its base configs set
@@ -101,16 +106,23 @@ def corpus() -> dict:
     return out
 
 
-def run_one(cfg: dict) -> dict:
-    """Outcome of ``homlab run`` on ``cfg``, run in the current directory."""
-    Path("config.json").write_text(json.dumps(cfg), encoding="utf-8")
+def figure_runs() -> dict:
+    """Run id -> ``homlab figure`` arguments, one flag value at a time."""
+    return {f"figure {preset} {flag} {value}": ["figure", preset, flag, value]
+            for preset in FIGURE_PRESETS for flag in ("--theta", "--n") for value in FIGURE_FLAGS}
+
+
+def run_one(argv: list) -> dict:
+    """Outcome of ``homlab ARGV --out out``, run in the current directory."""
     shutil.rmtree("out", ignore_errors=True)
     err = io.StringIO()
     with warnings.catch_warnings(record=True) as caught, \
             contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
         warnings.simplefilter("always")
         try:
-            result = main(["run", "config.json", "--out", "out"])
+            result = main([*argv, "--out", "out"])
+        except SystemExit as exc:  # argparse refusing a flag value
+            result = f"SystemExit: {exc.code}"
         except Exception as exc:  # a bug escaping main is part of the record
             result = f"{type(exc).__name__}: {exc}"
     files = {}
@@ -134,14 +146,17 @@ def main_corpus(out_path: str) -> None:
         os.chdir(scratch)
         try:
             for cid, cfg in configs.items():
-                records[cid] = run_one(cfg)
+                Path("config.json").write_text(json.dumps(cfg), encoding="utf-8")
+                records[cid] = run_one(["run", "config.json"])
+            for rid, argv in figure_runs().items():
+                records[rid] = run_one(argv)
         finally:
             os.chdir(here)
     with open(out_path, "w", encoding="utf-8") as fh:
         json.dump(records, fh, indent=1, sort_keys=True)
         fh.write("\n")
     counts = Counter(str(record["exit"]) for record in records.values())
-    print(f"{len(records)} configs; exit codes: "
+    print(f"{len(records)} configs and command lines; exit codes: "
           + ", ".join(f"{code} x {n}" for code, n in counts.most_common()))
 
 

@@ -4,6 +4,8 @@ import hashlib
 import json
 import math
 import os
+import subprocess
+import sys
 import tracemalloc
 
 import numpy as np
@@ -28,6 +30,8 @@ from homlab.rates import (
     MAX_WINDOW_NODES,
     RateCurve,
     RateSurface,
+    box_average_curve,
+    box_average_surface,
     coarse_grain_curve,
     coarse_grain_surface,
     mhom_bp_analytic,
@@ -121,6 +125,11 @@ def test_build_figure_validation():
         build_figure("fig5", theta=0.3)
     with pytest.raises(ValueError):
         build_figure("fig2", n=4)
+    # ``None`` keeps the preset's phase, so the scalar rule's cases go here
+    for theta, error in ((math.nan, ValueError), (math.inf, ValueError),
+                         ("1", TypeError), (True, TypeError)):
+        with pytest.raises(error, match="^theta must be"):
+            build_figure("fig4", theta=theta)
 
 
 def test_theta_tag_spellings():
@@ -442,6 +451,62 @@ def test_run_golden_hashes(tmp_path, name, capsys):
     out = tmp_path / "out"
     assert main(["run", cfg, "--out", str(out)]) == 0
     assert _sha256_by_name(out) == RUN_SHA256[name]
+
+
+# Settings that change which numpy kernels and OpenBLAS threads a run uses.
+HASH_SETTINGS = [
+    {"OPENBLAS_NUM_THREADS": "1"},
+    {"OPENBLAS_NUM_THREADS": "2"},
+    {"NPY_DISABLE_CPU_FEATURES": "X86_V3 X86_V4 AVX512_ICL AVX512_SPR"},
+    {"OPENBLAS_CORETYPE": "Haswell"},
+]
+# Writes each config read from stdin and every preset, then prints the
+# SHA-256 of every file by run name.
+_HASH_CHILD = """
+import contextlib, hashlib, io, json, sys, tempfile
+from pathlib import Path
+from homlab.cli import main
+from homlab.figures import FIGURE_PRESETS
+
+configs = json.load(sys.stdin)
+hashes = {}
+with tempfile.TemporaryDirectory() as tmp, contextlib.redirect_stdout(io.StringIO()):
+    runs = {preset: ["figure", preset] for preset in FIGURE_PRESETS}
+    for name, cfg in configs.items():
+        Path(tmp, name + ".json").write_text(json.dumps(cfg), encoding="utf-8")
+        runs[name] = ["run", str(Path(tmp, name + ".json"))]
+    for name, argv in runs.items():
+        out = Path(tmp, "out", name)
+        assert main([*argv, "--out", str(out)]) == 0, name
+        hashes[name] = {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
+                        for p in out.iterdir()}
+print(json.dumps(hashes))
+"""
+
+
+def test_golden_hashes_hold_across_blas_threads_and_simd_dispatch():
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    configs = json.dumps({name: {"version": 1, **cfg} for name, cfg in RUN_CONFIGS.items()})
+    children = []
+    for setting in HASH_SETTINGS:
+        env = {**os.environ, **setting,
+               "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        children.append(subprocess.Popen([sys.executable, "-c", _HASH_CHILD], env=env, text=True,
+                                         stdin=subprocess.PIPE, stdout=subprocess.PIPE,
+                                         stderr=subprocess.PIPE))
+    try:
+        for setting, child in zip(HASH_SETTINGS, children):
+            stdout, stderr = child.communicate(configs, timeout=300)
+            assert child.returncode == 0, (setting, stderr)
+            got = json.loads(stdout)
+            presets = {}
+            for preset in FIGURE_PRESETS:
+                presets.update(got.pop(preset))
+            assert presets == {**PRESET_CSV_SHA256, **PRESET_JSON_SHA256}, setting
+            assert got == RUN_SHA256, setting
+    finally:
+        for child in children:
+            child.kill()
 
 
 # ----- figure subcommand -----
@@ -871,6 +936,11 @@ def test_coarse_grain_rejects_fewer_than_two_nodes(n):
         coarse_grain_surface(lambda a, b: mhom_cp_coarse_analytic(a, b, pulse),
                              tau[:, None], tau[None, :], 0.2,
                              carrier=500.0, envelope=0.7, n=n)
+    with pytest.raises(ValueError, match="at least 2"):
+        box_average_curve(lambda t: np.ones_like(t), tau, 0.2, n=n)
+    with pytest.raises(ValueError, match="at least 2"):
+        box_average_surface(lambda a, b: mhom_cp_coarse_analytic(a, b, pulse),
+                            tau[:, None], tau[None, :], 0.2, n=n)
 
 
 def test_huge_integer_literal_rejected_with_path(tmp_path, capsys):

@@ -35,6 +35,7 @@ from homlab.rates import (
     sample_surface,
     window_nodes,
 )
+from homlab.figures import build_figure
 from homlab.qps import QpsTarget, qps_scan
 from homlab.sensing import SensingScenario, scan_f
 from homlab.spectra import CoherentSpectrum, GaussianJointSpectrum, make_grid
@@ -629,17 +630,20 @@ def test_window_node_cap_is_checked_before_building_a_rule(monkeypatch):
                              axis[:, None], axis[None, :], window,
                              carrier=over.omega0, envelope=1.0)
     pulse = CoherentSpectrum(omega0=500.0, d_omega=0.5)
-    for n in (MAX_WINDOW_NODES + 1, 10**30):
+    for n in (MAX_WINDOW_NODES + 1, 4096, 10**30):
         with pytest.raises(ValueError, match="at most"):
             mhom_cp_windowed(axis, axis, 0.0, pulse, 0.2, n=n)
         with pytest.raises(ValueError, match="at most"):
             coarse_grain_curve(lambda t: t, axis, 0.2, carrier=500.0, envelope=0.7, n=n)
+        for call in _windowed_calls(n):
+            with pytest.raises(ValueError, match="at most"):
+                call()
 
 
-def _windowed_calls(n):
-    """Both windowed forms and both regime-guarded averages, with ``n`` nodes."""
+def _windowed_calls(n, window=0.1):
+    """Every window average, with ``n`` nodes and width ``window``: both
+    windowed forms, both regime-guarded averages and both plain box averages."""
     axis = np.linspace(-1.0, 1.0, 3)
-    window = 0.1
     return [
         lambda: mhom_bp_windowed(axis, axis, 0.3, FAST_SPECTRUM, window, n=n),
         lambda: mhom_cp_windowed(axis, axis, 0.3, FAST_PULSE, window, n=n),
@@ -648,10 +652,23 @@ def _windowed_calls(n):
         lambda: coarse_grain_surface(lambda a, b: mhom_bp_analytic(a, b, 0.3, FAST_SPECTRUM),
                                      axis[:, None], axis[None, :], window,
                                      carrier=500.0, envelope=1.0, n=n),
+        lambda: box_average_curve(lambda t: hom_cp_analytic(t, FAST_PULSE), axis, window, n=n),
+        lambda: box_average_surface(lambda a, b: mhom_bp_analytic(a, b, 0.3, FAST_SPECTRUM),
+                                    axis[:, None], axis[None, :], window, n=n),
     ]
 
 
-NOT_WHOLE = [(96.5, ValueError), (2.5, ValueError), (math.nan, ValueError),
+@pytest.mark.parametrize("n", [None, 96])
+@pytest.mark.parametrize("window, error", [(math.nan, ValueError), (math.inf, ValueError),
+                                           (-math.inf, ValueError), ("0.1", TypeError),
+                                           (True, TypeError)])
+def test_window_must_be_a_finite_real(window, error, n):
+    for call in _windowed_calls(n, window):
+        with pytest.raises(error, match="^window must be"):
+            call()
+
+
+NOT_WHOLE = [(96.5, ValueError), (2.5, ValueError), (2.7, ValueError), (math.nan, ValueError),
              (math.inf, ValueError), ("64", TypeError), (True, TypeError), (2 + 0j, TypeError)]
 
 
@@ -663,23 +680,35 @@ def test_window_node_count_must_be_a_whole_number(n, error):
 
 
 def _counted_calls(n):
-    """Every other library sample count, each with ``n``, and what its message names."""
+    """Every other library sample count, each with ``n``: the call, what its
+    whole-number message names and the smallest count it takes."""
     scenario = SensingScenario(dl1_0=4.0, dl2_0=0.0)
     target = QpsTarget(r=1.0, gamma=0.5, vartheta=0.5)
     return [
-        (lambda: make_grid(0.0, 1.0, n), "n must be a whole number of grid nodes"),
-        (lambda: scan_f(scenario, SPECTRUM, n=n), "n must be a whole number of scan samples"),
-        (lambda: qps_scan(target, SPECTRUM, n=n), "n must be a whole number of scan samples"),
+        (lambda: make_grid(0.0, 1.0, n), "n must be a whole number of grid nodes", 16),
+        (lambda: scan_f(scenario, SPECTRUM, n=n), "n must be a whole number of scan samples", 51),
+        (lambda: qps_scan(target, SPECTRUM, n=n), "n must be a whole number of scan samples", 51),
         (lambda: qps_scan(target, SPECTRUM, surface_n=n),
-         "surface_n must be a whole number of surface samples"),
+         "surface_n must be a whole number of surface samples", 2),
+        (lambda: build_figure("fig2", n=n), "n must be a whole number of samples per axis", 16),
     ]
 
 
-@pytest.mark.parametrize("n, error", NOT_WHOLE + [(300.7, ValueError), (2001.7, ValueError)])
+@pytest.mark.parametrize("n, error", NOT_WHOLE + [(300.7, ValueError), (2001.7, ValueError),
+                                                  ("20", TypeError), (16.5, ValueError)])
 def test_sample_counts_share_the_whole_number_rule(n, error):
-    for call, message in _counted_calls(n):
+    for call, message, _ in _counted_calls(n):
         with pytest.raises(error, match=f"^{message}"):
             call()
+
+
+@pytest.mark.parametrize("n", [-1, 0, 1, 3, 15, 50])
+def test_sample_counts_refuse_counts_below_their_floor(n):
+    for call, _, floor in _counted_calls(n):
+        if n < floor:
+            message = rf"^need at least {floor} [a-z ]+, got \w+ = {n}$"
+            with pytest.raises(ValueError, match=message):
+                call()
 
 
 @pytest.mark.parametrize("n", [2.0, 96.0, np.float64(96.0), np.int64(96)])
