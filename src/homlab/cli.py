@@ -101,7 +101,6 @@ __all__ = [
 ]
 
 CONFIG_VERSION = 1
-_MODES = ("hom", "mhom", "coarse", "loss", "sense", "qps", "figure")
 _UNITS = {
     "delay": "1/d_omega_minus",
     "rate": "rescaled by the plateau value",
@@ -299,14 +298,10 @@ def _check_figure_n(preset: str, n: int | None, path: str) -> None:
         _check_count(n, path, 16, _MAX_VALUES if preset in CURVE_PRESETS else _MAX_SIDE)
 
 
-def _parse_source(cfg, path: str, choices: tuple) -> str:
-    if "source" not in cfg:
-        raise ConfigError(f"{_join(path, 'source')}: required field is missing")
+def _parse_source(cfg, choices: tuple) -> str:
     source = cfg["source"]
     if source not in choices:
-        raise ConfigError(
-            f"{_join(path, 'source')}: expected one of {', '.join(choices)}, got {source!r}"
-        )
+        raise ConfigError(f"source: expected one of {', '.join(choices)}, got {source!r}")
     return source
 
 
@@ -479,11 +474,9 @@ def _model_for(cfg: dict, kind: str):
 
 
 def _build_hom(cfg: dict) -> list:
-    _check_keys(cfg, "", ("version", "mode", "source", "tau"),
-                ("spectrum", "pulse", "stem"))
-    source = _parse_source(cfg, "", ("bp", "cp", "cp_coarse"))
+    source = _parse_source(cfg, ("bp", "cp", "cp_coarse"))
     model, record = _model_for(cfg, "bp" if source == "bp" else "cp")
-    axis = _parse_range(cfg.get("tau"), "tau")
+    axis = _parse_range(cfg["tau"], "tau")
     form = {"bp": hom_bp_analytic, "cp": hom_cp_analytic,
             "cp_coarse": hom_cp_coarse_analytic}[source]
     plateau = _plateau(model)
@@ -511,21 +504,10 @@ def _parse_window(cfg: dict) -> tuple[float | None, int | None]:
     return window, window_n
 
 
-# Fields each two-delay surface mode adds to the shared ones: (required, optional).
-_SURFACE_FIELDS = {
-    "mhom": ((), ("theta",)),
-    "coarse": ((), ("window", "window_n", "theta")),
-    "loss": (("loss",), ()),
-}
-
-
 def _build_surface(cfg: dict) -> list:
     """Modes ``mhom``, ``coarse`` and ``loss``: one two-delay surface and its sidecar."""
     mode = cfg["mode"]
-    required, optional = _SURFACE_FIELDS[mode]
-    _check_keys(cfg, "", ("version", "mode", "source", "tau1", "tau2", *required),
-                ("spectrum", "pulse", *optional, "stem"))
-    source = _parse_source(cfg, "", ("bp", "cp"))
+    source = _parse_source(cfg, ("bp", "cp"))
     model, record = _model_for(cfg, source)
     loss, loss_record = _loss_field(cfg)
     window, window_n = _parse_window(cfg) if mode == "coarse" else (None, None)
@@ -567,11 +549,9 @@ def _build_surface(cfg: dict) -> list:
 
 
 def _build_sense(cfg: dict) -> list:
-    _check_keys(cfg, "", ("version", "mode", "source", "scenario"),
-                ("spectrum", "pulse", "loss", "n", "span", "stem"))
-    source = _parse_source(cfg, "", ("bp", "cp"))
+    source = _parse_source(cfg, ("bp", "cp"))
     model, record = _model_for(cfg, source)
-    scenario = _parse_record(cfg.get("scenario"), "scenario", SensingScenario)
+    scenario = _parse_record(cfg["scenario"], "scenario", SensingScenario)
     loss, loss_record = _loss_field(cfg)
     n = _count_field(cfg, "n", 51, _MAX_VALUES, 2001)
     span = _positive_field(cfg, "span")
@@ -599,11 +579,9 @@ def _build_sense(cfg: dict) -> list:
 
 
 def _build_qps(cfg: dict) -> list:
-    _check_keys(cfg, "", ("version", "mode", "target", "spectrum"),
-                ("loss", "c", "n", "surface_n", "stem"))
-    target = _parse_record(cfg.get("target"), "target", QpsTarget,
+    target = _parse_record(cfg["target"], "target", QpsTarget,
                            gamma=parse_angle, vartheta=parse_angle)
-    spectrum = _parse_record(cfg.get("spectrum"), "spectrum", GaussianJointSpectrum)
+    spectrum = _parse_record(cfg["spectrum"], "spectrum", GaussianJointSpectrum)
     loss, loss_record = _loss_field(cfg)
     _plateau(spectrum, loss)
     c = _positive_field(cfg, "c", 1.0)
@@ -664,8 +642,7 @@ def _figure_artifacts(preset: str, theta: float | None, n: int | None,
 
 
 def _build_figure_mode(cfg: dict) -> list:
-    _check_keys(cfg, "", ("version", "mode", "preset"), ("theta", "n"))
-    preset = cfg.get("preset")
+    preset = cfg["preset"]
     if preset not in FIGURE_PRESETS:
         raise ConfigError(
             f"preset: expected one of {', '.join(FIGURE_PRESETS)}, got {preset!r}"
@@ -675,14 +652,17 @@ def _build_figure_mode(cfg: dict) -> list:
     return _figure_artifacts(preset, theta, n)
 
 
-_BUILDERS = {
-    "hom": _build_hom,
-    "mhom": _build_surface,
-    "coarse": _build_surface,
-    "loss": _build_surface,
-    "sense": _build_sense,
-    "qps": _build_qps,
-    "figure": _build_figure_mode,
+# mode -> (its required and its optional fields besides "version" and "mode", its builder)
+_MODES = {
+    "hom": (("source", "tau"), ("spectrum", "pulse", "stem"), _build_hom),
+    "mhom": (("source", "tau1", "tau2"), ("spectrum", "pulse", "theta", "stem"), _build_surface),
+    "coarse": (("source", "tau1", "tau2"),
+               ("spectrum", "pulse", "window", "window_n", "theta", "stem"), _build_surface),
+    "loss": (("source", "tau1", "tau2", "loss"), ("spectrum", "pulse", "stem"), _build_surface),
+    "sense": (("source", "scenario"),
+              ("spectrum", "pulse", "loss", "n", "span", "stem"), _build_sense),
+    "qps": (("target", "spectrum"), ("loss", "c", "n", "surface_n", "stem"), _build_qps),
+    "figure": (("preset",), ("theta", "n"), _build_figure_mode),
 }
 
 
@@ -712,10 +692,12 @@ def run_scenario(config: dict, out_dir) -> list[Path]:
             f"version: expected {CONFIG_VERSION}, got {version!r}"
         )
     mode = config.get("mode")
-    if mode not in _MODES:
+    # a list or an object cannot be looked up in the table: refuse it first
+    if not isinstance(mode, str) or mode not in _MODES:
         raise ConfigError(f"mode: expected one of {', '.join(_MODES)}, got {mode!r}")
-    artifacts = _BUILDERS[mode](config)
-    return _write_artifacts(Path(out_dir), artifacts)
+    required, optional, build = _MODES[mode]
+    _check_keys(config, "", ("version", "mode", *required), optional)
+    return _write_artifacts(Path(out_dir), build(config))
 
 
 def _load_config(path: str) -> dict:

@@ -33,7 +33,7 @@ import warnings
 from collections import Counter
 from pathlib import Path
 
-from homlab.cli import main
+from homlab.cli import _MODES, main
 from homlab.figures import FIGURE_PRESETS
 from homlab.qps import QpsTarget
 from homlab.rates import LossParams
@@ -47,16 +47,10 @@ VALUES = (None, True, "x", [1, 2], {}, -1.0, 0.0, 1e308, -1e308, 10**30, "pi/2",
 FIGURE_FLAGS = ("nan", "inf", "1e300", "-1", "0", "15", "16", "pi/2", "x")
 _DELETE = object()
 _UNKNOWN = "unknown_field"
-# top-level fields each mode accepts besides the ones its base configs set
-_OPTIONAL = {
-    "hom": ("stem",),
-    "mhom": ("theta", "stem"),
-    "coarse": ("window", "window_n", "theta", "stem"),
-    "loss": ("stem",),
-    "sense": ("loss", "n", "span", "stem"),
-    "qps": ("loss", "c", "n", "surface_n", "stem"),
-    "figure": ("theta", "n"),
-}
+# top-level fields each mode accepts besides the ones its base configs set:
+# its optional fields other than the model blocks, which every base config names
+_OPTIONAL = {mode: tuple(key for key in optional if key not in ("spectrum", "pulse"))
+             for mode, (_, optional, _) in _MODES.items()}
 # the library record each config block is built from
 _RECORDS = {"spectrum": GaussianJointSpectrum, "pulse": CoherentSpectrum,
             "loss": LossParams, "scenario": SensingScenario, "target": QpsTarget}
