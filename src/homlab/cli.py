@@ -43,7 +43,8 @@ first byte is written; each CSV is then streamed into a temp file in chunks
 of rows, and the files are renamed into place only after all of them are
 written. Files are byte-identical for identical configurations (nothing in
 the pipeline is randomized). Exit codes: 0 success, 2 validation error, 3
-averaging regime violation, 1 I/O failure.
+averaging regime violation, 1 I/O failure. A rate that comes out nan or
+infinite is refused with exit 2, and nothing is written.
 """
 
 from __future__ import annotations
@@ -69,6 +70,7 @@ from .qps import QpsTarget, qps_scan, qps_scan_samples
 from .rates import (
     MAX_WINDOW_NODES,
     LossParams,
+    NonFiniteRateError,
     RateCurve,
     RateSurface,
     RegimeError,
@@ -202,11 +204,11 @@ def parse_angle(value, path: str = "theta") -> float:
 def _wrap_model_error(path: str):
     """Report a model's rejection of parsed values as a config error at ``path``.
 
-    Regime errors pass through.
+    Regime errors and non-finite rates pass through.
     """
     try:
         yield
-    except (ConfigError, RegimeError):
+    except (ConfigError, RegimeError, NonFiniteRateError):
         raise
     except (ValueError, TypeError) as exc:
         raise ConfigError(f"{path}: {exc}") from None
@@ -263,8 +265,8 @@ def _parse_range(cfg, path: str) -> np.ndarray:
 
 
 def _parse_grid(cfg: dict) -> tuple[np.ndarray, np.ndarray]:
-    t1 = _parse_range(cfg.get("tau1"), "tau1")
-    t2 = _parse_range(cfg.get("tau2"), "tau2")
+    t1 = _parse_range(cfg["tau1"], "tau1")
+    t2 = _parse_range(cfg["tau2"], "tau2")
     if t1.size * t2.size > _MAX_VALUES:
         raise ConfigError(
             f"tau1.n x tau2.n: {t1.size} x {t2.size} values, more than {_MAX_VALUES}"
@@ -744,7 +746,7 @@ def main(argv=None) -> int:
     except RegimeError as exc:
         print(f"regime error: {exc}", file=sys.stderr)
         return 3
-    except (ConfigError, ExtremaError) as exc:
+    except (ConfigError, ExtremaError, NonFiniteRateError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except OSError as exc:

@@ -65,7 +65,10 @@ def finite_real(value, name: str) -> float:
     if not isinstance(value, float) and (
             isinstance(value, bool) or not isinstance(value, numbers.Real)):
         raise TypeError(f"{name} must be a real number, got {type(value).__name__}")
-    value = float(value)
+    try:
+        value = float(value)
+    except OverflowError:  # an int too large for a float
+        value = math.inf
     if not math.isfinite(value):
         raise ValueError(f"{name} must be finite")
     return value

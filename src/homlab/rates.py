@@ -47,6 +47,7 @@ from .spectra import (
 )
 
 __all__ = [
+    "NonFiniteRateError",
     "RegimeError",
     "RegimeWarning",
     "RateCurve",
@@ -103,16 +104,25 @@ class RegimeError(ValueError):
     """An averaging window falls outside the fast-fluctuation regime."""
 
 
+class NonFiniteRateError(ValueError):
+    """A rate came out nan or infinite: a parameter or delay is too large or too small."""
+
+
 class RegimeWarning(UserWarning):
     """A computation ran outside its intended parameter regime."""
 
 
 def _as_rate(values):
-    """Clamp round-off negatives to zero; reject genuinely negative rates."""
+    """Clamp round-off negatives to zero; reject non-finite and genuinely negative rates."""
     v = np.asarray(values, dtype=float)
-    if np.any(v < -_NEGATIVE_TOL):
-        worst = float(np.min(v))
-        raise ValueError(f"coincidence rate went negative beyond round-off ({worst})")
+    # min and max carry a nan through; as lo <= 0 <= hi, lo + hi is finite iff both are
+    lo, hi = float(np.min(v, initial=0.0)), float(np.max(v, initial=0.0))
+    if not math.isfinite(lo + hi):
+        raise NonFiniteRateError(
+            f"coincidence rate is not finite ({lo + hi}); a parameter or delay "
+            "is too large or too small to evaluate it")
+    if lo < -_NEGATIVE_TOL:
+        raise ValueError(f"coincidence rate went negative beyond round-off ({lo})")
     return np.where(v < 0.0, 0.0, v)
 
 
@@ -227,12 +237,12 @@ class LossParams:
 
     @property
     def a_bp_loss(self) -> float:
-        """Overall pair-rate scale: one eighth of plateau under these losses."""
+        """Overall pair-rate scale: a quarter of the plateau under these losses."""
         return abs(self.xi1 * self.xi2) ** 2 * self.chi_power**2 / 32.0
 
     def a_cp_loss(self, total_intensity: float) -> float:
         """Plateau of the lossy coherent-pulse rate for a pulse of given intensity."""
-        a = float(total_intensity)
+        a = finite_real(total_intensity, "total_intensity")
         if a <= 0.0:
             raise ValueError("total_intensity must be positive")
         return (a * self.chi_power * self.xi_power / 4.0) ** 2
@@ -722,16 +732,21 @@ def box_average_surface(rate2, tau1, tau2, window: float, n: int = 129):
 def window_nodes(n: int | None, window: float, carrier: float, envelope: float) -> int:
     """Averaging nodes for a window, after guarding its regime.
 
-    ``window`` must be a finite real; it, ``carrier`` and ``envelope`` must
-    be positive (nan is not). A ``RegimeError`` names the bound a window
-    breaks: at least twenty carrier radians, at most a fifth of the
-    envelope time, so an infinite envelope is a regime error. ``n``, a
-    whole number from 2 to ``MAX_WINDOW_NODES``, is returned as an
-    ``int``; ``None`` picks the automatic count, refused above the cap.
+    ``window``, ``carrier`` and ``envelope`` must be positive reals, the
+    first two finite; a refusal names the argument. A ``RegimeError``
+    names the bound a window breaks: at least twenty carrier radians, at
+    most a fifth of the envelope time, so an infinite envelope is a regime
+    error. ``n``, a whole number from 2 to ``MAX_WINDOW_NODES``, is
+    returned as an ``int``; ``None`` picks the automatic count, refused
+    above the cap.
     """
     window = finite_real(window, "window")
-    if not (window > 0.0 and carrier > 0.0 and envelope > 0.0):
-        raise ValueError("window, carrier and envelope must all be positive")
+    carrier = finite_real(carrier, "carrier")
+    if not (isinstance(envelope, float) and envelope == math.inf):
+        envelope = finite_real(envelope, "envelope")
+    for name, value in (("window", window), ("carrier", carrier), ("envelope", envelope)):
+        if value <= 0.0:
+            raise ValueError(f"{name} must be positive, got {value!r}")
     if window * carrier < 20.0:
         raise RegimeError(
             "averaging window too short to wash out carrier fringes: "

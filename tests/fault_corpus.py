@@ -15,8 +15,10 @@ OUT.json maps its id to its exit code (or the exception that escaped
 raised and the SHA-256 of every file it wrote. Run it on two trees and
 compare the two outputs to see what a change did to error handling: with
 ``--against OLD.json`` (the output of the other tree) it prints the id of
-every run whose record differs or is in only one of the files, and exits 1
-if there is any. It is not collected by pytest.
+every run whose record differs or is in only one of the files, then one line
+per change of exit code with its count (``0 -> 2: 36``) and the number of
+runs that kept their exit code but changed their stderr, and exits 1 if any
+run differs. It is not collected by pytest.
 """
 
 import argparse
@@ -154,11 +156,20 @@ def main_corpus(out_path: str) -> None:
           + ", ".join(f"{code} x {n}" for code, n in counts.most_common()))
 
 
-def differing(new_path: str, old_path: str) -> list:
+def differing(new: dict, old: dict) -> list:
     """Ids of the configs whose records differ between two corpus outputs."""
-    new, old = (json.loads(Path(path).read_text(encoding="utf-8"))
-                for path in (new_path, old_path))
     return sorted(cid for cid in new.keys() | old.keys() if new.get(cid) != old.get(cid))
+
+
+def summary(new: dict, old: dict, ids: list) -> list:
+    """Lines counting the differing ``ids`` by change of exit code, then the
+    number that kept their exit code but changed their stderr."""
+    none = {"exit": "absent", "stderr": ""}
+    records = [(old.get(cid, none), new.get(cid, none)) for cid in ids]
+    moves = Counter(f"{a['exit']} -> {b['exit']}" for a, b in records if a["exit"] != b["exit"])
+    held = sum(a["exit"] == b["exit"] and a["stderr"] != b["stderr"] for a, b in records)
+    return [f"{move}: {n}" for move, n in sorted(moves.items())] + [
+        f"{held} kept their exit code and changed their stderr"]
 
 
 if __name__ == "__main__":
@@ -169,6 +180,9 @@ if __name__ == "__main__":
     args = parser.parse_args()
     main_corpus(args.out)
     if args.against:
-        ids = differing(args.out, args.against)
-        print("\n".join(ids + [f"{len(ids)} configs differ from {args.against}"]))
+        new, old = (json.loads(Path(path).read_text(encoding="utf-8"))
+                    for path in (args.out, args.against))
+        ids = differing(new, old)
+        print("\n".join(ids + [f"{len(ids)} configs differ from {args.against}"]
+                        + summary(new, old, ids)))
         sys.exit(1 if ids else 0)

@@ -204,11 +204,12 @@ def _reference_csv(obj, labels):
 
 
 # signed zero, subnormal, tiny, huge, inexact sums, integers, and values
-# whose 13th significant digit decides the rounding of the 12th
+# whose 13th significant digit decides the rounding of the 12th (no inf or
+# nan: rate containers refuse them)
 EDGE_VALUES = [
     -0.0, 0.0, 5e-324, 1e-300, 1e16, 0.1 + 0.2, 3.0, 12345678901234.0,
     0.1234567890125, 0.1234567890135, 9.9999999999995, 999999999999.5,
-    1.0000000000005, 2.0 / 3.0, 1e-5, 123456.789, float("inf"), float("nan"),
+    1.0000000000005, 2.0 / 3.0, 1e-5, 123456.789,
 ]
 ODD_LABELS = [("delay", "tau2"), ("x%d", "50%"), ("τ1", "a,b"), ("", "\0")]
 
@@ -216,8 +217,7 @@ ODD_LABELS = [("delay", "tau2"), ("x%d", "50%"), ("τ1", "a,b"), ("", "\0")]
 @pytest.mark.parametrize("plateau", [1.0, 0.3])
 @pytest.mark.parametrize("labels", ODD_LABELS)
 def test_curve_csv_matches_reference(labels, plateau):
-    axis = np.array([-v if math.isfinite(v) else -1.5 for v in EDGE_VALUES])
-    curve = RateCurve(axis, np.array(EDGE_VALUES), plateau)
+    curve = RateCurve(-np.array(EDGE_VALUES), np.array(EDGE_VALUES), plateau)
     assert curve_csv(curve, labels[0]) == _reference_csv(curve, labels)
     empty = RateCurve(np.array([]), np.array([]), plateau)
     assert curve_csv(empty, labels[0]) == _reference_csv(empty, labels)
@@ -226,12 +226,11 @@ def test_curve_csv_matches_reference(labels, plateau):
 @pytest.mark.parametrize("plateau", [1.0, 0.3])
 @pytest.mark.parametrize("labels", ODD_LABELS)
 def test_surface_csv_matches_reference(labels, plateau):
-    finite = [v for v in EDGE_VALUES if math.isfinite(v)]
-    t1 = np.array(finite[:7]) - 0.5
-    t2 = np.array(finite[5:])
+    t1 = np.array(EDGE_VALUES[:7]) - 0.5
+    t2 = np.array(EDGE_VALUES[5:])
     values = np.abs(np.add.outer(t1, t2)) * 1e-3
-    values[0, :] = finite[: t2.size]
-    values[:, 0] = finite[-t1.size:]
+    values[0, :] = EDGE_VALUES[: t2.size]
+    values[:, 0] = EDGE_VALUES[-t1.size:]
     surface = RateSurface(t1, t2, values, plateau)
     assert surface_csv(surface, labels) == _reference_csv(surface, labels)
     single = RateSurface(np.array([-0.0]), np.array([5e-324]), np.array([[0.1 + 0.2]]), plateau)
@@ -241,10 +240,9 @@ def test_surface_csv_matches_reference(labels, plateau):
 @pytest.mark.parametrize("chunk", [3, 6, 9, 60, 300])
 def test_csv_chunks_are_bounded_and_join_to_the_reference(monkeypatch, chunk):
     monkeypatch.setattr(cli, "_CHUNK_VALUES", chunk)
-    finite = [v for v in EDGE_VALUES if math.isfinite(v)]
-    t1, t2 = np.array(finite[:5]) - 0.5, np.array(finite[4:11])
+    t1, t2 = np.array(EDGE_VALUES[:5]) - 0.5, np.array(EDGE_VALUES[4:11])
     surface = RateSurface(t1, t2, np.abs(np.add.outer(t1, t2)) * 1e-3, 0.3)
-    curve = RateCurve(-t2, np.array(finite[:t2.size]), 0.3)
+    curve = RateCurve(-t2, np.array(EDGE_VALUES[:t2.size]), 0.3)
     for chunks, obj, labels in (
             (list(surface_rows(surface)), surface, ("tau1", "tau2")),
             (list(curve_rows(curve)), curve, ("delay", "tau2"))):
@@ -851,6 +849,43 @@ def test_record_block_errors_exact(tmp_path, capsys, case):
     out = tmp_path / "out"
     assert main(["run", cfg, "--out", str(out)]) == 2
     assert capsys.readouterr().err == line + "\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("mode", [[1, 2], {}, None, 1, "x"], ids=repr)
+def test_bad_mode_rejected(tmp_path, capsys, mode):
+    cfg = write_config(tmp_path, dict(HOM_BP, mode=mode))
+    out = tmp_path / "out"
+    assert main(["run", cfg, "--out", str(out)]) == 2
+    assert capsys.readouterr().err == (
+        "error: mode: expected one of hom, mhom, coarse, loss, sense, qps, figure, "
+        f"got {mode!r}\n"
+    )
+    assert not out.exists()
+
+
+# Runs whose rates overflow to nan: (base config, block or None, field, value).
+NON_FINITE_RUNS = {
+    "hom_bp_d_omega_minus": ("hom_bp", "spectrum", "d_omega_minus", 1e308),
+    "mhom_bp_theta": ("mhom_bp", None, "theta", 1e308),
+    "figure_fig3_theta": (None, None, "theta", 1e308),
+    "coarse_cp_window_tau1_max": ("coarse_cp_window", "tau1", "max", 1e308),
+}
+
+
+@pytest.mark.parametrize("case", sorted(NON_FINITE_RUNS))
+def test_non_finite_rates_are_refused_before_writing(tmp_path, capsys, case):
+    base, block, key, value = NON_FINITE_RUNS[case]
+    payload = json.loads(json.dumps(
+        RUN_CONFIGS[base] if base else {"mode": "figure", "preset": "fig3", "n": 16}))
+    (payload[block] if block else payload)[key] = value
+    cfg = write_config(tmp_path, {"version": 1, **payload})
+    out = tmp_path / "out"
+    with pytest.warns(RuntimeWarning):  # numpy reports the overflow as it happens
+        assert main(["run", cfg, "--out", str(out)]) == 2
+    assert capsys.readouterr().err == (
+        "error: coincidence rate is not finite (nan); a parameter or delay is too large "
+        "or too small to evaluate it\n")
     assert not out.exists()
 
 

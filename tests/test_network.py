@@ -19,6 +19,7 @@ from homlab.network import (
     validate_amplitude,
 )
 from homlab.qps import QpsTarget, qps_invert
+from homlab.rates import LossParams, window_nodes
 from homlab.sensing import SensingScenario
 from homlab.spectra import CoherentSpectrum, GaussianJointSpectrum, make_grid
 
@@ -199,6 +200,9 @@ _REAL_INPUTS = [
     ("center", lambda x: make_grid(x, 1.0, 16).nodes.tolist()),
     ("half_width", lambda x: make_grid(0.0, x, 16).nodes.tolist()),
     *[(k, lambda x, k=k: qps_invert(**{**_INVERT, k: x})) for k in _INVERT],
+    ("total_intensity", lambda x: LossParams().a_cp_loss(x)),
+    # a window of 80 keeps the regime for every carrier from 0.25 to 3
+    ("carrier", lambda x: window_nodes(None, 80.0, x, 1e-3)),
 ]
 
 
@@ -206,6 +210,14 @@ _REAL_INPUTS = [
 def test_real_fields_refuse_bools_and_non_real_values(bad):
     for name, call in _REAL_INPUTS:
         with pytest.raises(TypeError, match=f"^{name} must be a real number"):
+            call(bad)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, 10**400, -10**400],
+                         ids=["nan", "inf", "-inf", "int400", "-int400"])
+def test_real_fields_refuse_non_finite_values(bad):
+    for name, call in _REAL_INPUTS:
+        with pytest.raises(ValueError, match=f"^{name} must be finite"):
             call(bad)
 
 

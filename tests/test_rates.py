@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from homlab.rates import (
     MAX_WINDOW_NODES,
     LossParams,
+    NonFiniteRateError,
     RateCurve,
     RateSurface,
     RegimeError,
@@ -190,8 +191,20 @@ def test_rate_curve_validation():
         RateCurve(axis, np.abs(axis), 0.0)
     with pytest.raises(ValueError):
         RateCurve(axis, np.abs(axis[:-1]), 0.5)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="went negative beyond round-off") as negative:
         RateCurve(axis, axis, 0.5)  # genuinely negative values
+    assert not isinstance(negative.value, NonFiniteRateError)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_rate_containers_refuse_non_finite_values(bad):
+    axis = np.linspace(-1, 1, 5)
+    # a non-finite value is reported even next to a negative one
+    values = np.array([0.0, 0.1, bad, -0.3, 0.4])
+    with pytest.raises(NonFiniteRateError, match="^coincidence rate is not finite"):
+        RateCurve(axis, values, 1.0)
+    with pytest.raises(NonFiniteRateError, match="^coincidence rate is not finite"):
+        RateSurface(axis, axis[:2], np.column_stack((values, np.ones(5))), 1.0)
 
 
 def test_rate_curve_clamps_roundoff_negatives():
@@ -640,18 +653,28 @@ def test_window_node_cap_is_checked_before_building_a_rule(monkeypatch):
                 call()
 
 
+def _guarded_calls(n, window=0.1, carrier=500.0, envelope=1.0):
+    """The window entries given ``carrier`` and ``envelope`` as arguments:
+    both regime-guarded averages and ``window_nodes`` itself."""
+    axis = np.linspace(-1.0, 1.0, 3)
+    return [
+        lambda: coarse_grain_curve(lambda t: hom_cp_analytic(t, FAST_PULSE), axis, window,
+                                   carrier=carrier, envelope=envelope, n=n),
+        lambda: coarse_grain_surface(lambda a, b: mhom_bp_analytic(a, b, 0.3, FAST_SPECTRUM),
+                                     axis[:, None], axis[None, :], window,
+                                     carrier=carrier, envelope=envelope, n=n),
+        lambda: window_nodes(n, window, carrier, envelope),
+    ]
+
+
 def _windowed_calls(n, window=0.1):
     """Every window average, with ``n`` nodes and width ``window``: both
-    windowed forms, both regime-guarded averages and both plain box averages."""
+    windowed forms, the ``_guarded_calls`` and both plain box averages."""
     axis = np.linspace(-1.0, 1.0, 3)
     return [
         lambda: mhom_bp_windowed(axis, axis, 0.3, FAST_SPECTRUM, window, n=n),
         lambda: mhom_cp_windowed(axis, axis, 0.3, FAST_PULSE, window, n=n),
-        lambda: coarse_grain_curve(lambda t: hom_cp_analytic(t, FAST_PULSE), axis, window,
-                                   carrier=500.0, envelope=1.0, n=n),
-        lambda: coarse_grain_surface(lambda a, b: mhom_bp_analytic(a, b, 0.3, FAST_SPECTRUM),
-                                     axis[:, None], axis[None, :], window,
-                                     carrier=500.0, envelope=1.0, n=n),
+        *_guarded_calls(n, window),
         lambda: box_average_curve(lambda t: hom_cp_analytic(t, FAST_PULSE), axis, window, n=n),
         lambda: box_average_surface(lambda a, b: mhom_bp_analytic(a, b, 0.3, FAST_SPECTRUM),
                                     axis[:, None], axis[None, :], window, n=n),
@@ -665,6 +688,42 @@ def _windowed_calls(n, window=0.1):
 def test_window_must_be_a_finite_real(window, error, n):
     for call in _windowed_calls(n, window):
         with pytest.raises(error, match="^window must be"):
+            call()
+
+
+# Refused arguments of the regime guard: case -> (argument, value, error, message start).
+GUARD_REFUSALS = {
+    "carrier_nan": ("carrier", math.nan, ValueError, "carrier must be finite"),
+    "carrier_inf": ("carrier", math.inf, ValueError, "carrier must be finite"),
+    "carrier_int400": ("carrier", 10**400, ValueError, "carrier must be finite"),
+    "carrier_str": ("carrier", "500", TypeError, "carrier must be a real number"),
+    "carrier_bool": ("carrier", True, TypeError, "carrier must be a real number"),
+    "carrier_zero": ("carrier", 0.0, ValueError, "carrier must be positive"),
+    "carrier_negative": ("carrier", -500.0, ValueError, "carrier must be positive"),
+    "envelope_nan": ("envelope", math.nan, ValueError, "envelope must be finite"),
+    "envelope_minus_inf": ("envelope", -math.inf, ValueError, "envelope must be finite"),
+    "envelope_str": ("envelope", "1", TypeError, "envelope must be a real number"),
+    "envelope_bool": ("envelope", True, TypeError, "envelope must be a real number"),
+    "envelope_zero": ("envelope", 0.0, ValueError, "envelope must be positive"),
+    "envelope_negative": ("envelope", -1.0, ValueError, "envelope must be positive"),
+    "window_zero": ("window", 0.0, ValueError, "window must be positive"),
+    "window_negative": ("window", -0.1, ValueError, "window must be positive"),
+}
+
+
+@pytest.mark.parametrize("n", [None, 96])
+@pytest.mark.parametrize("case", sorted(GUARD_REFUSALS))
+def test_window_guard_arguments_are_refused_by_name(case, n):
+    arg, value, error, message = GUARD_REFUSALS[case]
+    for call in _guarded_calls(n, **{arg: value}):
+        with pytest.raises(error, match=f"^{message}"):
+            call()
+
+
+@pytest.mark.parametrize("n", [None, 96])
+def test_infinite_envelope_is_a_regime_error(n):
+    for call in _guarded_calls(n, envelope=math.inf):
+        with pytest.raises(RegimeError, match="smear the envelope"):
             call()
 
 
