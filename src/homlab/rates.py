@@ -684,17 +684,16 @@ def _rule_average(f, points, offsets, weights):
     """``sum_k weights[k] * f(p + offsets[0][k], q + offsets[1][k], ...)``.
 
     Evaluated at every element ``(p, q, ...)`` of the broadcast ``points``,
-    taking the elements in blocks so that one call of ``f`` sees at most
-    ``_BLOCK_POINTS`` points (or one element's nodes, if there are more).
+    flattened and cut by ``blockwise`` so that one call of ``f`` sees at
+    most ``_BLOCK_POINTS`` points (or one element's nodes, if there are more).
     """
     points = np.broadcast_arrays(*(np.asarray(p, dtype=float) for p in points))
-    flat = [p.ravel() for p in points]
-    out = np.empty(flat[0].size)
-    step = max(1, _BLOCK_POINTS // weights.size)
-    for start in range(0, out.size, step):
-        block = slice(start, start + step)
-        vals = f(*(p[block, None] + x for p, x in zip(flat, offsets)))
-        out[block] = np.asarray(vals, dtype=float) @ weights
+
+    def block(*ps):
+        vals = f(*(p[:, None] + x for p, x in zip(ps, offsets)))
+        return np.asarray(vals, dtype=float) @ weights
+
+    out = blockwise(block, *(p.ravel() for p in points), entries=max(1, _BLOCK_POINTS // weights.size))
     return out.reshape(points[0].shape)
 
 

@@ -43,21 +43,21 @@ def _require_positive(**values: float) -> None:
             raise ValueError(f"{name} must be positive and finite, got {value!r}")
 
 
-def blockwise(f, *arrays):
+def blockwise(f, *arrays, entries: int = _BLOCK_ENTRIES):
     """Evaluate ``f(*arrays)`` in row blocks into one preallocated output.
 
     ``f`` must be elementwise in its broadcast arguments. The output has
     their broadcast shape and is filled in blocks along axis 0 of about
-    ``_BLOCK_ENTRIES`` entries; only arguments whose first axis has the
-    full length are sliced, so a term in a length-1 axis is still
-    evaluated on that axis alone. Each block runs the same expression on
-    a slice, so every value keeps its bits. 0-d input returns a ``float``.
+    ``entries`` entries; only arguments whose first axis has the full
+    length are sliced, so a term in a length-1 axis is still evaluated on
+    that axis alone. Each block runs the same expression on a slice, so
+    every value keeps its bits. 0-d input returns a ``float``.
     """
     shape = np.broadcast_shapes(*(np.shape(a) for a in arrays))
     if not shape:
         return float(f(*arrays))
     cut = [np.ndim(a) == len(shape) and np.shape(a)[0] == shape[0] for a in arrays]
-    rows = max(1, _BLOCK_ENTRIES // max(1, math.prod(shape[1:])))
+    rows = max(1, entries // max(1, math.prod(shape[1:])))
     out = None
     # an empty first axis still makes one call, which gives the output its dtype
     for lo in range(0, max(shape[0], 1), rows):
