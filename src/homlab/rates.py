@@ -686,15 +686,20 @@ def _rule_average(f, points, offsets, weights):
     Evaluated at every element ``(p, q, ...)`` of the broadcast ``points``,
     flattened and cut by ``blockwise`` so that one call of ``f`` sees at
     most ``_BLOCK_POINTS`` points (or one element's nodes, if there are more).
+    A single point array (a 1-D axis, or ``tau1 +- tau2`` on a grid) is
+    averaged once per distinct value and gathered back to its shape.
     """
     points = np.broadcast_arrays(*(np.asarray(p, dtype=float) for p in points))
+    flat, gather = [p.ravel() for p in points], None
+    if len(flat) == 1:
+        flat[0], gather = np.unique(flat[0], return_inverse=True)
 
     def block(*ps):
         vals = f(*(p[:, None] + x for p, x in zip(ps, offsets)))
         return np.asarray(vals, dtype=float) @ weights
 
-    out = blockwise(block, *(p.ravel() for p in points), entries=max(1, _BLOCK_POINTS // weights.size))
-    return out.reshape(points[0].shape)
+    out = blockwise(block, *flat, entries=max(1, _BLOCK_POINTS // weights.size))
+    return (out if gather is None else out[gather]).reshape(points[0].shape)
 
 
 def _box_average(f, points, window: float, n: int):

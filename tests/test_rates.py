@@ -603,6 +603,29 @@ def test_windowed_regime_errors_match_generic(source):
         assert str(structured.value) == str(reference.value)
 
 
+def test_rule_average_evaluates_each_distinct_argument_once():
+    import homlab.rates as rates
+
+    # the same step on both axes, so many cells share a sum
+    t1, t2 = np.linspace(-3.0, 3.0, 41), np.linspace(-2.0, 2.5, 31)
+    _, triangle = rates._window_rules(0.1, 8)
+    (offsets,), weights = triangle
+    seen = []
+
+    def g(x):
+        seen.append(x.size)
+        return np.exp(-x * x)
+
+    sums = t1[:, None] + t2[None, :]
+    got = rates._rule_average(g, (sums,), *triangle)
+    distinct = np.unique(sums).size
+    assert distinct < sums.size // 4
+    assert sum(seen) == distinct * weights.size  # not cells x rule nodes
+    assert got.shape == sums.shape
+    want = np.exp(-np.square(sums[..., None] + offsets)) @ weights
+    assert np.max(np.abs(got - want)) <= 1e-15
+
+
 def test_pulse_b_squared_identity():
     """The expansion the pulse average uses, against the closed form itself."""
     rng = np.random.default_rng(11)
