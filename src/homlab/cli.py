@@ -214,6 +214,21 @@ def _wrap_model_error(path: str):
         raise ConfigError(f"{path}: {exc}") from None
 
 
+# Config fields a run's rates are computed from, in the order a non-finite
+# refusal names them; the sample counts are bounded and cannot overflow a rate.
+_RATE_FIELDS = ("tau", "tau1", "tau2", "theta", "window", "scenario", "span", "target", "c",
+                "spectrum", "pulse", "loss")
+
+
+@contextmanager
+def _rates_from(paths):
+    """Name the fields ``paths`` when the rates they give come out nan or infinite."""
+    try:
+        yield
+    except NonFiniteRateError as exc:
+        raise NonFiniteRateError(f"{', '.join(paths)}: {exc}") from None
+
+
 @contextmanager
 def _scan_resolves(path: str):
     """Name the field to change when a valid scan misses the features it needs."""
@@ -583,7 +598,7 @@ def _build_sense(cfg: dict) -> list:
 def _build_qps(cfg: dict) -> list:
     target = _parse_record(cfg["target"], "target", QpsTarget,
                            gamma=parse_angle, vartheta=parse_angle)
-    spectrum = _parse_record(cfg["spectrum"], "spectrum", GaussianJointSpectrum)
+    spectrum, record = _model_for(cfg, "bp")
     loss, loss_record = _loss_field(cfg)
     _plateau(spectrum, loss)
     c = _positive_field(cfg, "c", 1.0)
@@ -606,7 +621,6 @@ def _build_qps(cfg: dict) -> list:
     return _with_record(data, f"{stem}_report.json", {
         "mode": "qps",
         "target": asdict(target),
-        "spectrum": asdict(spectrum),
         "loss": loss_record,
         "c": c,
         "recovered": {**asdict(result.recovered),
@@ -626,6 +640,7 @@ def _build_qps(cfg: dict) -> list:
         },
         "extrema": asdict(result.report),
         "units": _UNITS,
+        **record,
     })
 
 
@@ -673,8 +688,14 @@ _MODES = {
 
 def run_figure(preset: str, out_dir, theta: float | None = None,
                n: int | None = None) -> list[Path]:
-    """Build one preset and write its files; returns the written paths."""
-    return _write_artifacts(Path(out_dir), _figure_artifacts(preset, theta, n, "--n", "figure"))
+    """Build one preset and write its files; returns the written paths.
+
+    numpy's floating-point warnings are silenced for the run: the rate
+    containers refuse every rate that comes out nan or infinite.
+    """
+    with np.errstate(all="ignore"), _rates_from(("--theta",)):
+        artifacts = _figure_artifacts(preset, theta, n, "--n", "figure")
+        return _write_artifacts(Path(out_dir), artifacts)
 
 
 def run_scenario(config: dict, out_dir) -> list[Path]:
@@ -683,7 +704,10 @@ def run_scenario(config: dict, out_dir) -> list[Path]:
     Every rate is computed before the first byte is written, so a
     rejected configuration leaves no partial files behind; the CSVs are
     then formatted chunk by chunk while they are written, and a failure
-    there removes the whole set (see ``_write_artifacts``).
+    there removes the whole set (see ``_write_artifacts``). numpy's
+    floating-point warnings are silenced for the run, as in ``run_figure``;
+    a rate that comes out nan or infinite is refused naming the fields in
+    ``_RATE_FIELDS`` that the config sets.
     """
     config = _require_mapping(config, "")
     if "version" not in config:
@@ -699,7 +723,8 @@ def run_scenario(config: dict, out_dir) -> list[Path]:
         raise ConfigError(f"mode: expected one of {', '.join(_MODES)}, got {mode!r}")
     required, optional, build = _MODES[mode]
     _check_keys(config, "", ("version", "mode", *required), optional)
-    return _write_artifacts(Path(out_dir), build(config))
+    with np.errstate(all="ignore"), _rates_from([key for key in _RATE_FIELDS if key in config]):
+        return _write_artifacts(Path(out_dir), build(config))
 
 
 def _load_config(path: str) -> dict:

@@ -7,6 +7,7 @@ import os
 import subprocess
 import sys
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -865,28 +866,58 @@ def test_bad_mode_rejected(tmp_path, capsys, mode):
 
 
 # Runs whose rates overflow to nan: (base config, block or None, field, value).
+# case -> (base config, block, field, value, the fields the refusal names)
 NON_FINITE_RUNS = {
-    "hom_bp_d_omega_minus": ("hom_bp", "spectrum", "d_omega_minus", 1e308),
-    "mhom_bp_theta": ("mhom_bp", None, "theta", 1e308),
-    "figure_fig3_theta": (None, None, "theta", 1e308),
-    "coarse_cp_window_tau1_max": ("coarse_cp_window", "tau1", "max", 1e308),
+    "hom_bp_d_omega_minus": ("hom_bp", "spectrum", "d_omega_minus", 1e308, "tau, spectrum"),
+    "mhom_bp_theta": ("mhom_bp", None, "theta", 1e308, "tau1, tau2, theta, spectrum"),
+    "figure_fig3_theta": (None, None, "theta", 1e308, "theta"),
+    "coarse_cp_window_tau1_max": ("coarse_cp_window", "tau1", "max", 1e308,
+                                  "tau1, tau2, theta, window, pulse"),
 }
+_NON_FINITE = ("coincidence rate is not finite (nan); a parameter or delay is too large "
+               "or too small to evaluate it\n")
 
 
 @pytest.mark.parametrize("case", sorted(NON_FINITE_RUNS))
 def test_non_finite_rates_are_refused_before_writing(tmp_path, capsys, case):
-    base, block, key, value = NON_FINITE_RUNS[case]
+    base, block, key, value, named = NON_FINITE_RUNS[case]
     payload = json.loads(json.dumps(
         RUN_CONFIGS[base] if base else {"mode": "figure", "preset": "fig3", "n": 16}))
     (payload[block] if block else payload)[key] = value
     cfg = write_config(tmp_path, {"version": 1, **payload})
     out = tmp_path / "out"
-    with pytest.warns(RuntimeWarning):  # numpy reports the overflow as it happens
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # numpy's overflow warnings stay inside the run
         assert main(["run", cfg, "--out", str(out)]) == 2
-    assert capsys.readouterr().err == (
-        "error: coincidence rate is not finite (nan); a parameter or delay is too large "
-        "or too small to evaluate it\n")
+    assert capsys.readouterr().err == f"error: {named}: {_NON_FINITE}"
+    assert (block or key) in named.split(", ")
     assert not out.exists()
+
+
+def test_non_finite_figure_rates_name_the_theta_flag(tmp_path, capsys):
+    out = tmp_path / "out"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["figure", "fig3", "--theta", "1e308", "--n", "16", "--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"error: --theta: {_NON_FINITE}"
+    assert not out.exists()
+
+
+def test_overflow_inside_a_finite_run_writes_no_warning(tmp_path, capsys):
+    # the closed form overflows in an intermediate product at tau1 = 1e308
+    # but its rate is the finite plateau: exit 0, and numpy says nothing
+    payload = json.loads(json.dumps(RUN_CONFIGS["mhom_bp"]))
+    payload["tau1"]["max"] = 1e308
+    cfg = write_config(tmp_path, {"version": 1, **payload})
+    out = tmp_path / "out"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["run", cfg, "--out", str(out)]) == 0
+    assert capsys.readouterr().err == ""
+    assert (out / "mhom_bp.csv").is_file()
+    # a library call keeps numpy's defaults
+    with pytest.warns(RuntimeWarning, match="overflow"):
+        mhom_bp_analytic(np.array([1e308]), 0.0, 0.0, GaussianJointSpectrum(**_PAIR))
 
 
 def test_wrong_version_rejected(tmp_path, capsys):
@@ -1146,9 +1177,9 @@ def test_report_counts_rejected_with_field(tmp_path, capsys, payload, field):
     ],
     ids=["range_overflow", "plateau_overflow", "plateau_zero", "scan_overflow"],
 )
-# the 1e300 offset overflows the scan arithmetic on purpose
-@pytest.mark.filterwarnings("ignore:first-stage delay too small",
-                            "ignore:overflow encountered", "ignore:invalid value encountered")
+# the 1e300 offset overflows the scan arithmetic on purpose; the CLI keeps
+# numpy's overflow warnings to itself
+@pytest.mark.filterwarnings("ignore:first-stage delay too small")
 def test_unscalable_configs_rejected_with_field(tmp_path, capsys, payload, field):
     payload = {key: value for key, value in payload.items() if value is not None}
     cfg = write_config(tmp_path, payload)
