@@ -690,12 +690,10 @@ def run_figure(preset: str, out_dir, theta: float | None = None,
                n: int | None = None) -> list[Path]:
     """Build one preset and write its files; returns the written paths.
 
-    numpy's floating-point warnings are silenced for the run: the rate
-    containers refuse every rate that comes out nan or infinite.
+    Runs as ``run_scenario`` does; a non-finite refusal names ``--theta``.
     """
     with np.errstate(all="ignore"), _rates_from(("--theta",)):
-        artifacts = _figure_artifacts(preset, theta, n, "--n", "figure")
-        return _write_artifacts(Path(out_dir), artifacts)
+        return _write_artifacts(Path(out_dir), _figure_artifacts(preset, theta, n, "--n", "figure"))
 
 
 def run_scenario(config: dict, out_dir) -> list[Path]:
@@ -705,9 +703,9 @@ def run_scenario(config: dict, out_dir) -> list[Path]:
     rejected configuration leaves no partial files behind; the CSVs are
     then formatted chunk by chunk while they are written, and a failure
     there removes the whole set (see ``_write_artifacts``). numpy's
-    floating-point warnings are silenced for the run, as in ``run_figure``;
-    a rate that comes out nan or infinite is refused naming the fields in
-    ``_RATE_FIELDS`` that the config sets.
+    floating-point warnings are silenced for the run, since the rate
+    containers refuse every nan or infinite rate; the refusal names the
+    fields of ``_RATE_FIELDS`` that the config sets.
     """
     config = _require_mapping(config, "")
     if "version" not in config:

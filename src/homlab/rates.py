@@ -829,9 +829,10 @@ def mhom_bp_windowed(tau1, tau2, theta: float, spectrum: GaussianJointSpectrum,
     cos(4 omega0 x + 2 theta)``. Terms in one delay
     are 1-D box averages, the fringe term ``h(tau2) (1 + g(tau1))`` is the
     outer product of two of them, and the terms in ``tau1 +- tau2`` are
-    1-D averages under the triangular kernel, so the cost is cells x n
-    rather than cells x n**2. Returns the averaged rate on the grid of the
-    1-D axes ``tau1`` x ``tau2``.
+    1-D averages under the triangular kernel, each evaluated once per
+    distinct ``tau1 +- tau2``, so they cost distinct arguments x 2n rather
+    than cells x n**2. Returns the averaged rate on the grid of the 1-D
+    axes ``tau1`` x ``tau2``.
     """
     dm, dp, w0 = spectrum.d_omega_minus, spectrum.d_omega_plus, spectrum.omega0
     t1, t2, box, triangle = _windowed_setup(tau1, tau2, window, spectrum, n)
@@ -867,9 +868,10 @@ def mhom_cp_windowed(tau1, tau2, theta: float, pulse: CoherentSpectrum,
     with ``A = theta + 2 omega0 (tau1 + tau2)``, ``B = theta + 2 omega0
     (tau2 - tau1)`` and ``E(x) = exp(-4 d_omega**2 x**2)``. The first two
     terms are 1-D averages under the triangular kernel and the last two
-    are outer products of 1-D box averages, so the cost is cells x n
-    rather than cells x n**2. Returns the averaged rate on the grid of
-    the 1-D axes ``tau1`` x ``tau2``.
+    are outer products of 1-D box averages. The triangle terms are
+    evaluated once per distinct ``tau1 + tau2`` and ``tau2 - tau1``, so
+    they cost distinct arguments x 2n rather than cells x n**2. Returns
+    the averaged rate on the grid of the 1-D axes ``tau1`` x ``tau2``.
     """
     w0, dw = pulse.omega0, pulse.d_omega
     a2 = pulse.total_intensity**2

@@ -865,8 +865,8 @@ def test_bad_mode_rejected(tmp_path, capsys, mode):
     assert not out.exists()
 
 
-# Runs whose rates overflow to nan: (base config, block or None, field, value).
-# case -> (base config, block, field, value, the fields the refusal names)
+# Runs whose rates overflow to nan: (base config, block or None, field, value,
+# the fields the refusal names).
 NON_FINITE_RUNS = {
     "hom_bp_d_omega_minus": ("hom_bp", "spectrum", "d_omega_minus", 1e308, "tau, spectrum"),
     "mhom_bp_theta": ("mhom_bp", None, "theta", 1e308, "tau1, tau2, theta, spectrum"),
