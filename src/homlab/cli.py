@@ -50,6 +50,7 @@ infinite is refused with exit 2, and nothing is written.
 from __future__ import annotations
 
 import argparse
+import gc
 import itertools
 import json
 import math
@@ -59,12 +60,11 @@ import re
 import sys
 from contextlib import contextmanager
 from dataclasses import MISSING, asdict, fields
+from importlib import import_module
 from pathlib import Path
 
 import numpy as np
 
-from .figures import CURVE_PRESETS, FIGURE_PRESETS, build_figure
-from .qps import QpsTarget, qps_scan, qps_scan_samples
 # coarse_grain_surface is not called here any more, but perfbench/tracing.py
 # wraps it under the name cli.coarse_grain_surface, so it stays imported.
 from .rates import (
@@ -90,7 +90,6 @@ from .rates import (
     sample_surface,
     window_nodes,
 )
-from .sensing import ExtremaError, SensingScenario, run_sensing
 from .spectra import CoherentSpectrum, GaussianJointSpectrum
 
 __all__ = [
@@ -118,6 +117,41 @@ _MAX_SIDE = math.isqrt(_MAX_VALUES)
 
 class ConfigError(ValueError):
     """Configuration rejected; the message names the offending field."""
+
+
+# The names taken from the layers only some modes use. A mode binds its
+# layers' names as module globals before it calls them (``_load``), and so
+# does reading one as an attribute of this module, so a run imports only the
+# layers its mode needs. A name bound earlier, such as a wrapper the
+# benchmark tracer sets, is kept, and the mode calls it.
+_LAYER_NAMES = {
+    "figures": ("CURVE_PRESETS", "FIGURE_PRESETS", "build_figure"),
+    "qps": ("QpsTarget", "qps_scan", "qps_scan_samples"),
+    "sensing": ("ExtremaError", "SensingScenario", "run_sensing"),
+}
+
+
+def _load(*layers: str) -> None:
+    for layer in layers:
+        module = import_module(f".{layer}", __package__)
+        for name in _LAYER_NAMES[layer]:
+            globals().setdefault(name, getattr(module, name))
+
+
+def __getattr__(name):
+    for layer, names in _LAYER_NAMES.items():
+        if name in names:
+            _load(layer)
+            return globals()[name]
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+class _FigurePresets:
+    """The preset names as argparse choices: figures loads when they are read."""
+
+    def __iter__(self):
+        _load("figures")
+        return iter(FIGURE_PRESETS)
 
 
 def _join(path: str, key: str) -> str:
@@ -566,6 +600,7 @@ def _build_surface(cfg: dict) -> list:
 
 
 def _build_sense(cfg: dict) -> list:
+    _load("sensing")
     source = _parse_source(cfg, ("bp", "cp"))
     model, record = _model_for(cfg, source)
     scenario = _parse_record(cfg["scenario"], "scenario", SensingScenario)
@@ -596,6 +631,7 @@ def _build_sense(cfg: dict) -> list:
 
 
 def _build_qps(cfg: dict) -> list:
+    _load("qps", "sensing")
     target = _parse_record(cfg["target"], "target", QpsTarget,
                            gamma=parse_angle, vartheta=parse_angle)
     spectrum, record = _model_for(cfg, "bp")
@@ -647,6 +683,7 @@ def _build_qps(cfg: dict) -> list:
 def _figure_artifacts(preset: str, theta: float | None, n: int | None,
                       n_path: str = "n", path: str = "preset") -> list:
     """The files of one preset; ``n_path`` names the sample count, ``path`` model errors."""
+    _load("figures")
     _check_figure_n(preset, n, n_path)
     with _wrap_model_error(path):
         bundle = build_figure(preset, theta=theta, n=n)
@@ -660,6 +697,7 @@ def _figure_artifacts(preset: str, theta: float | None, n: int | None,
 
 def _build_figure_mode(cfg: dict) -> list:
     preset = cfg["preset"]
+    _load("figures")
     if preset not in FIGURE_PRESETS:
         raise ConfigError(
             f"preset: expected one of {', '.join(FIGURE_PRESETS)}, got {preset!r}"
@@ -749,7 +787,8 @@ def main(argv=None) -> int:
     sub = parser.add_subparsers(dest="command", required=True)
 
     fig = sub.add_parser("figure", help="emit the data files of a preset plot")
-    fig.add_argument("preset", choices=FIGURE_PRESETS)
+    # set after add_argument, which would read the choices to check the metavar
+    fig.add_argument("preset").choices = _FigurePresets()
     fig.add_argument("--theta", default=None,
                      help="achromatic phase, e.g. 'pi/2' (fig3 and fig4 only)")
     fig.add_argument("--n", type=int, default=None, help="samples per axis")
@@ -769,7 +808,8 @@ def main(argv=None) -> int:
     except RegimeError as exc:
         print(f"regime error: {exc}", file=sys.stderr)
         return 3
-    except (ConfigError, ExtremaError, NonFiniteRateError) as exc:
+    # ExtremaError is bound once a scan mode loads sensing; only a scan raises it
+    except (ConfigError, NonFiniteRateError, globals().get("ExtremaError", ConfigError)) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except OSError as exc:
@@ -780,5 +820,17 @@ def main(argv=None) -> int:
     return 0
 
 
+def script() -> None:
+    """``main`` as a process: the ``homlab`` console script and ``python -m homlab.cli``.
+
+    Every file is closed and renamed when ``main`` returns, so the process
+    then freezes the objects the collector tracks and exits without the
+    interpreter's final collections over them.
+    """
+    code = main()
+    gc.freeze()
+    sys.exit(code)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    script()

@@ -27,7 +27,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import asdict, dataclass
-from fractions import Fraction
 
 import numpy as np
 
@@ -134,6 +133,8 @@ def theta_tag(theta: float) -> str:
     """Short file-name tag for a phase value, pi-aware for small fractions of pi."""
     if theta == 0.0:
         return "theta0"
+    from fractions import Fraction  # only the presets that tag a non-zero phase import it
+
     frac = Fraction(theta / math.pi).limit_denominator(12)
     # large phases meet the absolute tolerance by rounding alone, so only
     # numerators up to the denominator bound get the pi spelling
