@@ -36,7 +36,8 @@ records they build (``GaussianJointSpectrum``, ``CoherentSpectrum``,
 * ``figure``: same as the figure subcommand. Fields: ``preset``,
   optional ``theta``, ``n``.
 
-Ranges are ``{"min": a, "max": b, "n": k}``. All emitted rates are
+Ranges are ``{"min": a, "max": b, "n": k}``. A ``stem`` takes at most 200
+characters: a letter or digit, then letters, digits, ``_``, ``.`` or ``-``. Rates are
 divided by the model plateau; every artifact gets the parameters echoed
 into a JSON sidecar or report. Every rate of a run is computed before its
 first byte is written; each CSV is then streamed into a temp file in chunks
@@ -107,7 +108,8 @@ _UNITS = {
     "rate": "rescaled by the plateau value",
     "c": "same length unit as delays unless set in the scenario",
 }
-_STEM_RE = re.compile(r"^[A-Za-z0-9][A-Za-z0-9_.-]*$")
+# at most 200 characters: every name a run writes, and its temp name, fit in 255 bytes
+_STEM_RE = re.compile(r"^[A-Za-z0-9][A-Za-z0-9_.-]{0,199}$")
 
 # Values one artifact may hold (a 1448 x 1448 surface); every count a config
 # sets is checked against it before anything that size is allocated.
@@ -269,7 +271,7 @@ def _scan_resolves(path: str):
     try:
         yield
     except ExtremaError as exc:
-        raise ExtremaError(
+        raise ConfigError(
             f"{path}: the scan did not resolve the expected features ({exc})"
         ) from None
 
@@ -308,9 +310,7 @@ def _parse_range(cfg, path: str) -> np.ndarray:
         raise ConfigError(f"{path}: 'max' must exceed 'min'")
     if math.isinf(hi - lo):
         raise ConfigError(f"{path}: 'max' - 'min' is out of range")
-    if not 2 <= n <= _MAX_VALUES:
-        raise ConfigError(f"{_join(path, 'n')}: need 2 to {_MAX_VALUES} samples, got {n}")
-    return np.linspace(lo, hi, n)
+    return np.linspace(lo, hi, _check_count(n, _join(path, "n"), 2, _MAX_VALUES, " samples"))
 
 
 def _parse_grid(cfg: dict) -> tuple[np.ndarray, np.ndarray]:
@@ -323,16 +323,16 @@ def _parse_grid(cfg: dict) -> tuple[np.ndarray, np.ndarray]:
     return t1, t2
 
 
-def _check_count(n: int, path: str, least: int, most: int) -> int:
+def _check_count(n: int, path: str, least: int, most: int, unit: str = "") -> int:
     if not least <= n <= most:
-        raise ConfigError(f"{path}: need {least} to {most}, got {n}")
+        raise ConfigError(f"{path}: need {least} to {most}{unit}, got {n}")
     return n
 
 
-def _count_field(cfg: dict, key: str, least: int, most: int, default):
+def _count_field(cfg: dict, key: str, least: int, most: int, default, unit: str = ""):
     if key not in cfg:
         return default
-    return _check_count(_as_int(cfg[key], key), key, least, most)
+    return _check_count(_as_int(cfg[key], key), key, least, most, unit)
 
 
 def _positive_field(cfg: dict, key: str, default=None):
@@ -368,47 +368,50 @@ def _parse_stem(cfg, default: str) -> str:
 
 # Every number is written with ``%.12g``. A CSV is produced in chunks of at
 # most about ``_CHUNK_VALUES`` numbers, so writing it holds one chunk of text
-# at a time. A surface row (or column block) and a block of curve rows are
-# each formatted by one ``%`` call on a template, so all float conversions
-# there run inside one C-level call. Each chunk divides its own slice of
-# rates by the plateau: the same elementwise division as over the whole
-# array, so the bits do not change. The size keeps a row at the grid cap
-# (1448 lines) in one chunk and a chunk's text to a few hundred kB.
+# at a time. The lines of a row (or column block) are formatted by one ``%``
+# call on a template that already holds their axis values, so all float
+# conversions there run inside one C-level call. Each chunk divides its own
+# slice of rates by the plateau: the same elementwise division as over the
+# whole array, so the bits do not change. The size keeps a row at the grid
+# cap (1448 lines) in one chunk and a chunk's text to a few hundred kB.
 _CHUNK_VALUES = 1 << 14
 
 
-def curve_rows(curve: RateCurve, label: str = "delay"):
-    """The CSV text of ``curve`` in chunks: the header, then blocks of rows."""
-    yield f"{label},rate_rescaled\n"
-    step = _CHUNK_VALUES // 2
-    for lo in range(0, curve.axis.size, step):
-        axis = curve.axis[lo:lo + step]
-        scaled = curve.values[lo:lo + step] / curve.plateau
-        pairs = np.column_stack((axis, scaled)).ravel().tolist()
-        yield ("%.12g,%.12g\n" * axis.size) % tuple(pairs)
-
-
-def surface_rows(surface: RateSurface, labels=("tau1", "tau2")):
-    """The CSV text of ``surface`` in chunks: the header, then blocks of whole
-    rows, or blocks of columns of one row where a row holds more than a chunk."""
-    yield f"{labels[0]},{labels[1]},rate_rescaled\n"
-    n1, n2 = surface.values.shape
-    cols = _CHUNK_VALUES // 3
+def _rows(header: str, axis: np.ndarray, values: np.ndarray, plateau: float, lead=None):
+    """The CSV text of ``values / plateau`` in chunks: ``header``, then blocks of
+    whole rows, or of columns of one row where a row holds more than a chunk. Row
+    ``i`` has a line per ``axis`` value led by ``lead[i]``; a curve has no ``lead``."""
+    yield header
+    if lead is None:
+        values = values[None]
+    cols = _CHUNK_VALUES // (2 if lead is None else 3)
+    n1, n2 = values.shape
     rows = max(1, cols // max(1, n2))
 
     def template(j):
-        # "\0" marks where each line's tau1 prefix goes; axis strings never contain it
-        t2 = surface.tau2_axis[j:j + cols].tolist()
-        return ("\0%.12g,%%.12g\n" * len(t2)) % tuple(t2)
+        # "\0" marks where each line's lead goes; axis strings never contain it
+        t = axis[j:j + cols].tolist()
+        return ("\0%.12g,%%.12g\n" * len(t)) % tuple(t)
 
     whole = template(0) if n2 <= cols else None
     for i in range(0, n1, rows):
-        t1 = surface.tau1_axis[i:i + rows].tolist()
+        heads = [""] if lead is None else ["%.12g," % a for a in lead[i:i + rows].tolist()]
         for j in range(0, n2, cols):
             body = template(j) if whole is None else whole
-            scaled = surface.values[i:i + rows, j:j + cols] / surface.plateau
-            yield "".join(body.replace("\0", "%.12g," % a) % tuple(row)
-                          for a, row in zip(t1, scaled.tolist()))
+            scaled = values[i:i + rows, j:j + cols] / plateau
+            yield "".join(body.replace("\0", head) % tuple(row)
+                          for head, row in zip(heads, scaled.tolist()))
+
+
+def curve_rows(curve: RateCurve, label: str = "delay"):
+    """The CSV text of ``curve`` in chunks: the header, then blocks of lines."""
+    return _rows(f"{label},rate_rescaled\n", curve.axis, curve.values, curve.plateau)
+
+
+def surface_rows(surface: RateSurface, labels=("tau1", "tau2")):
+    """The CSV text of ``surface`` in chunks: the header, then blocks of lines."""
+    return _rows(f"{labels[0]},{labels[1]},rate_rescaled\n", surface.tau2_axis,
+                 surface.values, surface.plateau, surface.tau1_axis)
 
 
 def curve_csv(curve: RateCurve, label: str = "delay") -> str:
@@ -549,10 +552,7 @@ def _parse_window(cfg: dict) -> tuple[float | None, int | None]:
     for key in ("theta", "window_n"):
         if key in cfg and window is None:
             raise ConfigError(f"{key}: only meaningful together with 'window'")
-    window_n = _as_int(cfg["window_n"], "window_n") if "window_n" in cfg else None
-    if window_n is not None and not 2 <= window_n <= MAX_WINDOW_NODES:
-        raise ConfigError(f"window_n: need 2 to {MAX_WINDOW_NODES} nodes, got {window_n}")
-    return window, window_n
+    return window, _count_field(cfg, "window_n", 2, MAX_WINDOW_NODES, None, " nodes")
 
 
 def _build_surface(cfg: dict) -> list:
@@ -808,8 +808,7 @@ def main(argv=None) -> int:
     except RegimeError as exc:
         print(f"regime error: {exc}", file=sys.stderr)
         return 3
-    # ExtremaError is bound once a scan mode loads sensing; only a scan raises it
-    except (ConfigError, NonFiniteRateError, globals().get("ExtremaError", ConfigError)) as exc:
+    except (ConfigError, NonFiniteRateError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except OSError as exc:

@@ -205,9 +205,7 @@ def build_figure(preset: str, theta: float | None = None,
     curve = len(spec.labels) == 1
     if n is None:
         n = _CURVE_N if curve else _SURFACE_N
-    n = whole_number(n, "n", "samples per axis")
-    if n < 16:
-        raise ValueError(f"need at least 16 samples per axis, got n = {n}")
+    n = whole_number(n, "n", "samples per axis", 16)
     half_range = _CURVE_HALF_RANGE if curve else _SURFACE_HALF_RANGE
     axis = np.linspace(-half_range, half_range, n)
     params = {

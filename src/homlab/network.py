@@ -74,18 +74,21 @@ def finite_real(value, name: str) -> float:
     return value
 
 
-def whole_number(value, name: str, unit: str) -> int:
-    """``value`` as an ``int`` count of ``unit``.
+def whole_number(value, name: str, unit: str, least: int) -> int:
+    """``value`` as an ``int`` count of at least ``least`` ``unit``.
 
-    A bool or a value that is not real raises ``TypeError``; a real value
-    that is not a whole number (a fraction, nan or an infinity) raises
-    ``ValueError``. Both name the argument. Range checks stay with callers.
+    A bool or a value that is not real raises ``TypeError``; a fraction,
+    nan, an infinity or a count below ``least`` raises ``ValueError``. Both
+    name the argument. Upper caps stay with callers.
     """
     if isinstance(value, bool) or not isinstance(value, numbers.Real):
         raise TypeError(f"{name} must be a whole number of {unit}, got {type(value).__name__}")
     if not isinstance(value, numbers.Integral) and not float(value).is_integer():
         raise ValueError(f"{name} must be a whole number of {unit}, got {value!r}")
-    return int(value)
+    n = int(value)
+    if n < least:
+        raise ValueError(f"need at least {least} {unit}, got {name} = {n}")
+    return n
 
 
 def store_finite(record, *names: str) -> None:
@@ -101,16 +104,8 @@ def store_finite(record, *names: str) -> None:
 # rows of a transfer matrix, or the two fields of a pushed input.
 
 
-class _Element:
-    """Behaviour shared by the chain elements."""
-
-    def matrix(self, omega):
-        """2x2 transfer matrix of this element alone, broadcast over ``omega``."""
-        return transfer_at(OpticalNetwork((self,)), omega)
-
-
 @dataclass(frozen=True)
-class BalancedBS(_Element):
+class BalancedBS:
     """Balanced beam splitter, real symmetric convention [[1, 1], [1, -1]]/sqrt(2)."""
 
     def _update_rows(self, rows, om) -> None:
@@ -123,7 +118,7 @@ class BalancedBS(_Element):
 
 
 @dataclass(frozen=True)
-class RelativeDelay(_Element):
+class RelativeDelay:
     """Push-pull delay stage: port 1 picks up ``exp(-i omega tau)``, port 2 the conjugate."""
 
     tau: float
@@ -143,7 +138,7 @@ class RelativeDelay(_Element):
 
 
 @dataclass(frozen=True)
-class AchromaticPhase(_Element):
+class AchromaticPhase:
     """Frequency-independent phase ``exp(i theta)`` on port 2."""
 
     theta: float
@@ -156,7 +151,7 @@ class AchromaticPhase(_Element):
 
 
 @dataclass(frozen=True)
-class ScalarLoss(_Element):
+class ScalarLoss:
     """Independent flat attenuation of the two ports, |amp| <= 1 each."""
 
     amp1: complex

@@ -271,9 +271,7 @@ def qps_scan(target: QpsTarget, spectrum: GaussianJointSpectrum,
     c = finite_real(c, "c")
     if c <= 0.0:
         raise ValueError("c must be positive")
-    surface_n = whole_number(surface_n, "surface_n", "surface samples")
-    if surface_n < 2:
-        raise ValueError(f"need at least 2 surface samples, got surface_n = {surface_n}")
+    surface_n = whole_number(surface_n, "surface_n", "surface samples", 2)
     width = spectrum.d_omega_minus
     delays = qps_forward(target)
     d1_true = delays.l1 - delays.l2

@@ -652,9 +652,7 @@ def cl_s_rate(mixture, grid: FrequencyGrid, tau1: float, tau2: float,
 
 def _node_count(n) -> int:
     """``n`` as an ``int`` count of averaging nodes, from 2 to ``MAX_WINDOW_NODES``."""
-    n = whole_number(n, "n", "averaging nodes")
-    if n < 2:
-        raise ValueError(f"need at least 2 averaging nodes, got n = {n}")
+    n = whole_number(n, "n", "averaging nodes", 2)
     if n > MAX_WINDOW_NODES:
         raise ValueError(f"need at most {MAX_WINDOW_NODES} averaging nodes, got n = {n}")
     return n

@@ -18,8 +18,11 @@ frame makes the recovery formulas exact:
 * pair source:    ``dl1 = 2 (x_min_right - x_max)``, ``dl2 = 2 x_max``
 * pulse source:   ``dl1 = x_min_right - x_min_left``, ``dl2 = x_min_right + x_min_left``
 
-and the round-trip scenario -> scan -> recovery closes to within the
-scan resolution.
+The round trip scenario -> scan -> recovery closes to well within the
+scan step, except for the pair source's first offset: the ridge at zero
+second delay pulls the right dip, a bias that does not shrink with ``n``
+(for omega0 5, d_omega_plus 0.2, d_omega_minus 1: 5.5e-4, 5.7e-2 and 0.25
+at ``dl1_0`` = 4.4, 3.0 and 2.2).
 """
 
 from __future__ import annotations
@@ -48,7 +51,6 @@ __all__ = [
     "SensingResult",
     "scan_f",
     "find_extrema",
-    "visibility",
     "invert_bp",
     "invert_cp",
     "run_sensing",
@@ -127,10 +129,7 @@ class ExtremaReport:
 
 def scan_samples(n) -> int:
     """``n`` as an ``int`` count of scan samples: a whole number, at least 51."""
-    n = whole_number(n, "n", "scan samples")
-    if n < 51:
-        raise ValueError(f"need at least 51 scan samples, got n = {n}")
-    return n
+    return whole_number(n, "n", "scan samples", 51)
 
 
 def scan_f(scenario: SensingScenario, model, loss: LossParams = LossParams(),
@@ -279,12 +278,6 @@ def find_extrema(curve: RateCurve, kind: str) -> ExtremaReport:
     if not np.all(np.isfinite([xl, xr, report.get("x_max", 0.0)])):
         raise ExtremaError("feature positions overflow at this scan step")
     return ExtremaReport(**report)
-
-
-def visibility(curve: RateCurve, position: float) -> float:
-    """Fractional excursion of the curve from its plateau at a control setting."""
-    value = float(np.interp(float(position), curve.axis, curve.values))
-    return abs(curve.plateau - value) / curve.plateau
 
 
 # ----- Recovery -----

@@ -120,9 +120,7 @@ def make_grid(center: float, half_width: float, n: int = 257) -> FrequencyGrid:
     """
     center, half_width = finite_real(center, "center"), finite_real(half_width, "half_width")
     _require_positive(half_width=half_width)
-    n = whole_number(n, "n", "grid nodes")
-    if n < 16:
-        raise ValueError(f"need at least 16 grid nodes, got n = {n}")
+    n = whole_number(n, "n", "grid nodes", 16)
     nodes = np.linspace(center - half_width, center + half_width, n)
     step = 2.0 * half_width / (n - 1)
     weights = np.full(n, step)

@@ -43,8 +43,9 @@ from homlab.sensing import SensingScenario
 from homlab.spectra import CoherentSpectrum, GaussianJointSpectrum
 from test_cli import RUN_CONFIGS
 
+# "s" * 250 is a string no file name can hold with a suffix
 VALUES = (None, True, "x", [1, 2], {}, -1.0, 0.0, 1e308, -1e308, 10**30, "pi/2",
-          [0.5, 0.5], [2.0, 0.0], 5e-324)
+          [0.5, 0.5], [2.0, 0.0], 5e-324, "s" * 250)
 # values of the ``--theta`` and ``--n`` flags of ``homlab figure``
 FIGURE_FLAGS = ("nan", "inf", "1e300", "-1", "0", "15", "16", "pi/2", "x")
 _DELETE = object()

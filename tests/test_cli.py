@@ -952,10 +952,27 @@ def test_bad_range_rejected_with_path(tmp_path):
         run_scenario(payload, tmp_path)
 
 
-def test_bad_stem_rejected(tmp_path):
+def test_bad_stem_rejected(tmp_path, capsys):
     payload = dict(HOM_BP, stem="../escape")
     with pytest.raises(ConfigError, match="stem"):
         run_scenario(payload, tmp_path)
+    # a stem longer than 200 characters is refused before any file name is formed
+    long_stem = "s" * 201
+    cfg = write_config(tmp_path, dict(HOM_BP, stem=long_stem))
+    out = tmp_path / "out"
+    assert main(["run", cfg, "--out", str(out)]) == 2
+    assert capsys.readouterr().err == (
+        f"error: stem: expected a plain file-name stem, got {long_stem!r}\n")
+    assert not out.exists()
+
+
+def test_longest_stem_names_every_file(tmp_path):
+    stem = "s" * 200
+    cfg = write_config(tmp_path, {"version": 1, **RUN_CONFIGS["qps"], "stem": stem})
+    out = tmp_path / "out"
+    assert main(["run", cfg, "--out", str(out)]) == 0
+    assert sorted(p.name for p in out.iterdir()) == [
+        stem + "_report.json", stem + "_scan.csv", stem + "_surface.csv"]
 
 
 def test_coarse_theta_without_window_rejected(tmp_path):

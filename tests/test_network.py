@@ -27,17 +27,18 @@ INV_SQRT2 = 1.0 / math.sqrt(2.0)
 
 
 def test_balanced_bs_matrix_frozen():
-    m = BalancedBS().matrix(0.0)
+    m = transfer_at(OpticalNetwork((BalancedBS(),)), 0.0)
     expected = INV_SQRT2 * np.array([[1.0, 1.0], [1.0, -1.0]])
     np.testing.assert_array_equal(m, expected.astype(complex))
 
 
 def test_zero_delay_is_identity():
-    np.testing.assert_array_equal(RelativeDelay(0.0).matrix(1.3), np.eye(2, dtype=complex))
+    np.testing.assert_array_equal(transfer_at(OpticalNetwork((RelativeDelay(0.0),)), 1.3),
+                                  np.eye(2, dtype=complex))
 
 
 def test_quarter_phase_matrix():
-    m = AchromaticPhase(math.pi / 2.0).matrix(2.0)
+    m = transfer_at(OpticalNetwork((AchromaticPhase(math.pi / 2.0),)), 2.0)
     np.testing.assert_allclose(m, np.diag([1.0, 1.0j]), atol=1e-12)
 
 
@@ -45,7 +46,7 @@ def test_relative_delay_split_convention():
     """Delay tau puts e^{-i w tau} on the first path and e^{+i w tau} on the
     second."""
     w, tau = 0.7, 1.9
-    m = RelativeDelay(tau).matrix(w)
+    m = transfer_at(OpticalNetwork((RelativeDelay(tau),)), w)
     np.testing.assert_allclose(m[0, 0], np.exp(-1j * w * tau), rtol=1e-15)
     np.testing.assert_allclose(m[1, 1], np.exp(+1j * w * tau), rtol=1e-15)
     assert m[0, 1] == 0.0 and m[1, 0] == 0.0
@@ -66,7 +67,8 @@ def test_standard_chain_entries_frozen():
 
 
 def test_standard_chain_at_zero_delay_is_mixer():
-    np.testing.assert_array_equal(transfer_at(hom_network(0.0), 4.2), BalancedBS().matrix(4.2))
+    np.testing.assert_array_equal(transfer_at(hom_network(0.0), 4.2),
+                                  transfer_at(OpticalNetwork((BalancedBS(),)), 4.2))
 
 
 def test_modified_chain_identity_up_to_phase():
@@ -131,7 +133,7 @@ def test_composition_is_associative():
     chained = transfer_at(OpticalNetwork(elements=tuple(elements)), w)
     manual = np.eye(2, dtype=complex)
     for el in elements:
-        manual = el.matrix(w) @ manual
+        manual = transfer_at(OpticalNetwork((el,)), w) @ manual
     np.testing.assert_allclose(chained, manual, rtol=1e-15)
     # splitting the chain in two and multiplying gives the same transfer
     left = transfer_at(OpticalNetwork(elements=tuple(elements[:2])), w)
@@ -149,7 +151,7 @@ def test_transfer_broadcasts_over_frequency():
 
 
 def test_scalar_loss_matrix():
-    m = ScalarLoss(0.5, 0.25j).matrix(3.0)
+    m = transfer_at(OpticalNetwork((ScalarLoss(0.5, 0.25j),)), 3.0)
     np.testing.assert_array_equal(m, np.diag([0.5 + 0.0j, 0.25j]))
 
 

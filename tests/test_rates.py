@@ -762,10 +762,12 @@ def test_window_node_count_must_be_a_whole_number(n, error):
 
 
 def _counted_calls(n):
-    """Every other library sample count, each with ``n``: the call, what its
-    whole-number message names and the smallest count it takes."""
+    """Every other library sample count and one window average's node count,
+    each with ``n``: the call, what its whole-number message names and the
+    smallest count it takes."""
     scenario = SensingScenario(dl1_0=4.0, dl2_0=0.0)
     target = QpsTarget(r=1.0, gamma=0.5, vartheta=0.5)
+    axis = np.linspace(-1.0, 1.0, 3)
     return [
         (lambda: make_grid(0.0, 1.0, n), "n must be a whole number of grid nodes", 16),
         (lambda: scan_f(scenario, SPECTRUM, n=n), "n must be a whole number of scan samples", 51),
@@ -773,6 +775,8 @@ def _counted_calls(n):
         (lambda: qps_scan(target, SPECTRUM, surface_n=n),
          "surface_n must be a whole number of surface samples", 2),
         (lambda: build_figure("fig2", n=n), "n must be a whole number of samples per axis", 16),
+        (lambda: box_average_curve(lambda t: hom_cp_analytic(t, FAST_PULSE), axis, 0.1, n=n),
+         "n must be a whole number of averaging nodes", 2),
     ]
 
 

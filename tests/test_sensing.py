@@ -17,7 +17,6 @@ from homlab.sensing import (
     invert_cp,
     run_sensing,
     scan_f,
-    visibility,
 )
 from homlab.spectra import CoherentSpectrum, GaussianJointSpectrum
 
@@ -201,12 +200,6 @@ def test_find_extrema_general_rescaling_is_stable():
     assert b.x_min_right == pytest.approx(a.x_min_right, abs=1e-9)
     assert b.v_min_left == pytest.approx(a.v_min_left, abs=1e-12)
     assert b.v_min_right == pytest.approx(a.v_min_right, abs=1e-12)
-
-
-def test_visibility_interpolates_curve():
-    curve = synthetic_double_dip()
-    assert visibility(curve, 0.3) == pytest.approx(0.45, abs=1e-3)
-    assert visibility(curve, -3.0) == pytest.approx(0.0, abs=1e-6)
 
 
 def test_extrema_report_validation_and_serialization():
