@@ -36,10 +36,18 @@ records they build (``GaussianJointSpectrum``, ``CoherentSpectrum``,
 * ``figure``: same as the figure subcommand. Fields: ``preset``,
   optional ``theta``, ``n``.
 
-Ranges are ``{"min": a, "max": b, "n": k}``. A ``stem`` takes at most 200
-characters: a letter or digit, then letters, digits, ``_``, ``.`` or ``-``. Rates are
-divided by the model plateau; every artifact gets the parameters echoed
-into a JSON sidecar or report. Every rate of a run is computed before its
+Ranges are ``{"min": a, "max": b, "n": k}``. ``version`` must be the
+integer 1 (not ``true`` or ``1.0``) and is checked before ``mode``. A
+``stem`` is a whole name of at most 200 characters: a letter or digit,
+then letters, digits, ``_``, ``.`` or ``-``. ``_MODES`` declares each
+mode's fields once. A run parses every field in that order, ``stem``
+included, and fills in the defaults; only then do the rules that join
+fields run (model block, grid size, plateau, ``qps`` scan length,
+averaging regime), and then the rates, each divided by the model plateau.
+Each run writes a JSON sidecar or report with its mode, model, ranges,
+plateau and results; it records neither ``version`` nor ``stem``, nor
+the ``n``, ``span`` and ``surface_n`` of a scan or an automatic
+``window_n``. Every rate of a run is computed before its
 first byte is written; each CSV is then streamed into a temp file in chunks
 of rows, and the files are renamed into place only after all of them are
 written. Files are byte-identical for identical configurations (nothing in
@@ -109,7 +117,7 @@ _UNITS = {
     "c": "same length unit as delays unless set in the scenario",
 }
 # at most 200 characters: every name a run writes, and its temp name, fit in 255 bytes
-_STEM_RE = re.compile(r"^[A-Za-z0-9][A-Za-z0-9_.-]{0,199}$")
+_STEM_RE = re.compile(r"[A-Za-z0-9][A-Za-z0-9_.-]{0,199}")
 
 # Values one artifact may hold (a 1448 x 1448 surface); every count a config
 # sets is checked against it before anything that size is allocated.
@@ -127,7 +135,7 @@ class ConfigError(ValueError):
 # layers its mode needs. A name bound earlier, such as a wrapper the
 # benchmark tracer sets, is kept, and the mode calls it.
 _LAYER_NAMES = {
-    "figures": ("CURVE_PRESETS", "FIGURE_PRESETS", "build_figure"),
+    "figures": ("CURVE_PRESETS", "FIGURE_PRESETS", "PHASE_PRESETS", "build_figure"),
     "qps": ("QpsTarget", "qps_scan", "qps_scan_samples"),
     "sensing": ("ExtremaError", "SensingScenario", "run_sensing"),
 }
@@ -313,54 +321,37 @@ def _parse_range(cfg, path: str) -> np.ndarray:
     return np.linspace(lo, hi, _check_count(n, _join(path, "n"), 2, _MAX_VALUES, " samples"))
 
 
-def _parse_grid(cfg: dict) -> tuple[np.ndarray, np.ndarray]:
-    t1 = _parse_range(cfg["tau1"], "tau1")
-    t2 = _parse_range(cfg["tau2"], "tau2")
-    if t1.size * t2.size > _MAX_VALUES:
-        raise ConfigError(
-            f"tau1.n x tau2.n: {t1.size} x {t2.size} values, more than {_MAX_VALUES}"
-        )
-    return t1, t2
-
-
 def _check_count(n: int, path: str, least: int, most: int, unit: str = "") -> int:
     if not least <= n <= most:
         raise ConfigError(f"{path}: need {least} to {most}{unit}, got {n}")
     return n
 
 
-def _count_field(cfg: dict, key: str, least: int, most: int, default, unit: str = ""):
-    if key not in cfg:
-        return default
-    return _check_count(_as_int(cfg[key], key), key, least, most, unit)
+def _count(least: int, most: int, unit: str = ""):
+    """Parser of a count field: a whole number from ``least`` to ``most``."""
+    return lambda value, path: _check_count(_as_int(value, path), path, least, most, unit)
 
 
-def _positive_field(cfg: dict, key: str, default=None):
-    if key not in cfg:
-        return default
-    value = _as_number(cfg[key], key)
+def _positive(value, path: str) -> float:
+    value = _as_number(value, path)
     if value <= 0.0:
-        raise ConfigError(f"{key}: must be positive")
+        raise ConfigError(f"{path}: must be positive")
     return value
 
 
-def _check_figure_n(preset: str, n: int | None, path: str) -> None:
-    if n is not None:
-        _check_count(n, path, 16, _MAX_VALUES if preset in CURVE_PRESETS else _MAX_SIDE)
+def _one_of(*choices):
+    """Parser of a field that takes one of ``choices``."""
+    def parse(value, path: str):
+        if value not in choices:
+            raise ConfigError(f"{path}: expected one of {', '.join(choices)}, got {value!r}")
+        return value
+    return parse
 
 
-def _parse_source(cfg, choices: tuple) -> str:
-    source = cfg["source"]
-    if source not in choices:
-        raise ConfigError(f"source: expected one of {', '.join(choices)}, got {source!r}")
-    return source
-
-
-def _parse_stem(cfg, default: str) -> str:
-    stem = cfg.get("stem", default)
-    if not isinstance(stem, str) or not _STEM_RE.match(stem):
-        raise ConfigError(f"stem: expected a plain file-name stem, got {stem!r}")
-    return stem
+def _parse_stem(value, path: str) -> str:
+    if not isinstance(value, str) or not _STEM_RE.fullmatch(value):
+        raise ConfigError(f"{path}: expected a plain file-name stem, got {value!r}")
+    return value
 
 
 # ----- Serialization -----
@@ -432,18 +423,13 @@ def _with_record(data: list, name: str, record: dict) -> list:
     return [*data, (name, _json_text(record))]
 
 
-def _loss_dict(loss: LossParams) -> dict:
+def _loss_record(loss: LossParams | None) -> dict | None:
+    """The record of a run's ``loss``; none when the config sets no loss."""
+    if loss is None:
+        return None
     out = {name: z.real if z.imag == 0.0 else [z.real, z.imag]
            for name, z in asdict(loss).items()}
     return {**out, "eta_a": loss.eta_a, "eta_b": loss.eta_b}
-
-
-def _loss_field(cfg: dict) -> tuple[LossParams, dict | None]:
-    """The ``loss`` field and its record; lossless, with no record, when absent."""
-    if "loss" not in cfg:
-        return LossParams(), None
-    loss = _parse_record(cfg["loss"], "loss", LossParams, _parse_amplitude)
-    return loss, _loss_dict(loss)
 
 
 def _plateau(model, loss: LossParams = LossParams()) -> float:
@@ -507,35 +493,27 @@ def _write_artifacts(out_dir: Path, artifacts) -> list[Path]:
     return [target for _, target in staged]
 
 
-# ----- Mode pipelines (pure: config -> artifact list) -----
+# ----- Mode pipelines (pure: resolved fields -> artifact list) -----
 
 
-def _model_for(cfg: dict, kind: str):
-    """Model object plus its record, honoring the bp/cp field split."""
-    if kind == "bp":
-        if "pulse" in cfg:
-            raise ConfigError("pulse: not used when the source is 'bp'")
-        if "spectrum" not in cfg:
-            raise ConfigError("spectrum: required field is missing")
-        spectrum = _parse_record(cfg["spectrum"], "spectrum", GaussianJointSpectrum)
-        return spectrum, {"spectrum": asdict(spectrum)}
-    if "spectrum" in cfg:
-        raise ConfigError("spectrum: not used for pulse sources")
-    if "pulse" not in cfg:
-        raise ConfigError("pulse: required field is missing")
-    pulse = _parse_record(cfg["pulse"], "pulse", CoherentSpectrum)
-    return pulse, {"pulse": asdict(pulse)}
+def _model_for(f: dict, kind: str):
+    """The model of a ``bp`` or pulse source and its record: ``spectrum`` or ``pulse``."""
+    key, unused, why = (("spectrum", "pulse", "when the source is 'bp'") if kind == "bp"
+                        else ("pulse", "spectrum", "for pulse sources"))
+    if f.get(unused) is not None:
+        raise ConfigError(f"{unused}: not used {why}")
+    if f[key] is None:
+        raise ConfigError(f"{key}: required field is missing")
+    return f[key], {key: asdict(f[key])}
 
 
-def _build_hom(cfg: dict) -> list:
-    source = _parse_source(cfg, ("bp", "cp", "cp_coarse"))
-    model, record = _model_for(cfg, "bp" if source == "bp" else "cp")
-    axis = _parse_range(cfg["tau"], "tau")
+def _build_hom(f: dict) -> list:
+    source, axis, stem = f["source"], f["tau"], f["stem"]
+    model, record = _model_for(f, "bp" if source == "bp" else "cp")
     form = {"bp": hom_bp_analytic, "cp": hom_cp_analytic,
             "cp_coarse": hom_cp_coarse_analytic}[source]
     plateau = _plateau(model)
     curve = sample_curve(lambda t: form(t, model), axis, plateau)
-    stem = _parse_stem(cfg, f"hom_{source}")
     return _with_record([(f"{stem}.csv", curve_rows(curve))], f"{stem}.json", {
         "mode": "hom",
         "source": source,
@@ -546,24 +524,16 @@ def _build_hom(cfg: dict) -> list:
     })
 
 
-def _parse_window(cfg: dict) -> tuple[float | None, int | None]:
-    """``window`` and ``window_n`` of a coarse run; ``theta`` needs the window too."""
-    window = _positive_field(cfg, "window")
-    for key in ("theta", "window_n"):
-        if key in cfg and window is None:
-            raise ConfigError(f"{key}: only meaningful together with 'window'")
-    return window, _count_field(cfg, "window_n", 2, MAX_WINDOW_NODES, None, " nodes")
-
-
-def _build_surface(cfg: dict) -> list:
+def _build_surface(f: dict) -> list:
     """Modes ``mhom``, ``coarse`` and ``loss``: one two-delay surface and its sidecar."""
-    mode = cfg["mode"]
-    source = _parse_source(cfg, ("bp", "cp"))
-    model, record = _model_for(cfg, source)
-    loss, loss_record = _loss_field(cfg)
-    window, window_n = _parse_window(cfg) if mode == "coarse" else (None, None)
-    theta = parse_angle(cfg.get("theta", 0.0), "theta")
-    t1, t2 = _parse_grid(cfg)
+    mode, source, t1, t2, stem = f["mode"], f["source"], f["tau1"], f["tau2"], f["stem"]
+    model, record = _model_for(f, source)
+    if t1.size * t2.size > _MAX_VALUES:
+        raise ConfigError(
+            f"tau1.n x tau2.n: {t1.size} x {t2.size} values, more than {_MAX_VALUES}"
+        )
+    loss = f.get("loss") or LossParams()
+    theta, window, window_n = f.get("theta"), f.get("window"), f.get("window_n")
     bp = source == "bp"
     plateau = _plateau(model, loss)
     if mode == "mhom":
@@ -578,7 +548,6 @@ def _build_surface(cfg: dict) -> list:
         with _wrap_model_error("window"):
             nodes = window_nodes(window_n, window, model.omega0, model.window_envelope)
         surface = RateSurface(t1, t2, form(t1, t2, theta, model, window, n=nodes), plateau)
-    stem = _parse_stem(cfg, f"{mode}_{source}")
     params = {
         "mode": mode,
         "source": source,
@@ -594,30 +563,25 @@ def _build_surface(cfg: dict) -> list:
         params["window"] = window
     if window_n is not None:
         params["window_n"] = window_n
-    if loss_record is not None:
-        params["loss"] = loss_record
+    if "loss" in f:
+        params["loss"] = _loss_record(f["loss"])
     return _with_record([(f"{stem}.csv", surface_rows(surface))], f"{stem}.json", params)
 
 
-def _build_sense(cfg: dict) -> list:
-    _load("sensing")
-    source = _parse_source(cfg, ("bp", "cp"))
-    model, record = _model_for(cfg, source)
-    scenario = _parse_record(cfg["scenario"], "scenario", SensingScenario)
-    loss, loss_record = _loss_field(cfg)
-    n = _count_field(cfg, "n", 51, _MAX_VALUES, 2001)
-    span = _positive_field(cfg, "span")
+def _build_sense(f: dict) -> list:
+    source, scenario, stem = f["source"], f["scenario"], f["stem"]
+    model, record = _model_for(f, source)
+    loss = f["loss"] or LossParams()
     _plateau(model, loss)
     with _scan_resolves("scenario"):
-        result = run_sensing(scenario, model, loss=loss, n=n, span=span)
-    stem = _parse_stem(cfg, f"sense_{source}")
+        result = run_sensing(scenario, model, loss=loss, n=f["n"], span=f["span"])
     dl1_eff = scenario.dl1_0 - 2.0 * scenario.x1
     data = [(f"{stem}_scan.csv", curve_rows(result.curve, label="x2"))]
     return _with_record(data, f"{stem}_report.json", {
         "mode": "sense",
         "source": source,
         "scenario": asdict(scenario),
-        "loss": loss_record,
+        "loss": _loss_record(f["loss"]),
         "plateau": result.curve.plateau,
         "extrema": asdict(result.report),
         "recovered": {"dl1": result.dl1_recovered, "dl2": result.dl2_recovered},
@@ -630,25 +594,18 @@ def _build_sense(cfg: dict) -> list:
     })
 
 
-def _build_qps(cfg: dict) -> list:
-    _load("qps", "sensing")
-    target = _parse_record(cfg["target"], "target", QpsTarget,
-                           gamma=parse_angle, vartheta=parse_angle)
-    spectrum, record = _model_for(cfg, "bp")
-    loss, loss_record = _loss_field(cfg)
+def _build_qps(f: dict) -> list:
+    target, c, n, stem = f["target"], f["c"], f["n"], f["stem"]
+    spectrum, record = _model_for(f, "bp")
+    loss = f["loss"] or LossParams()
     _plateau(spectrum, loss)
-    c = _positive_field(cfg, "c", 1.0)
-    n = _count_field(cfg, "n", 51, _MAX_VALUES, None)
     if n is None and (need := qps_scan_samples(target, spectrum, c)) > _MAX_VALUES:
         raise ConfigError(
             f"target.r: the default scan for r / c = {target.r / c:.4g} needs "
             f"{need:.4g} samples, more than {_MAX_VALUES}"
         )
-    surface_n = _count_field(cfg, "surface_n", 2, _MAX_SIDE, 81)
     with _scan_resolves("n"):
-        result = qps_scan(target, spectrum, loss=loss, c=c, n=n,
-                          surface_n=surface_n)
-    stem = _parse_stem(cfg, "qps")
+        result = qps_scan(target, spectrum, loss=loss, c=c, n=n, surface_n=f["surface_n"])
     data = [
         (f"{stem}_scan.csv", curve_rows(result.curve, label="s2_control")),
         (f"{stem}_surface.csv",
@@ -657,7 +614,7 @@ def _build_qps(cfg: dict) -> list:
     return _with_record(data, f"{stem}_report.json", {
         "mode": "qps",
         "target": asdict(target),
-        "loss": loss_record,
+        "loss": _loss_record(f["loss"]),
         "c": c,
         "recovered": {**asdict(result.recovered),
                       "degenerate_azimuth": result.degenerate_azimuth},
@@ -680,13 +637,14 @@ def _build_qps(cfg: dict) -> list:
     })
 
 
-def _figure_artifacts(preset: str, theta: float | None, n: int | None,
-                      n_path: str = "n", path: str = "preset") -> list:
-    """The files of one preset; ``n_path`` names the sample count, ``path`` model errors."""
+def _figure_artifacts(preset: str, theta: float | None, n: int | None, flag: str = "") -> list:
+    """The files of one preset; ``flag`` leads the names of ``theta`` and ``n`` in messages."""
     _load("figures")
-    _check_figure_n(preset, n, n_path)
-    with _wrap_model_error(path):
-        bundle = build_figure(preset, theta=theta, n=n)
+    if n is not None:
+        _check_count(n, flag + "n", 16, _MAX_VALUES if preset in CURVE_PRESETS else _MAX_SIDE)
+    if theta is not None and preset not in PHASE_PRESETS:
+        raise ConfigError(f"{flag}theta: preset {preset} has no achromatic phase parameter")
+    bundle = build_figure(preset, theta=theta, n=n)
     data = [
         (ds.name + ".csv", curve_rows(ds.data, ds.labels[0]) if isinstance(ds.data, RateCurve)
          else surface_rows(ds.data, ds.labels))
@@ -695,30 +653,69 @@ def _figure_artifacts(preset: str, theta: float | None, n: int | None,
     return _with_record(data, bundle.preset + ".json", dict(bundle.params))
 
 
-def _build_figure_mode(cfg: dict) -> list:
-    preset = cfg["preset"]
-    _load("figures")
-    if preset not in FIGURE_PRESETS:
-        raise ConfigError(
-            f"preset: expected one of {', '.join(FIGURE_PRESETS)}, got {preset!r}"
-        )
-    theta = parse_angle(cfg["theta"], "theta") if "theta" in cfg else None
-    n = _as_int(cfg["n"], "n") if "n" in cfg else None
-    return _figure_artifacts(preset, theta, n)
+# ----- The field table -----
 
 
-# mode -> (its required and its optional fields besides "version" and "mode", its builder)
-_MODES = {
-    "hom": (("source", "tau"), ("spectrum", "pulse", "stem"), _build_hom),
-    "mhom": (("source", "tau1", "tau2"), ("spectrum", "pulse", "theta", "stem"), _build_surface),
-    "coarse": (("source", "tau1", "tau2"),
-               ("spectrum", "pulse", "window", "window_n", "theta", "stem"), _build_surface),
-    "loss": (("source", "tau1", "tau2", "loss"), ("spectrum", "pulse", "stem"), _build_surface),
-    "sense": (("source", "scenario"),
-              ("spectrum", "pulse", "loss", "n", "span", "stem"), _build_sense),
-    "qps": (("target", "spectrum"), ("loss", "c", "n", "surface_n", "stem"), _build_qps),
-    "figure": (("preset",), ("theta", "n"), _build_figure_mode),
+# Each field of a mode is (parser, default) or (parser, default, the field it
+# is only meaningful with). A parser maps (value, path) to the parsed value;
+# the default is _REQUIRED, a value, or a function of the fields before it.
+# Record classes from lazily loaded layers are looked up when the parser runs.
+_REQUIRED = object()
+_SOURCE = (_one_of("bp", "cp"), _REQUIRED)
+_MODEL = {
+    "spectrum": (lambda value, path: _parse_record(value, path, GaussianJointSpectrum), None),
+    "pulse": (lambda value, path: _parse_record(value, path, CoherentSpectrum), None),
 }
+_LOSS = (lambda value, path: _parse_record(value, path, LossParams, _parse_amplitude), None)
+_GRID = {"tau1": (_parse_range, _REQUIRED), "tau2": (_parse_range, _REQUIRED)}
+_STEM = (_parse_stem, lambda f: f"{f['mode']}_{f['source']}" if "source" in f else f["mode"])
+
+# mode -> (its fields besides "version" and "mode" in parse order, the layers it loads,
+# its builder); cross-field rules run in the builder, after every field has parsed
+_MODES = {
+    "hom": ({"source": (_one_of("bp", "cp", "cp_coarse"), _REQUIRED), **_MODEL,
+             "tau": (_parse_range, _REQUIRED), "stem": _STEM}, (), _build_hom),
+    "mhom": ({"source": _SOURCE, **_MODEL, "theta": (parse_angle, 0.0), **_GRID, "stem": _STEM},
+             (), _build_surface),
+    "coarse": ({"source": _SOURCE, **_MODEL, "window": (_positive, None),
+                "theta": (parse_angle, 0.0, "window"),
+                "window_n": (_count(2, MAX_WINDOW_NODES, " nodes"), None, "window"),
+                **_GRID, "stem": _STEM}, (), _build_surface),
+    "loss": ({"source": _SOURCE, **_MODEL, "loss": (_LOSS[0], _REQUIRED), **_GRID,
+              "stem": _STEM}, (), _build_surface),
+    "sense": ({"source": _SOURCE, **_MODEL,
+               "scenario": (lambda value, path: _parse_record(value, path, SensingScenario),
+                            _REQUIRED),
+               "loss": _LOSS, "n": (_count(51, _MAX_VALUES), 2001), "span": (_positive, None),
+               "stem": _STEM},
+              ("sensing",), _build_sense),
+    "qps": ({"target": (lambda value, path: _parse_record(value, path, QpsTarget,
+                                                          gamma=parse_angle,
+                                                          vartheta=parse_angle), _REQUIRED),
+             "spectrum": (_MODEL["spectrum"][0], _REQUIRED), "loss": _LOSS, "c": (_positive, 1.0),
+             "n": (_count(51, _MAX_VALUES), None), "surface_n": (_count(2, _MAX_SIDE), 81),
+             "stem": _STEM}, ("qps", "sensing"), _build_qps),
+    "figure": ({"preset": (lambda value, path: _one_of(*FIGURE_PRESETS)(value, path), _REQUIRED),
+                "theta": (parse_angle, None), "n": (_as_int, None)},
+               ("figures",), lambda f: _figure_artifacts(f["preset"], f["theta"], f["n"])),
+}
+
+
+def _resolve(config: dict, mode: str) -> dict:
+    """The fields of a ``mode`` config: each parsed in table order, or its default."""
+    table = _MODES[mode][0]
+    required = tuple(key for key, (_, default, *_) in table.items() if default is _REQUIRED)
+    _check_keys(config, "", ("version", "mode", *required), tuple(table))
+    f = {"mode": mode}
+    for key, (parse, default, *needs) in table.items():
+        if key not in config:
+            f[key] = default(f) if callable(default) else default
+            continue
+        for need in needs:
+            if need not in config:
+                raise ConfigError(f"{key}: only meaningful together with '{need}'")
+        f[key] = parse(config[key], key)
+    return f
 
 
 # ----- Entry points -----
@@ -731,7 +728,7 @@ def run_figure(preset: str, out_dir, theta: float | None = None,
     Runs as ``run_scenario`` does; a non-finite refusal names ``--theta``.
     """
     with np.errstate(all="ignore"), _rates_from(("--theta",)):
-        return _write_artifacts(Path(out_dir), _figure_artifacts(preset, theta, n, "--n", "figure"))
+        return _write_artifacts(Path(out_dir), _figure_artifacts(preset, theta, n, "--"))
 
 
 def run_scenario(config: dict, out_dir) -> list[Path]:
@@ -749,18 +746,17 @@ def run_scenario(config: dict, out_dir) -> list[Path]:
     if "version" not in config:
         raise ConfigError("version: required field is missing")
     version = config["version"]
-    if version != CONFIG_VERSION:
-        raise ConfigError(
-            f"version: expected {CONFIG_VERSION}, got {version!r}"
-        )
+    # True == 1 and 1.0 == 1 in Python; only the JSON integer 1 is this version
+    if type(version) is not int or version != CONFIG_VERSION:
+        raise ConfigError(f"version: expected {CONFIG_VERSION}, got {version!r}")
     mode = config.get("mode")
     # a list or an object cannot be looked up in the table: refuse it first
     if not isinstance(mode, str) or mode not in _MODES:
         raise ConfigError(f"mode: expected one of {', '.join(_MODES)}, got {mode!r}")
-    required, optional, build = _MODES[mode]
-    _check_keys(config, "", ("version", "mode", *required), optional)
+    _, layers, build = _MODES[mode]
+    _load(*layers)
     with np.errstate(all="ignore"), _rates_from([key for key in _RATE_FIELDS if key in config]):
-        return _write_artifacts(Path(out_dir), build(config))
+        return _write_artifacts(Path(out_dir), build(_resolve(config, mode)))
 
 
 def _load_config(path: str) -> dict:

@@ -111,6 +111,8 @@ FIGURE_PRESETS = tuple(_PRESETS)
 # presets made of curves; ``n`` counts samples per curve, and per surface
 # axis for the others
 CURVE_PRESETS = tuple(name for name, spec in _PRESETS.items() if len(spec.labels) == 1)
+# presets that take a ``theta``
+PHASE_PRESETS = tuple(name for name, spec in _PRESETS.items() if spec.theta is not None)
 
 
 @dataclass(frozen=True)

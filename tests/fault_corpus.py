@@ -35,7 +35,7 @@ import warnings
 from collections import Counter
 from pathlib import Path
 
-from homlab.cli import _MODES, main
+from homlab.cli import _MODES, _REQUIRED, main
 from homlab.figures import FIGURE_PRESETS
 from homlab.qps import QpsTarget
 from homlab.rates import LossParams
@@ -45,15 +45,16 @@ from test_cli import RUN_CONFIGS
 
 # "s" * 250 is a string no file name can hold with a suffix
 VALUES = (None, True, "x", [1, 2], {}, -1.0, 0.0, 1e308, -1e308, 10**30, "pi/2",
-          [0.5, 0.5], [2.0, 0.0], 5e-324, "s" * 250)
+          [0.5, 0.5], [2.0, 0.0], 5e-324, "s" * 250, "x\n", 1.0, float("nan"), float("inf"))
 # values of the ``--theta`` and ``--n`` flags of ``homlab figure``
 FIGURE_FLAGS = ("nan", "inf", "1e300", "-1", "0", "15", "16", "pi/2", "x")
 _DELETE = object()
 _UNKNOWN = "unknown_field"
 # top-level fields each mode accepts besides the ones its base configs set:
 # its optional fields other than the model blocks, which every base config names
-_OPTIONAL = {mode: tuple(key for key in optional if key not in ("spectrum", "pulse"))
-             for mode, (_, optional, _) in _MODES.items()}
+_OPTIONAL = {mode: tuple(key for key, (_, default, *_) in table.items()
+                         if default is not _REQUIRED and key not in ("spectrum", "pulse"))
+             for mode, (table, _, _) in _MODES.items()}
 # the library record each config block is built from
 _RECORDS = {"spectrum": GaussianJointSpectrum, "pulse": CoherentSpectrum,
             "loss": LossParams, "scenario": SensingScenario, "target": QpsTarget}

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 import homlab.cli as cli
-from homlab import qps, rates, sensing
+from homlab import figures, qps, rates, sensing
 from homlab.cli import (
     _MAX_VALUES,
     ConfigError,
@@ -555,10 +555,15 @@ def test_figure_theta_flag_accepts_huge_phase(tmp_path):
 
 
 def test_figure_theta_flag_rejected_for_fixed_presets(tmp_path, capsys):
-    code = main(["figure", "fig5", "--theta", "pi/2", "--out", str(tmp_path)])
+    code = main(["figure", "fig5", "--theta", "pi/2", "--out", str(tmp_path / "out")])
     assert code == 2
-    assert "phase" in capsys.readouterr().err
-    assert not list(tmp_path.iterdir())
+    assert capsys.readouterr().err == (
+        "error: --theta: preset fig5 has no achromatic phase parameter\n")
+    cfg = write_config(tmp_path, {"version": 1, "mode": "figure", "preset": "fig2", "theta": 0.3})
+    assert main(["run", cfg, "--out", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err == (
+        "error: theta: preset fig2 has no achromatic phase parameter\n")
+    assert not (tmp_path / "out").exists()
 
 
 def test_figure_unknown_preset_exits_via_argparse(tmp_path):
@@ -921,10 +926,12 @@ def test_overflow_inside_a_finite_run_writes_no_warning(tmp_path, capsys):
 
 
 def test_wrong_version_rejected(tmp_path, capsys):
-    payload = dict(HOM_BP, version=99)
-    cfg = write_config(tmp_path, payload)
-    assert main(["run", cfg, "--out", str(tmp_path / "o")]) == 2
-    assert "version" in capsys.readouterr().err
+    # True == 1 and 1.0 == 1 in Python, yet neither is the JSON integer 1
+    for version in (99, True, 1.0):
+        cfg = write_config(tmp_path, dict(HOM_BP, version=version))
+        assert main(["run", cfg, "--out", str(tmp_path / "o")]) == 2
+        assert capsys.readouterr().err == f"error: version: expected 1, got {version!r}\n"
+        assert not (tmp_path / "o").exists()
 
 
 def test_unused_model_block_rejected(tmp_path):
@@ -963,6 +970,30 @@ def test_bad_stem_rejected(tmp_path, capsys):
     assert main(["run", cfg, "--out", str(out)]) == 2
     assert capsys.readouterr().err == (
         f"error: stem: expected a plain file-name stem, got {long_stem!r}\n")
+    assert not out.exists()
+    # a trailing newline is part of the stem, not the end of the match
+    cfg = write_config(tmp_path, dict(HOM_BP, stem="x\n"))
+    assert main(["run", cfg, "--out", str(out)]) == 2
+    assert capsys.readouterr().err == "error: stem: expected a plain file-name stem, got 'x\\n'\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("name", sorted(RUN_CONFIGS))
+def test_every_field_parses_before_any_rate_is_computed(tmp_path, capsys, monkeypatch, name):
+    _refuse_to_compute(monkeypatch)
+    cfg = write_config(tmp_path, {"version": 1, **RUN_CONFIGS[name], "stem": "../x"})
+    out = tmp_path / "out"
+    assert main(["run", cfg, "--out", str(out)]) == 2
+    assert capsys.readouterr().err == "error: stem: expected a plain file-name stem, got '../x'\n"
+    assert not out.exists()
+
+
+def test_a_bad_field_is_reported_before_an_averaging_regime_violation(tmp_path, capsys):
+    # the window smears the envelope (exit 3 alone), but the stem is refused first
+    cfg = write_config(tmp_path, _coarse_window(window=1e30, stem="../x"))
+    out = tmp_path / "out"
+    assert main(["run", cfg, "--out", str(out)]) == 2
+    assert capsys.readouterr().err == "error: stem: expected a plain file-name stem, got '../x'\n"
     assert not out.exists()
 
 
@@ -1153,13 +1184,18 @@ def test_figure_subcommand_n_over_cap_rejected(tmp_path, capsys, monkeypatch):
     assert not out.exists()
 
 
-def test_largest_counts_under_the_caps_are_admitted():
+def test_largest_counts_under_the_caps_are_admitted(tmp_path, monkeypatch):
     assert 1001 * 1001 <= _MAX_VALUES
-    axes = cli._parse_grid({"tau1": {"min": -1.0, "max": 1.0, "n": _SIDE},
-                            "tau2": {"min": -1.0, "max": 1.0, "n": _SIDE}})
-    assert [a.size for a in axes] == [_SIDE, _SIDE]
-    cli._check_figure_n("fig2", _MAX_VALUES, "n")
-    cli._check_figure_n("fig3", _SIDE, "n")
+    _refuse_to_compute(monkeypatch)
+    payload = dict(OVERSIZED["grid_over"][0], tau1={"min": -1.0, "max": 1.0, "n": _SIDE},
+                   tau2={"min": -1.0, "max": 1.0, "n": _SIDE})
+    # every check passes, so the run reaches the computation
+    with pytest.raises(AssertionError, match="reached the computation"):
+        run_scenario(payload, tmp_path / "out")
+    for preset, n in (("fig2", _MAX_VALUES), ("fig3", _SIDE)):
+        with pytest.raises(AssertionError, match="reached the computation"):
+            run_figure(preset, tmp_path / "out", n=n)
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize(
@@ -1473,16 +1509,17 @@ def _boom(*args, **kwargs):
 @pytest.mark.parametrize(
     "owner, attr, config",
     [
-        (sensing, "scan_f", "sense_bp"),
-        (qps, "mhom_bp_coarse_analytic", "qps"),
-        (rates, "_rule_average", "coarse_bp_window"),
+        (sensing, "scan_f", RUN_CONFIGS["sense_bp"]),
+        (qps, "mhom_bp_coarse_analytic", RUN_CONFIGS["qps"]),
+        (rates, "_rule_average", RUN_CONFIGS["coarse_bp_window"]),
+        (figures, "sample_surface", {"mode": "figure", "preset": "fig3", "n": 16}),
     ],
-    ids=["sensing_scan", "qps_closed_form", "window_average"],
+    ids=["sensing_scan", "qps_closed_form", "window_average", "figure_sampling"],
 )
 def test_model_bugs_after_parsing_are_not_config_errors(tmp_path, monkeypatch,
                                                         owner, attr, config):
     monkeypatch.setattr(owner, attr, _boom)
-    cfg = write_config(tmp_path, {"version": 1, **RUN_CONFIGS[config]})
+    cfg = write_config(tmp_path, {"version": 1, **config})
     with pytest.raises(ValueError, match="boom"):
         main(["run", cfg, "--out", str(tmp_path / "out")])
     assert not (tmp_path / "out").exists()
