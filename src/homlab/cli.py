@@ -45,9 +45,10 @@ included, and fills in the defaults; only then do the rules that join
 fields run (model block, grid size, plateau, ``qps`` scan length,
 averaging regime), and then the rates, each divided by the model plateau.
 Each run writes a JSON sidecar or report with its mode, model, ranges,
-plateau and results; it records neither ``version`` nor ``stem``, nor
-the ``n``, ``span`` and ``surface_n`` of a scan or an automatic
-``window_n``. Every rate of a run is computed before its
+plateau and results. One table, ``_RECORDERS``, decides which config
+fields every mode records and how; it records neither ``version`` nor
+``stem``, nor the ``n``, ``span`` and ``surface_n`` of a scan or an
+automatic ``window_n``. Every rate of a run is computed before its
 first byte is written; each CSV is then streamed into a temp file in chunks
 of rows, and the files are renamed into place only after all of them are
 written. Files are byte-identical for identical configurations (nothing in
@@ -417,9 +418,22 @@ def _json_text(obj) -> str:
     return json.dumps(obj, indent=2, sort_keys=True, allow_nan=False) + "\n"
 
 
-def _with_record(data: list, name: str, record: dict) -> list:
-    """The data files of a run, then its JSON record ``name`` listing them."""
-    record["files"] = [file for file, _ in data]
+def _with_record(data: list, name: str, f: dict | None, **results) -> list:
+    """The data files of a run, then its JSON record ``name`` listing them.
+
+    The record of a config run with resolved fields ``f`` holds its mode, the
+    units, the fields ``_RECORDERS`` records and ``results``; a preset
+    (``f`` None) records ``results`` alone.
+    """
+    record = {}
+    if f is not None:
+        table = _MODES[f["mode"]][0]
+        record = {key: f[key] if recorder is None else recorder(f[key])
+                  for key, recorder in _RECORDERS.items()
+                  if key in table and (f[key] is not None or key == "loss")
+                  and all(f[need] is not None for need in table[key][2:])}
+        record.update(mode=f["mode"], units=_UNITS)
+    record.update(results, files=[file for file, _ in data])
     return [*data, (name, _json_text(record))]
 
 
@@ -497,43 +511,37 @@ def _write_artifacts(out_dir: Path, artifacts) -> list[Path]:
 
 
 def _model_for(f: dict, kind: str):
-    """The model of a ``bp`` or pulse source and its record: ``spectrum`` or ``pulse``."""
+    """The model of a ``bp`` or pulse source: ``spectrum`` or ``pulse``."""
     key, unused, why = (("spectrum", "pulse", "when the source is 'bp'") if kind == "bp"
                         else ("pulse", "spectrum", "for pulse sources"))
     if f.get(unused) is not None:
         raise ConfigError(f"{unused}: not used {why}")
     if f[key] is None:
         raise ConfigError(f"{key}: required field is missing")
-    return f[key], {key: asdict(f[key])}
+    return f[key]
 
 
 def _build_hom(f: dict) -> list:
-    source, axis, stem = f["source"], f["tau"], f["stem"]
-    model, record = _model_for(f, "bp" if source == "bp" else "cp")
+    source, stem = f["source"], f["stem"]
+    model = _model_for(f, "bp" if source == "bp" else "cp")
     form = {"bp": hom_bp_analytic, "cp": hom_cp_analytic,
             "cp_coarse": hom_cp_coarse_analytic}[source]
     plateau = _plateau(model)
-    curve = sample_curve(lambda t: form(t, model), axis, plateau)
-    return _with_record([(f"{stem}.csv", curve_rows(curve))], f"{stem}.json", {
-        "mode": "hom",
-        "source": source,
-        "tau": _range_dict(axis),
-        "plateau": plateau,
-        "units": _UNITS,
-        **record,
-    })
+    curve = sample_curve(lambda t: form(t, model), f["tau"], plateau)
+    return _with_record([(f"{stem}.csv", curve_rows(curve))], f"{stem}.json", f,
+                        plateau=plateau)
 
 
 def _build_surface(f: dict) -> list:
     """Modes ``mhom``, ``coarse`` and ``loss``: one two-delay surface and its sidecar."""
     mode, source, t1, t2, stem = f["mode"], f["source"], f["tau1"], f["tau2"], f["stem"]
-    model, record = _model_for(f, source)
+    model = _model_for(f, source)
     if t1.size * t2.size > _MAX_VALUES:
         raise ConfigError(
             f"tau1.n x tau2.n: {t1.size} x {t2.size} values, more than {_MAX_VALUES}"
         )
     loss = f.get("loss") or LossParams()
-    theta, window, window_n = f.get("theta"), f.get("window"), f.get("window_n")
+    theta, window = f.get("theta"), f.get("window")
     bp = source == "bp"
     plateau = _plateau(model, loss)
     if mode == "mhom":
@@ -546,57 +554,34 @@ def _build_surface(f: dict) -> list:
         form = mhom_bp_windowed if bp else mhom_cp_windowed
         # the automatic count may exceed the cap; a RegimeError comes first and passes
         with _wrap_model_error("window"):
-            nodes = window_nodes(window_n, window, model.omega0, model.window_envelope)
+            nodes = window_nodes(f["window_n"], window, model.omega0, model.window_envelope)
         surface = RateSurface(t1, t2, form(t1, t2, theta, model, window, n=nodes), plateau)
-    params = {
-        "mode": mode,
-        "source": source,
-        "tau1": _range_dict(t1),
-        "tau2": _range_dict(t2),
-        "plateau": plateau,
-        "units": _UNITS,
-        **record,
-    }
-    if mode == "mhom" or window is not None:
-        params["theta"] = theta
-    if window is not None:
-        params["window"] = window
-    if window_n is not None:
-        params["window_n"] = window_n
-    if "loss" in f:
-        params["loss"] = _loss_record(f["loss"])
-    return _with_record([(f"{stem}.csv", surface_rows(surface))], f"{stem}.json", params)
+    return _with_record([(f"{stem}.csv", surface_rows(surface))], f"{stem}.json", f,
+                        plateau=plateau)
 
 
 def _build_sense(f: dict) -> list:
-    source, scenario, stem = f["source"], f["scenario"], f["stem"]
-    model, record = _model_for(f, source)
+    scenario, stem = f["scenario"], f["stem"]
+    model = _model_for(f, f["source"])
     loss = f["loss"] or LossParams()
     _plateau(model, loss)
     with _scan_resolves("scenario"):
         result = run_sensing(scenario, model, loss=loss, n=f["n"], span=f["span"])
     dl1_eff = scenario.dl1_0 - 2.0 * scenario.x1
     data = [(f"{stem}_scan.csv", curve_rows(result.curve, label="x2"))]
-    return _with_record(data, f"{stem}_report.json", {
-        "mode": "sense",
-        "source": source,
-        "scenario": asdict(scenario),
-        "loss": _loss_record(f["loss"]),
-        "plateau": result.curve.plateau,
-        "extrema": asdict(result.report),
-        "recovered": {"dl1": result.dl1_recovered, "dl2": result.dl2_recovered},
-        "residuals": {
-            "dl1": result.dl1_recovered - abs(dl1_eff),
-            "dl2": result.dl2_recovered - scenario.dl2_0,
-        },
-        "units": _UNITS,
-        **record,
-    })
+    return _with_record(
+        data, f"{stem}_report.json", f,
+        plateau=result.curve.plateau,
+        extrema=asdict(result.report),
+        recovered={"dl1": result.dl1_recovered, "dl2": result.dl2_recovered},
+        residuals={"dl1": result.dl1_recovered - abs(dl1_eff),
+                   "dl2": result.dl2_recovered - scenario.dl2_0},
+    )
 
 
 def _build_qps(f: dict) -> list:
     target, c, n, stem = f["target"], f["c"], f["n"], f["stem"]
-    spectrum, record = _model_for(f, "bp")
+    spectrum = _model_for(f, "bp")
     loss = f["loss"] or LossParams()
     _plateau(spectrum, loss)
     if n is None and (need := qps_scan_samples(target, spectrum, c)) > _MAX_VALUES:
@@ -611,30 +596,15 @@ def _build_qps(f: dict) -> list:
         (f"{stem}_surface.csv",
          surface_rows(result.surface, labels=("s1_control", "s2_control"))),
     ]
-    return _with_record(data, f"{stem}_report.json", {
-        "mode": "qps",
-        "target": asdict(target),
-        "loss": _loss_record(f["loss"]),
-        "c": c,
-        "recovered": {**asdict(result.recovered),
-                      "degenerate_azimuth": result.degenerate_azimuth},
-        "controls": {
-            "s1": result.s1,
-            "s2": result.s2,
-            "sign_u": result.sign_u,
-            "sign_v": result.sign_v,
-            "d1": result.d1,
-            "d2": result.d2,
-        },
-        "residuals": {
-            "gamma_error": result.gamma_error,
-            "vartheta_error": result.vartheta_error,
-            "position_error": result.position_error,
-        },
-        "extrema": asdict(result.report),
-        "units": _UNITS,
-        **record,
-    })
+    return _with_record(
+        data, f"{stem}_report.json", f,
+        recovered={**asdict(result.recovered), "degenerate_azimuth": result.degenerate_azimuth},
+        controls={"s1": result.s1, "s2": result.s2, "sign_u": result.sign_u,
+                  "sign_v": result.sign_v, "d1": result.d1, "d2": result.d2},
+        residuals={"gamma_error": result.gamma_error, "vartheta_error": result.vartheta_error,
+                   "position_error": result.position_error},
+        extrema=asdict(result.report),
+    )
 
 
 def _figure_artifacts(preset: str, theta: float | None, n: int | None, flag: str = "") -> list:
@@ -650,7 +620,7 @@ def _figure_artifacts(preset: str, theta: float | None, n: int | None, flag: str
          else surface_rows(ds.data, ds.labels))
         for ds in bundle.datasets
     ]
-    return _with_record(data, bundle.preset + ".json", dict(bundle.params))
+    return _with_record(data, bundle.preset + ".json", None, **bundle.params)
 
 
 # ----- The field table -----
@@ -669,6 +639,16 @@ _MODEL = {
 _LOSS = (lambda value, path: _parse_record(value, path, LossParams, _parse_amplitude), None)
 _GRID = {"tau1": (_parse_range, _REQUIRED), "tau2": (_parse_range, _REQUIRED)}
 _STEM = (_parse_stem, lambda f: f"{f['mode']}_{f['source']}" if "source" in f else f["mode"])
+
+# How a sidecar records each config field: by the function given, or as parsed
+# (None). A run records each field of its mode named here whose value is set,
+# and whose needed fields are set too; ``loss`` is recorded unset too, as null.
+_RECORDERS = {
+    **dict.fromkeys(("source", "theta", "window", "window_n", "c")),
+    **dict.fromkeys(("tau", "tau1", "tau2"), _range_dict),
+    **dict.fromkeys(("spectrum", "pulse", "scenario", "target"), asdict),
+    "loss": _loss_record,
+}
 
 # mode -> (its fields besides "version" and "mode" in parse order, the layers it loads,
 # its builder); cross-field rules run in the builder, after every field has parsed

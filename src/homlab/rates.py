@@ -235,25 +235,14 @@ class LossParams:
         """Squared relative imbalance of the internal-path transmissions."""
         return ((abs(self.chi1) ** 2 - abs(self.chi2) ** 2) / self.chi_power) ** 2
 
-    @property
-    def a_bp_loss(self) -> float:
-        """Overall pair-rate scale: a quarter of the plateau under these losses."""
-        return abs(self.xi1 * self.xi2) ** 2 * self.chi_power**2 / 32.0
-
-    def a_cp_loss(self, total_intensity: float) -> float:
-        """Plateau of the lossy coherent-pulse rate for a pulse of given intensity."""
-        a = finite_real(total_intensity, "total_intensity")
-        if a <= 0.0:
-            raise ValueError("total_intensity must be positive")
-        return (a * self.chi_power * self.xi_power / 4.0) ** 2
-
 
 def bp_plateau(loss: LossParams | None = None) -> float:
     """Large-delay pair-coincidence plateau: one half, rescaled under losses.
 
     ``None`` is the lossless ``LossParams()``.
     """
-    return 4.0 * (loss or LossParams()).a_bp_loss
+    loss = loss or LossParams()
+    return abs(loss.xi1 * loss.xi2) ** 2 * loss.chi_power**2 / 8.0
 
 
 def cp_plateau(pulse: CoherentSpectrum, loss: LossParams | None = None) -> float:
@@ -261,7 +250,8 @@ def cp_plateau(pulse: CoherentSpectrum, loss: LossParams | None = None) -> float
 
     ``None`` is the lossless ``LossParams()``.
     """
-    return (loss or LossParams()).a_cp_loss(pulse.total_intensity)
+    loss = loss or LossParams()
+    return (pulse.total_intensity * loss.chi_power * loss.xi_power / 4.0) ** 2
 
 
 # ----- Closed forms, standard interferometer -----
@@ -364,7 +354,7 @@ def mhom_bp_coarse_analytic(tau1, tau2, spectrum: GaussianJointSpectrum,
     the first in magnitude. Input-path imbalance only rescales the
     surface; internal-path imbalance ``eta_b`` mixes in a reversed copy
     of the feature terms, so every feature visibility shrinks by
-    ``1 - eta_b`` while the plateau stays at four times the loss scale.
+    ``1 - eta_b`` while the plateau stays at ``bp_plateau(loss)``.
     """
     t1 = np.asarray(tau1, dtype=float)
     t2 = np.asarray(tau2, dtype=float)
@@ -381,7 +371,7 @@ def mhom_bp_coarse_analytic(tau1, tau2, spectrum: GaussianJointSpectrum,
         - g_diff
         + loss.eta_b * (-2.0 * g2 + 4.0 * g(t1) + g_sum + g_diff)
     )
-    return loss.a_bp_loss * bracket
+    return 0.25 * bp_plateau(loss) * bracket
 
 
 def mhom_cp_coarse_analytic(tau1, tau2, pulse: CoherentSpectrum,
@@ -412,7 +402,7 @@ def mhom_cp_coarse_analytic(tau1, tau2, pulse: CoherentSpectrum,
         + eta_b * (d + 0.5 * e1)
         + eta_a * eta_b * (0.5 * (e2 - e1) - d)
     )
-    return loss.a_cp_loss(pulse.total_intensity) * bracket
+    return cp_plateau(pulse, loss) * bracket
 
 
 # The averaged forms under their older lossy names, which callers still import.

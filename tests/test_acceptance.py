@@ -305,7 +305,7 @@ def test_criterion_6_loss_scaling_and_shape_invariance(capfd):
     same_shape = np.argmax(surf_a) == np.argmax(surf_b) and np.argmin(
         surf_a
     ) == np.argmin(surf_b)
-    ratio = base.a_bp_loss / scaled.a_bp_loss
+    ratio = bp_plateau(base) / bp_plateau(scaled)
     scale_ok = np.allclose(surf_b * ratio, surf_a, rtol=1e-12, atol=0.0)
 
     dark = LossParams(xi2=0.0, chi1=0.95, chi2=0.7)

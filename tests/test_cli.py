@@ -16,6 +16,8 @@ import homlab.cli as cli
 from homlab import figures, qps, rates, sensing
 from homlab.cli import (
     _MAX_VALUES,
+    _MODES,
+    _RECORDERS,
     ConfigError,
     curve_csv,
     curve_rows,
@@ -450,6 +452,33 @@ def test_run_golden_hashes(tmp_path, name, capsys):
     out = tmp_path / "out"
     assert main(["run", cfg, "--out", str(out)]) == 0
     assert _sha256_by_name(out) == RUN_SHA256[name]
+
+
+def test_config_fields_each_run_mode_does_not_record():
+    """The fields of each mode's table that ``_RECORDERS`` gives no record rule;
+    a field added to a mode without one shows up here."""
+    unrecorded = {mode: set(table) - set(_RECORDERS)
+                  for mode, (table, _, _) in _MODES.items() if mode != "figure"}
+    assert unrecorded == {
+        "hom": {"stem"}, "mhom": {"stem"}, "coarse": {"stem"}, "loss": {"stem"},
+        "sense": {"n", "span", "stem"}, "qps": {"n", "surface_n", "stem"},
+    }
+
+
+# What a run's builder adds to its sidecar besides the config fields.
+_BUILDER_RESULTS = {"plateau", "extrema", "recovered", "residuals", "controls"}
+
+
+@pytest.mark.parametrize("name", sorted(RUN_CONFIGS))
+def test_sidecar_keys_are_envelope_recorded_fields_or_results(tmp_path, name):
+    cfg = RUN_CONFIGS[name]
+    out = tmp_path / "out"
+    assert main(["run", write_config(tmp_path, {"version": 1, **cfg}), "--out", str(out)]) == 0
+    [sidecar] = out.glob("*.json")
+    keys = set(json.loads(sidecar.read_text(encoding="utf-8")))
+    recorded = set(_MODES[cfg["mode"]][0]) & set(_RECORDERS)
+    assert {"mode", "units", "files"} <= keys
+    assert keys <= {"mode", "units", "files", *recorded, *_BUILDER_RESULTS}
 
 
 # Settings that change which numpy kernels and OpenBLAS threads a run uses.

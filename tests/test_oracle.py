@@ -26,6 +26,7 @@ from homlab.rates import (
     bp_rate_oracle_batch,
     box_average_surface,
     cl_s_rate,
+    cp_plateau,
     cp_rate_oracle,
     cp_rate_oracle_batch,
     hom_bp_analytic,
@@ -581,7 +582,7 @@ def test_cp_loss_coarse_matches_averaged_oracle():
         return np.concatenate(out).reshape(t1.shape)
 
     window = 0.4  # window * carrier = 20, window * spread = 0.2
-    plateau = loss.a_cp_loss(1.0)
+    plateau = cp_plateau(pulse, loss)
     for t1, t2 in ((0.0, 0.0), (1.0, 0.5), (2.0, 2.0)):
         got = box_average_surface(exact, t1, t2, window, n=96)
         want = float(mhom_cp_loss_coarse(t1, t2, pulse, loss))

@@ -14,7 +14,7 @@ from homlab.qps import (
     qps_scan,
     qps_scan_samples,
 )
-from homlab.rates import LossParams
+from homlab.rates import LossParams, bp_plateau
 from homlab.spectra import GaussianJointSpectrum
 
 SPECTRUM = GaussianJointSpectrum(omega0=5.0, d_omega_plus=0.2, d_omega_minus=1.0)
@@ -261,7 +261,7 @@ def test_scan_rejects_fully_dark_input_path():
     normalize its curve and the degenerate request is rejected."""
     loss = LossParams(xi2=0.0)
     assert loss.eta_a == 1.0
-    assert loss.a_bp_loss == 0.0
+    assert bp_plateau(loss) == 0.0
     target = QpsTarget(r=2.0, gamma=0.5, vartheta=1.0)
     with pytest.raises(ValueError, match="plateau"):
         qps_scan(target, SPECTRUM, loss=loss)

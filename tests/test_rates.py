@@ -154,8 +154,28 @@ def test_plateaus():
     assert cp_plateau(PULSE) == 1.0
     assert cp_plateau(BRIGHT) == 6.25
     loss = LossParams(chi2=0.5)
-    assert bp_plateau(loss) == pytest.approx(4.0 * loss.a_bp_loss, rel=1e-15)
-    assert cp_plateau(BRIGHT, loss) == pytest.approx(loss.a_cp_loss(2.5), rel=1e-15)
+    assert bp_plateau(loss) == pytest.approx(1.25**2 / 8.0, rel=1e-15)
+    assert cp_plateau(BRIGHT, loss) == pytest.approx((2.5 * 1.25 * 2.0 / 4.0) ** 2, rel=1e-15)
+
+
+def test_plateaus_keep_the_bits_of_the_loss_scales_they_replace():
+    """Seeded losses and pulses: the pair plateau is four times, bit for bit,
+    the quarter-plateau scale the averaged pair form once multiplied by, and
+    a quarter of it is that scale again; the pulse plateau is the old pulse
+    scale, whose intensity check ``CoherentSpectrum`` already makes."""
+    rng = np.random.default_rng(30)
+    for _ in range(500):
+        amps = rng.uniform(0.0, 1.0, 4) * np.exp(1j * rng.uniform(-np.pi, np.pi, 4))
+        amps[rng.uniform(size=4) < 0.25] = 1.0  # real amplitudes too
+        amps[rng.integers(4)] *= rng.integers(2)  # one path dark half the time
+        loss = LossParams(*amps.tolist())
+        pulse = CoherentSpectrum(omega0=5.0, d_omega=0.5,
+                                 total_intensity=float(rng.uniform(0.01, 100.0)))
+        a_bp = abs(loss.xi1 * loss.xi2) ** 2 * loss.chi_power**2 / 32.0
+        a_cp = (pulse.total_intensity * loss.chi_power * loss.xi_power / 4.0) ** 2
+        assert bp_plateau(loss) == 4.0 * a_bp
+        assert 0.25 * bp_plateau(loss) == a_bp
+        assert cp_plateau(pulse, loss) == a_cp
 
 
 @settings(max_examples=80)
@@ -268,15 +288,16 @@ def test_loss_params_derived_quantities():
     assert loss.chi_power == pytest.approx(chi_p, rel=1e-15)
     assert loss.eta_a == pytest.approx(((1.0 - 0.64) / xi_p) ** 2, rel=1e-14)
     assert loss.eta_b == pytest.approx(((0.81 - 0.25) / chi_p) ** 2, rel=1e-14)
-    assert loss.a_bp_loss == pytest.approx(0.64 * chi_p**2 / 32.0, rel=1e-14)
-    assert loss.a_cp_loss(2.0) == pytest.approx((2.0 * chi_p * xi_p / 4.0) ** 2, rel=1e-14)
+    assert bp_plateau(loss) == pytest.approx(0.64 * chi_p**2 / 8.0, rel=1e-14)
+    pulse = CoherentSpectrum(omega0=5.0, d_omega=0.5, total_intensity=2.0)
+    assert cp_plateau(pulse, loss) == pytest.approx((2.0 * chi_p * xi_p / 4.0) ** 2, rel=1e-14)
 
 
 def test_loss_params_no_loss_is_neutral():
     neutral = LossParams()
     assert neutral.eta_a == 0.0 and neutral.eta_b == 0.0
-    assert neutral.a_bp_loss == pytest.approx(1.0 / 8.0, rel=1e-15)
-    assert neutral.a_cp_loss(1.0) == pytest.approx(1.0, rel=1e-15)
+    assert bp_plateau(neutral) == pytest.approx(0.5, rel=1e-15)
+    assert cp_plateau(PULSE, neutral) == pytest.approx(1.0, rel=1e-15)
 
 
 def test_loss_params_rejects_dark_stage():
@@ -295,7 +316,7 @@ def test_bp_loss_reduces_when_balanced():
     t2 = np.linspace(-3, 3, 21)[None, :]
     lossy = mhom_bp_loss_coarse(t1, t2, SPECTRUM, loss)
     clean = mhom_bp_coarse_analytic(t1, t2, SPECTRUM)
-    np.testing.assert_allclose(lossy, 8.0 * loss.a_bp_loss * clean, rtol=1e-12)
+    np.testing.assert_allclose(lossy, 2.0 * bp_plateau(loss) * clean, rtol=1e-12)
 
 
 def test_bp_loss_input_imbalance_only_rescales():
@@ -308,7 +329,7 @@ def test_bp_loss_input_imbalance_only_rescales():
     ref = mhom_bp_loss_coarse(t1, t2, SPECTRUM, ref_loss)
     alt = mhom_bp_loss_coarse(t1, t2, SPECTRUM, alt_loss)
     np.testing.assert_allclose(
-        alt / alt_loss.a_bp_loss, ref / ref_loss.a_bp_loss, rtol=1e-12
+        alt / bp_plateau(alt_loss), ref / bp_plateau(ref_loss), rtol=1e-12
     )
     assert np.argmax(alt) == np.argmax(ref)
     assert np.argmin(alt) == np.argmin(ref)
@@ -322,7 +343,7 @@ def test_bp_loss_visibility_scaling():
     for eta in (0.3, 0.6, 0.9):
         loss = LossParams(chi2=chi2_for_eta_b(eta))
         assert loss.eta_b == pytest.approx(eta, rel=1e-12)
-        plateau = 4.0 * loss.a_bp_loss
+        plateau = bp_plateau(loss)
         ridge = mhom_bp_loss_coarse(t1, 0.0, SPECTRUM, loss)
         dip = mhom_bp_loss_coarse(t1, t1, SPECTRUM, loss)
         v_ridge = (ridge - plateau) / plateau
@@ -337,7 +358,7 @@ def test_cp_loss_reduces_when_balanced():
     t2 = np.linspace(-3, 3, 15)[None, :]
     lossy = mhom_cp_loss_coarse(t1, t2, PULSE, loss)
     clean = mhom_cp_coarse_analytic(t1, t2, PULSE)
-    scale = loss.a_cp_loss(PULSE.total_intensity)
+    scale = cp_plateau(PULSE, loss)
     np.testing.assert_allclose(lossy, scale * clean, rtol=1e-12)
 
 
@@ -345,7 +366,7 @@ def test_cp_loss_full_input_imbalance_drops_first_delay():
     """With one input path dark the rate keeps only the second-delay dip."""
     loss = LossParams(xi2=0.0, chi1=0.95, chi2=0.7)
     assert loss.eta_a == pytest.approx(1.0, rel=1e-15)
-    scale = loss.a_cp_loss(1.0)
+    scale = cp_plateau(PULSE, loss)
     t1 = np.linspace(-4, 4, 17)
     t2 = np.linspace(-4, 4, 17)
     vals = mhom_cp_loss_coarse(t1[:, None], t2[None, :], PULSE, loss)
