@@ -18,7 +18,8 @@ compare the two outputs to see what a change did to error handling: with
 every run whose record differs or is in only one of the files, then one line
 per change of exit code with its count (``0 -> 2: 36``) and the number of
 runs that kept their exit code but changed their stderr, and exits 1 if any
-run differs. It is not collected by pytest.
+run differs. It is not collected by pytest; ``test_fault_corpus.py`` runs the
+same corpus and checks the rules every run must keep.
 """
 
 import argparse

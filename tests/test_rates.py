@@ -158,11 +158,11 @@ def test_plateaus():
     assert cp_plateau(BRIGHT, loss) == pytest.approx((2.5 * 1.25 * 2.0 / 4.0) ** 2, rel=1e-15)
 
 
-def test_plateaus_keep_the_bits_of_the_loss_scales_they_replace():
-    """Seeded losses and pulses: the pair plateau is four times, bit for bit,
-    the quarter-plateau scale the averaged pair form once multiplied by, and
-    a quarter of it is that scale again; the pulse plateau is the old pulse
-    scale, whose intensity check ``CoherentSpectrum`` already makes."""
+def test_plateaus_keep_the_bits_of_the_averaged_forms_loss_factors():
+    """Seeded losses and pulses: the averaged pair form's factor, a quarter of
+    the pair plateau, has the bits of |xi1 xi2|^2 chi_power^2 / 32 and the
+    plateau four times those; the averaged pulse form's factor is the pulse
+    plateau (I chi_power xi_power / 4)^2, bit for bit."""
     rng = np.random.default_rng(30)
     for _ in range(500):
         amps = rng.uniform(0.0, 1.0, 4) * np.exp(1j * rng.uniform(-np.pi, np.pi, 4))
