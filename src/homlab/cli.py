@@ -54,7 +54,11 @@ of rows, and the files are renamed into place only after all of them are
 written. Files are byte-identical for identical configurations (nothing in
 the pipeline is randomized). Exit codes: 0 success, 2 validation error, 3
 averaging regime violation, 1 I/O failure. A rate that comes out nan or
-infinite is refused with exit 2, and nothing is written.
+infinite is refused with exit 2, and nothing is written. So is a ``sense`` or
+``qps`` scan that misses the features it needs; the refusal names each field
+the scan reads that the config sets, in table order: the model block,
+``scenario``, ``loss``, ``n`` and ``span`` for ``sense``, and ``target``,
+``spectrum``, ``loss``, ``c`` and ``n`` for ``qps``.
 """
 
 from __future__ import annotations
@@ -275,13 +279,14 @@ def _rates_from(paths):
 
 
 @contextmanager
-def _scan_resolves(path: str):
-    """Name the field to change when a valid scan misses the features it needs."""
+def _scan_resolves(f: dict, reads: tuple):
+    """Name the fields of ``reads`` the config sets when a valid scan misses its features."""
     try:
         yield
     except ExtremaError as exc:
+        paths = ", ".join(key for key in f["given"] if key in reads)
         raise ConfigError(
-            f"{path}: the scan did not resolve the expected features ({exc})"
+            f"{paths}: the scan did not resolve the expected features ({exc})"
         ) from None
 
 
@@ -565,7 +570,7 @@ def _build_sense(f: dict) -> list:
     model = _model_for(f, f["source"])
     loss = f["loss"] or LossParams()
     _plateau(model, loss)
-    with _scan_resolves("scenario"):
+    with _scan_resolves(f, ("spectrum", "pulse", "scenario", "loss", "n", "span")):
         result = run_sensing(scenario, model, loss=loss, n=f["n"], span=f["span"])
     dl1_eff = scenario.dl1_0 - 2.0 * scenario.x1
     data = [(f"{stem}_scan.csv", curve_rows(result.curve, label="x2"))]
@@ -589,7 +594,7 @@ def _build_qps(f: dict) -> list:
             f"target.r: the default scan for r / c = {target.r / c:.4g} needs "
             f"{need:.4g} samples, more than {_MAX_VALUES}"
         )
-    with _scan_resolves("n"):
+    with _scan_resolves(f, ("target", "spectrum", "loss", "c", "n")):
         result = qps_scan(target, spectrum, loss=loss, c=c, n=n, surface_n=f["surface_n"])
     data = [
         (f"{stem}_scan.csv", curve_rows(result.curve, label="s2_control")),
@@ -682,11 +687,12 @@ _MODES = {
 
 
 def _resolve(config: dict, mode: str) -> dict:
-    """The fields of a ``mode`` config: each parsed in table order, or its default."""
+    """The fields of a ``mode`` config, each parsed in table order or its default,
+    and under ``given`` the ones the config sets."""
     table = _MODES[mode][0]
     required = tuple(key for key, (_, default, *_) in table.items() if default is _REQUIRED)
     _check_keys(config, "", ("version", "mode", *required), tuple(table))
-    f = {"mode": mode}
+    f = {"mode": mode, "given": [key for key in table if key in config]}
     for key, (parse, default, *needs) in table.items():
         if key not in config:
             f[key] = default(f) if callable(default) else default

@@ -74,6 +74,14 @@ def finite_real(value, name: str) -> float:
     return value
 
 
+def positive_real(value, name: str) -> float:
+    """``value`` as a positive finite float: ``finite_real``'s refusals, then any value <= 0."""
+    value = finite_real(value, name)
+    if value <= 0.0:
+        raise ValueError(f"{name} must be positive and finite, got {value!r}")
+    return value
+
+
 def whole_number(value, name: str, unit: str, least: int) -> int:
     """``value`` as an ``int`` count of at least ``least`` ``unit``.
 
@@ -91,10 +99,10 @@ def whole_number(value, name: str, unit: str, least: int) -> int:
     return n
 
 
-def store_finite(record, *names: str) -> None:
-    """Store each named field of a frozen record as its ``finite_real`` value."""
+def store_finite(record, *names: str, rule=finite_real) -> None:
+    """Store each named field of a frozen record as the value ``rule`` returns for it."""
     for name in names:
-        object.__setattr__(record, name, finite_real(getattr(record, name), name))
+        object.__setattr__(record, name, rule(getattr(record, name), name))
 
 
 # ----- Elements -----

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .network import finite_real, store_finite, whole_number
+from .network import finite_real, positive_real, store_finite, whole_number
 from .rates import (
     LossParams,
     RateCurve,
@@ -69,9 +69,8 @@ class QpsTarget:
     vartheta: float
 
     def __post_init__(self) -> None:
-        store_finite(self, "r", "gamma", "vartheta")
-        if self.r <= 0.0:
-            raise ValueError(f"radius must be positive and finite, got {self.r!r}")
+        store_finite(self, "r", rule=positive_real)
+        store_finite(self, "gamma", "vartheta")
         if not 0.0 <= self.gamma <= 0.5 * math.pi:
             raise ValueError(f"elevation must lie in [0, pi/2], got {self.gamma!r}")
         vartheta = math.fmod(self.vartheta, _TWO_PI)
@@ -169,9 +168,7 @@ def qps_invert(r: float, s1: float, s2: float, sign_u: int = 1,
     cosines; the caller supplies their signs (the quadrant), which the
     scan-based pipeline reads off the signed feature positions.
     """
-    r = finite_real(r, "r")
-    if r <= 0.0:
-        raise ValueError(f"radius must be positive and finite, got {r!r}")
+    r = positive_real(r, "r")
     for name, sign in (("sign_u", sign_u), ("sign_v", sign_v)):
         if isinstance(sign, bool) or not isinstance(sign, numbers.Integral):
             raise TypeError(f"{name} must be the int +1 or -1, got {type(sign).__name__}")
@@ -240,9 +237,7 @@ def qps_scan_samples(target: QpsTarget, spectrum: GaussianJointSpectrum,
     bound before anything is allocated; it is a whole number whenever an
     array that long could exist.
     """
-    c = finite_real(c, "c")
-    if c <= 0.0:
-        raise ValueError("c must be positive")
+    c = positive_real(c, "c")
     width = spectrum.d_omega_minus
     # a subnormal c underflows the step 0.05 c to zero: infinitely many samples
     steps = _scan_span(target, width, c) * width / (0.05 * c) if 0.05 * c > 0.0 else math.inf
@@ -268,9 +263,7 @@ def qps_scan(target: QpsTarget, spectrum: GaussianJointSpectrum,
     (``qps_scan_samples`` by default; at least 51) and the control surface
     ``surface_n`` per axis (at least 2), both whole numbers.
     """
-    c = finite_real(c, "c")
-    if c <= 0.0:
-        raise ValueError("c must be positive")
+    c = positive_real(c, "c")
     surface_n = whole_number(surface_n, "surface_n", "surface samples", 2)
     width = spectrum.d_omega_minus
     delays = qps_forward(target)

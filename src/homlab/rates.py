@@ -33,6 +33,7 @@ from .network import (
     OpticalNetwork,
     finite_real,
     mhom_network,
+    positive_real,
     push_rows,
     transfer_at,
     validate_amplitude,
@@ -95,8 +96,11 @@ MAX_WINDOW_NODES = 2048
 _BLOCK_POINTS = 1 << 20
 
 # Table entries per row block of the pair oracle's |psi|^2 and Q buffers
-# (256 KB for a real table). Buffers of the whole n x n table, several MB,
-# would be mapped and faulted in again on every call.
+# (256 KB for a real table). The blocks bound a call's peak memory whatever
+# the table size (test_bp_oracle_peak_memory_stays_below_the_table). Whether
+# the buffers are faulted in again on every call depends on the heap state:
+# about 95 minor faults per point in a standalone process, none in a
+# long-running one such as the benchmark harness.
 _ORACLE_BLOCK_ENTRIES = 1 << 15
 
 
@@ -658,9 +662,7 @@ def _window_rules(window: float, n: int):
     triangular density ``(W - |y|) / W**2`` on ``[-W, W]``; the n-point
     Gauss-Legendre rule on each half integrates that linear weight exactly.
     """
-    window = finite_real(window, "window")
-    if window <= 0.0:
-        raise ValueError("window must be positive")
+    window = positive_real(window, "window")
     x, w = np.polynomial.legendre.leggauss(_node_count(n))
     box = ((0.5 * window * x,), 0.5 * w)
     y = 0.5 * window * (1.0 + x)
@@ -732,13 +734,9 @@ def window_nodes(n: int | None, window: float, carrier: float, envelope: float) 
     returned as an ``int``; ``None`` picks the automatic count, refused
     above the cap.
     """
-    window = finite_real(window, "window")
-    carrier = finite_real(carrier, "carrier")
+    window, carrier = positive_real(window, "window"), positive_real(carrier, "carrier")
     if not (isinstance(envelope, float) and envelope == math.inf):
-        envelope = finite_real(envelope, "envelope")
-    for name, value in (("window", window), ("carrier", carrier), ("envelope", envelope)):
-        if value <= 0.0:
-            raise ValueError(f"{name} must be positive, got {value!r}")
+        envelope = positive_real(envelope, "envelope")
     if window * carrier < 20.0:
         raise RegimeError(
             "averaging window too short to wash out carrier fringes: "

@@ -32,7 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .network import finite_real, store_finite, whole_number
+from .network import positive_real, store_finite, whole_number
 from .rates import (
     LossParams,
     RateCurve,
@@ -79,9 +79,8 @@ class SensingScenario:
     c: float = 1.0
 
     def __post_init__(self) -> None:
-        store_finite(self, "dl1_0", "dl2_0", "x1", "c")
-        if self.c <= 0.0:
-            raise ValueError("c must be positive")
+        store_finite(self, "dl1_0", "dl2_0", "x1")
+        store_finite(self, "c", rule=positive_real)
 
     @property
     def tau1(self) -> float:
@@ -160,13 +159,14 @@ def scan_f(scenario: SensingScenario, model, loss: LossParams = LossParams(),
             RegimeWarning,
             stacklevel=2,
         )
-    if span is None:
+    if span is not None:
+        span = positive_real(span, "span")
+    else:
         dl1_eff = scenario.dl1_0 - 2.0 * scenario.x1
         span = abs(scenario.dl2_0) + 2.0 * abs(dl1_eff) + 6.0 * scenario.c / width
-    else:
-        span = finite_real(span, "span")
-    if span <= 0.0:
-        raise ValueError("span must be positive")
+        # a default span that overflows is scanned, and its rates are refused as not finite
+        if np.isfinite(span):
+            span = positive_real(span, "span")
     x2 = np.linspace(-span, span, n)
     return RateCurve(x2, form(tau1, scenario.tau2(x2), model, loss), plateau)
 

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .network import finite_real, store_finite, whole_number
+from .network import finite_real, positive_real, store_finite, whole_number
 
 __all__ = [
     "FrequencyGrid",
@@ -34,13 +34,6 @@ _SQRT_2PI = float(np.sqrt(2.0 * np.pi))
 # each) stay in cache, while temporaries of a whole table are mapped and
 # faulted in again on every call.
 _BLOCK_ENTRIES = 1 << 14
-
-
-def _require_positive(**values: float) -> None:
-    """Refuse any of the named finite floats that is not positive."""
-    for name, value in values.items():
-        if value <= 0.0:
-            raise ValueError(f"{name} must be positive and finite, got {value!r}")
 
 
 def blockwise(f, *arrays, entries: int = _BLOCK_ENTRIES):
@@ -118,8 +111,7 @@ def make_grid(center: float, half_width: float, n: int = 257) -> FrequencyGrid:
     several standard deviations) the trapezoid rule on this grid is
     accurate to the truncated tail mass.
     """
-    center, half_width = finite_real(center, "center"), finite_real(half_width, "half_width")
-    _require_positive(half_width=half_width)
+    center, half_width = finite_real(center, "center"), positive_real(half_width, "half_width")
     n = whole_number(n, "n", "grid nodes", 16)
     nodes = np.linspace(center - half_width, center + half_width, n)
     step = 2.0 * half_width / (n - 1)
@@ -150,8 +142,7 @@ class GaussianJointSpectrum:
     d_omega_minus: float
 
     def __post_init__(self) -> None:
-        store_finite(self, "omega0", "d_omega_plus", "d_omega_minus")
-        _require_positive(**vars(self))
+        store_finite(self, "omega0", "d_omega_plus", "d_omega_minus", rule=positive_real)
 
     @property
     def local_spread(self) -> float:
@@ -235,8 +226,7 @@ class CoherentSpectrum:
     total_intensity: float = 1.0
 
     def __post_init__(self) -> None:
-        store_finite(self, "omega0", "d_omega", "total_intensity")
-        _require_positive(**vars(self))
+        store_finite(self, "omega0", "d_omega", "total_intensity", rule=positive_real)
 
     @property
     def window_envelope(self) -> float:

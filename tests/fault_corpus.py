@@ -15,11 +15,13 @@ OUT.json maps its id to its exit code (or the exception that escaped
 raised and the SHA-256 of every file it wrote. Run it on two trees and
 compare the two outputs to see what a change did to error handling: with
 ``--against OLD.json`` (the output of the other tree) it prints the id of
-every run whose record differs or is in only one of the files, then one line
-per change of exit code with its count (``0 -> 2: 36``) and the number of
-runs that kept their exit code but changed their stderr, and exits 1 if any
-run differs. It is not collected by pytest; ``test_fault_corpus.py`` runs the
-same corpus and checks the rules every run must keep.
+every run whose record differs or is in only one of the files, under it the
+old (``-``) and new (``+``) stderr of a run that kept its exit code but
+changed its stderr, then one line per change of exit code with its count
+(``0 -> 2: 36``) and the number of runs that kept their exit code but changed
+their stderr, and exits 1 if any run differs. It is not collected by pytest;
+``test_fault_corpus.py`` runs the same corpus and checks the rules every run
+must keep.
 """
 
 import argparse
@@ -164,6 +166,19 @@ def differing(new: dict, old: dict) -> list:
     return sorted(cid for cid in new.keys() | old.keys() if new.get(cid) != old.get(cid))
 
 
+def listing(new: dict, old: dict, ids: list) -> list:
+    """The differing ``ids``, each followed by its old and new stderr lines
+    when it kept its exit code and changed its stderr."""
+    lines = []
+    for cid in ids:
+        lines.append(cid)
+        a, b = old.get(cid), new.get(cid)
+        if a and b and a["exit"] == b["exit"] and a["stderr"] != b["stderr"]:
+            lines += [f"  - {line}" for line in a["stderr"].splitlines()]
+            lines += [f"  + {line}" for line in b["stderr"].splitlines()]
+    return lines
+
+
 def summary(new: dict, old: dict, ids: list) -> list:
     """Lines counting the differing ``ids`` by change of exit code, then the
     number that kept their exit code but changed their stderr."""
@@ -186,6 +201,6 @@ if __name__ == "__main__":
         new, old = (json.loads(Path(path).read_text(encoding="utf-8"))
                     for path in (args.out, args.against))
         ids = differing(new, old)
-        print("\n".join(ids + [f"{len(ids)} configs differ from {args.against}"]
+        print("\n".join(listing(new, old, ids) + [f"{len(ids)} configs differ from {args.against}"]
                         + summary(new, old, ids)))
         sys.exit(1 if ids else 0)

@@ -862,7 +862,7 @@ RECORD_BLOCK_ERRORS = {
     "scenario_not_number": ("sense_bp", "scenario", {"x1": "0"},
                             "error: scenario.x1: expected a number"),
     "scenario_rejected": ("sense_bp", "scenario", {"c": -1.0},
-                          "error: scenario: c must be positive"),
+                          "error: scenario: c must be positive and finite, got -1.0"),
     "target_unknown": ("qps", "target", {"z": 1.0},
                        "error: target: unknown field(s) 'z'"),
     "target_missing": ("qps", "target", {"vartheta": None},
@@ -1255,7 +1255,7 @@ def test_report_counts_rejected_with_field(tmp_path, capsys, payload, field):
          "pulse.total_intensity"),
         (dict(SENSE_BP, loss={"xi2": 0.0}), "loss"),
         (dict(SENSE_BP, source="cp", spectrum=None, pulse={"omega0": 5.0, "d_omega": 1.0},
-              scenario={"dl1_0": 1e300, "dl2_0": -1.3}, n=401), "scenario"),
+              scenario={"dl1_0": 1e300, "dl2_0": -1.3}, n=401), "pulse, scenario, n"),
     ],
     ids=["range_overflow", "plateau_overflow", "plateau_zero", "scan_overflow"],
 )
@@ -1274,11 +1274,12 @@ def test_unscalable_configs_rejected_with_field(tmp_path, capsys, payload, field
 @pytest.mark.parametrize(
     "payload, field, found",
     [
-        (dict(QPS_LARGE_R, n=51), "n", "expected 2 dips, found 1"),
-        (dict(SENSE_BP, scenario={"dl1_0": 0, "dl2_0": 0}), "scenario",
+        (dict(QPS_LARGE_R, n=51), "target, spectrum, n", "expected 2 dips, found 1"),
+        (dict(SENSE_BP, scenario={"dl1_0": 0, "dl2_0": 0}), "spectrum, scenario",
          "expected 2 dips, found 0"),
+        (dict(SENSE_BP, span=1.0), "spectrum, scenario, span", "expected 2 dips, found 0"),
     ],
-    ids=["qps_n_51_at_large_r", "sense_zero_offsets"],
+    ids=["qps_n_51_at_large_r", "sense_zero_offsets", "sense_narrow_span"],
 )
 @pytest.mark.filterwarnings("ignore:first-stage delay too small")
 def test_unresolved_scan_exits_2_naming_field(tmp_path, capsys, payload, field, found):

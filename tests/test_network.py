@@ -1,6 +1,7 @@
 """Two-mode network elements, composition and the locked conventions."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -18,9 +19,9 @@ from homlab.network import (
     transfer_at,
     validate_amplitude,
 )
-from homlab.qps import QpsTarget, qps_invert
-from homlab.rates import window_nodes
-from homlab.sensing import SensingScenario
+from homlab.qps import QpsTarget, qps_invert, qps_scan, qps_scan_samples
+from homlab.rates import RegimeError, box_average_curve, window_nodes
+from homlab.sensing import SensingScenario, scan_f
 from homlab.spectra import CoherentSpectrum, GaussianJointSpectrum, make_grid
 
 INV_SQRT2 = 1.0 / math.sqrt(2.0)
@@ -196,20 +197,34 @@ _REAL_INPUTS = [
     ("tau", lambda x: RelativeDelay(x)),
     ("theta", lambda x: AchromaticPhase(x)),
     ("dl2_0", lambda x: SensingScenario(dl1_0=1.0, dl2_0=x)),
+    ("c", lambda x: SensingScenario(dl1_0=1.0, dl2_0=0.0, c=x)),
+    ("span", lambda x: scan_f(SensingScenario(4.0, 0.5), GaussianJointSpectrum(**_PAIR),
+                              n=51, span=x).axis.tolist()),
     *[(k, lambda x, k=k: GaussianJointSpectrum(**{**_PAIR, k: x})) for k in _PAIR],
     *[(k, lambda x, k=k: CoherentSpectrum(**{**_PULSE, k: x})) for k in _PULSE],
     *[(k, lambda x, k=k: QpsTarget(**{**_TARGET, k: x})) for k in _TARGET],
     ("center", lambda x: make_grid(x, 1.0, 16).nodes.tolist()),
     ("half_width", lambda x: make_grid(0.0, x, 16).nodes.tolist()),
     *[(k, lambda x, k=k: qps_invert(**{**_INVERT, k: x})) for k in _INVERT],
-    # a window of 80 keeps the regime for every carrier from 0.25 to 3
+    ("c", lambda x: qps_scan_samples(QpsTarget(**_TARGET), GaussianJointSpectrum(**_PAIR), x)),
+    ("c", lambda x: qps_scan(QpsTarget(**_TARGET), GaussianJointSpectrum(**_PAIR), c=x,
+                             surface_n=2).recovered),
+    # the window_nodes calls keep the regime for every value from 0.25 to 3
+    ("window", lambda x: window_nodes(None, x, 100.0, 0.05)),
     ("carrier", lambda x: window_nodes(None, 80.0, x, 1e-3)),
+    ("envelope", lambda x: window_nodes(None, 0.06, 400.0, x)),
+    ("window", lambda x: box_average_curve(np.cos, 0.0, x, 2)),
 ]
+# The entries whose value must also be positive.
+_POSITIVE = {"c", "span", "omega0", "d_omega_plus", "d_omega_minus", "d_omega",
+             "total_intensity", "r", "half_width", "window", "carrier", "envelope"}
 
 
 @pytest.mark.parametrize("bad", [True, False, "0.3", None, 0.3 + 0j, [0.3], np.array(0.3)])
 def test_real_fields_refuse_bools_and_non_real_values(bad):
     for name, call in _REAL_INPUTS:
+        if name == "span" and bad is None:
+            continue  # no span picks the default one
         with pytest.raises(TypeError, match=f"^{name} must be a real number"):
             call(bad)
 
@@ -218,7 +233,21 @@ def test_real_fields_refuse_bools_and_non_real_values(bad):
                          ids=["nan", "inf", "-inf", "int400", "-int400"])
 def test_real_fields_refuse_non_finite_values(bad):
     for name, call in _REAL_INPUTS:
+        if name == "envelope" and bad == math.inf:
+            with pytest.raises(RegimeError, match="smear the envelope"):
+                call(bad)  # an infinite envelope is a regime error, not a refusal
+            continue
         with pytest.raises(ValueError, match=f"^{name} must be finite"):
+            call(bad)
+
+
+@pytest.mark.parametrize("bad", [0.0, -0.0, -1.0, -1e308])
+def test_positive_fields_refuse_values_that_are_not_positive(bad):
+    inputs = [(name, call) for name, call in _REAL_INPUTS if name in _POSITIVE]
+    assert len(inputs) == 17
+    for name, call in inputs:
+        with pytest.raises(ValueError,
+                           match=f"^{name} must be positive and finite, got {re.escape(repr(bad))}$"):
             call(bad)
 
 

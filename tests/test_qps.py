@@ -142,7 +142,7 @@ def test_invert_validation():
         with pytest.raises(ValueError, match=f"^{name} must be \\+1 or -1, got 0"):
             qps_invert(1.0, 0.5, 0.5, **{name: 0})
     assert qps_invert(1.0, 0.5, 0.5, np.int64(-1), np.int64(1)) == qps_invert(1.0, 0.5, 0.5, -1, 1)
-    with pytest.raises(ValueError, match="radius"):
+    with pytest.raises(ValueError, match="^r must be positive and finite, got -1.0"):
         qps_invert(-1.0, 0.0, 0.0)
 
 
