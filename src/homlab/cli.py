@@ -55,10 +55,10 @@ written. Files are byte-identical for identical configurations (nothing in
 the pipeline is randomized). Exit codes: 0 success, 2 validation error, 3
 averaging regime violation, 1 I/O failure. A rate that comes out nan or
 infinite is refused with exit 2, and nothing is written. So is a ``sense`` or
-``qps`` scan that misses the features it needs; the refusal names each field
-the scan reads that the config sets, in table order: the model block,
-``scenario``, ``loss``, ``n`` and ``span`` for ``sense``, and ``target``,
-``spectrum``, ``loss``, ``c`` and ``n`` for ``qps``.
+``qps`` scan that misses its features, or a default ``qps`` scan too long for
+an artifact. A scan refusal names the fields the scan reads that the config
+sets, in table order (``sense``: the model block, ``scenario``, ``loss``,
+``n``, ``span``; ``qps``: ``target``, ``spectrum``, ``loss``, ``c``, ``n``).
 """
 
 from __future__ import annotations
@@ -280,11 +280,12 @@ def _rates_from(paths):
 
 @contextmanager
 def _scan_resolves(f: dict, reads: tuple):
-    """Name the fields of ``reads`` the config sets when a valid scan misses its features."""
+    """Yield the names of the fields of ``reads`` the config sets, in table order,
+    for a scan refusal, and name them when a valid scan misses its features."""
+    paths = ", ".join(key for key in f["given"] if key in reads)
     try:
-        yield
+        yield paths
     except ExtremaError as exc:
-        paths = ", ".join(key for key in f["given"] if key in reads)
         raise ConfigError(
             f"{paths}: the scan did not resolve the expected features ({exc})"
         ) from None
@@ -572,14 +573,13 @@ def _build_sense(f: dict) -> list:
     _plateau(model, loss)
     with _scan_resolves(f, ("spectrum", "pulse", "scenario", "loss", "n", "span")):
         result = run_sensing(scenario, model, loss=loss, n=f["n"], span=f["span"])
-    dl1_eff = scenario.dl1_0 - 2.0 * scenario.x1
     data = [(f"{stem}_scan.csv", curve_rows(result.curve, label="x2"))]
     return _with_record(
         data, f"{stem}_report.json", f,
         plateau=result.curve.plateau,
         extrema=asdict(result.report),
         recovered={"dl1": result.dl1_recovered, "dl2": result.dl2_recovered},
-        residuals={"dl1": result.dl1_recovered - abs(dl1_eff),
+        residuals={"dl1": result.dl1_recovered - abs(scenario.dl1_eff),
                    "dl2": result.dl2_recovered - scenario.dl2_0},
     )
 
@@ -589,12 +589,12 @@ def _build_qps(f: dict) -> list:
     spectrum = _model_for(f, "bp")
     loss = f["loss"] or LossParams()
     _plateau(spectrum, loss)
-    if n is None and (need := qps_scan_samples(target, spectrum, c)) > _MAX_VALUES:
-        raise ConfigError(
-            f"target.r: the default scan for r / c = {target.r / c:.4g} needs "
-            f"{need:.4g} samples, more than {_MAX_VALUES}"
-        )
-    with _scan_resolves(f, ("target", "spectrum", "loss", "c", "n")):
+    with _scan_resolves(f, ("target", "spectrum", "loss", "c", "n")) as paths:
+        if n is None and (need := qps_scan_samples(target, spectrum, c)) > _MAX_VALUES:
+            raise ConfigError(
+                f"{paths}: the default scan for r / c = {target.r / c:.4g} needs "
+                f"{need:.4g} samples, more than {_MAX_VALUES}"
+            )
         result = qps_scan(target, spectrum, loss=loss, c=c, n=n, surface_n=f["surface_n"])
     data = [
         (f"{stem}_scan.csv", curve_rows(result.curve, label="s2_control")),

@@ -166,8 +166,7 @@ class ScalarLoss:
     amp2: complex
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "amp1", validate_amplitude(self.amp1, "amp1"))
-        object.__setattr__(self, "amp2", validate_amplitude(self.amp2, "amp2"))
+        store_finite(self, "amp1", "amp2", rule=validate_amplitude)
 
     def _update_rows(self, rows, om) -> None:
         rows[0] *= self.amp1

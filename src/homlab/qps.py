@@ -141,23 +141,21 @@ class QpsInversion:
     degenerate_azimuth: bool
 
 
-def _direction_cosines(r: float, s1: float, s2: float, sign_u: int,
-                       sign_v: int) -> tuple[float, float]:
-    """Direction cosines ``(u, v)`` from the control magnitudes ``s1, s2`` in
-    ``[0, r]`` and the quadrant signs, inverting the forward map."""
+def _invert(r: float, s1: float, s2: float, sign_u: int,
+            sign_v: int) -> tuple[QpsTarget, bool, float]:
+    """Emitter position from the control magnitudes ``s1, s2`` in ``[0, r]`` and
+    the quadrant signs, inverting the forward map; then the zenith flag and
+    ``u**2 + v**2`` of the direction cosines, which a pair outside the unit
+    disk puts above 1 (its position is read on the horizon)."""
     def magnitude(s):
         w = 1.0 - (s / r) ** 2
         return math.sqrt(max(0.0, 1.0 - w * w))
 
-    return sign_u * magnitude(s1), sign_v * magnitude(s2)
-
-
-def _from_direction_cosines(r: float, u: float, v: float) -> tuple[QpsTarget, bool]:
-    """Emitter position from the two direction cosines, plus the zenith flag."""
+    u, v = sign_u * magnitude(s1), sign_v * magnitude(s2)
     cos_gamma = min(math.hypot(u, v), 1.0)
     degenerate = cos_gamma == 0.0
     vartheta = 0.0 if degenerate else math.atan2(v, u)
-    return QpsTarget(r=r, gamma=math.acos(cos_gamma), vartheta=vartheta), degenerate
+    return QpsTarget(r=r, gamma=math.acos(cos_gamma), vartheta=vartheta), degenerate, u * u + v * v
 
 
 def qps_invert(r: float, s1: float, s2: float, sign_u: int = 1,
@@ -181,13 +179,12 @@ def qps_invert(r: float, s1: float, s2: float, sign_u: int = 1,
         if s < -tol or s > r + tol:
             raise ValueError(f"{name} must lie in [0, r], got {s!r}")
         values.append(min(max(s, 0.0), r))
-    u, v = _direction_cosines(r, *values, sign_u, sign_v)
-    norm2 = u * u + v * v
+    target, degenerate, norm2 = _invert(r, *values, sign_u, sign_v)
     if norm2 > 1.0 + 1e-9:
         raise ValueError(
             f"control delays are inconsistent: u^2 + v^2 = {norm2:.6g} > 1"
         )
-    return QpsInversion(*_from_direction_cosines(r, u, v))
+    return QpsInversion(target, degenerate)
 
 
 # ----- End-to-end simulated scan -----
@@ -292,8 +289,7 @@ def qps_scan(target: QpsTarget, spectrum: GaussianJointSpectrum,
 
     s1_hat = min(0.5 * abs(d1_hat), target.r)
     s2_hat = min(0.5 * abs(d2_hat), target.r)
-    u, v = _direction_cosines(target.r, s1_hat, s2_hat, sign_u, sign_v)
-    recovered, degenerate = _from_direction_cosines(target.r, u, v)
+    recovered, degenerate, _ = _invert(target.r, s1_hat, s2_hat, sign_u, sign_v)
 
     s_axis = np.linspace(-(target.r + 3.0 * c / width),
                          target.r + 3.0 * c / width, surface_n)

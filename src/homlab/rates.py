@@ -35,6 +35,7 @@ from .network import (
     mhom_network,
     positive_real,
     push_rows,
+    store_finite,
     transfer_at,
     validate_amplitude,
     whole_number,
@@ -216,8 +217,7 @@ class LossParams:
     chi2: complex = 1.0
 
     def __post_init__(self) -> None:
-        for name in ("xi1", "xi2", "chi1", "chi2"):
-            object.__setattr__(self, name, validate_amplitude(getattr(self, name), name))
+        store_finite(self, "xi1", "xi2", "chi1", "chi2", rule=validate_amplitude)
         if self.xi_power == 0.0 or self.chi_power == 0.0:
             raise ValueError("each loss stage must keep at least one path open")
 

@@ -83,9 +83,14 @@ class SensingScenario:
         store_finite(self, "c", rule=positive_real)
 
     @property
+    def dl1_eff(self) -> float:
+        """Effective first offset ``dl1_0 - 2 x1`` under the fixed control."""
+        return self.dl1_0 - 2.0 * self.x1
+
+    @property
     def tau1(self) -> float:
         """Fixed first-stage delay under the push-pull control."""
-        return (self.dl1_0 - 2.0 * self.x1) / (2.0 * self.c)
+        return self.dl1_eff / (2.0 * self.c)
 
     def tau2(self, x2):
         """Second-stage delay as a function of the swept control."""
@@ -126,6 +131,16 @@ class ExtremaReport:
 # ----- Scanning -----
 
 
+def _source(model, loss: LossParams):
+    """Feature width, averaged closed form, plateau and feature pattern of ``model``'s source."""
+    if isinstance(model, GaussianJointSpectrum):
+        return model.d_omega_minus, mhom_bp_coarse_analytic, bp_plateau(loss), "peak_and_dips"
+    if isinstance(model, CoherentSpectrum):
+        return model.d_omega, mhom_cp_coarse_analytic, cp_plateau(model, loss), "dips"
+    raise TypeError("model must be a GaussianJointSpectrum or a CoherentSpectrum, "
+                    f"got {type(model).__name__}")
+
+
 def scan_samples(n) -> int:
     """``n`` as an ``int`` count of scan samples: a whole number, at least 51."""
     return whole_number(n, "n", "scan samples", 51)
@@ -143,13 +158,7 @@ def scan_f(scenario: SensingScenario, model, loss: LossParams = LossParams(),
     the inverse spectral width the features merge; the scan is still
     produced but flagged with a ``RegimeWarning``.
     """
-    if isinstance(model, GaussianJointSpectrum):
-        width, form, plateau = model.d_omega_minus, mhom_bp_coarse_analytic, bp_plateau(loss)
-    elif isinstance(model, CoherentSpectrum):
-        width, form, plateau = model.d_omega, mhom_cp_coarse_analytic, cp_plateau(model, loss)
-    else:
-        raise TypeError("model must be a GaussianJointSpectrum or a CoherentSpectrum, "
-                        f"got {type(model).__name__}")
+    width, form, plateau, _ = _source(model, loss)
     n = scan_samples(n)
     tau1 = scenario.tau1
     if abs(tau1) * width <= 1.0:
@@ -162,8 +171,7 @@ def scan_f(scenario: SensingScenario, model, loss: LossParams = LossParams(),
     if span is not None:
         span = positive_real(span, "span")
     else:
-        dl1_eff = scenario.dl1_0 - 2.0 * scenario.x1
-        span = abs(scenario.dl2_0) + 2.0 * abs(dl1_eff) + 6.0 * scenario.c / width
+        span = abs(scenario.dl2_0) + 2.0 * abs(scenario.dl1_eff) + 6.0 * scenario.c / width
         # a default span that overflows is scanned, and its rates are refused as not finite
         if np.isfinite(span):
             span = positive_real(span, "span")
@@ -210,6 +218,7 @@ def _half_excursion_width(x: np.ndarray, y: np.ndarray, i: int, plateau: float) 
 
 
 def _local_extrema(x: np.ndarray, y: np.ndarray, plateau: float):
+    """Candidate dip and peak indices, ranked by prominence, then smaller |x|, then x."""
     # Equal neighboring samples happen when a feature vertex falls exactly
     # between two nodes, so flat runs count as a single candidate extremum.
     dips, peaks = [], []
@@ -230,7 +239,8 @@ def _local_extrema(x: np.ndarray, y: np.ndarray, plateau: float):
             if height >= _PROMINENCE:
                 peaks.append((k, height))
         i = j + 1
-    return dips, peaks
+    return tuple([k for k, _ in sorted(found, key=lambda kp: (-kp[1], abs(x[kp[0]]), x[kp[0]]))]
+                 for found in (dips, peaks))
 
 
 def find_extrema(curve: RateCurve, kind: str) -> ExtremaReport:
@@ -238,9 +248,10 @@ def find_extrema(curve: RateCurve, kind: str) -> ExtremaReport:
 
     ``kind`` is ``"dips"`` (two dips, coherent-pulse pattern) or
     ``"peak_and_dips"`` (central maximum plus two dips, photon-pair
-    pattern). The two most prominent dips are kept, ties broken toward
-    the smaller control magnitude; positions are refined by a parabola
-    through the three samples around each feature. A scan showing fewer
+    pattern). Features rank by prominence, ties broken toward the smaller
+    control magnitude; the two best dips are kept, and the best peak
+    strictly between them. Positions are refined by a parabola through
+    the three samples around each feature. A scan showing fewer
     features than requested raises ``ExtremaError`` stating how many
     were found, and so does a refined position that overflows.
     """
@@ -250,32 +261,19 @@ def find_extrema(curve: RateCurve, kind: str) -> ExtremaReport:
     dips, peaks = _local_extrema(x, y, plateau)
     if len(dips) < 2:
         raise ExtremaError(f"expected 2 dips, found {len(dips)}")
-    dips.sort(key=lambda item: (-item[1], abs(x[item[0]]), x[item[0]]))
-    picked = sorted(dips[:2], key=lambda item: x[item[0]])
-    (il, _), (ir, _) = picked
-    xl, yl = _refine_vertex(x, y, il)
-    xr, yr = _refine_vertex(x, y, ir)
-    report = {
-        "x_min_left": xl,
-        "x_min_right": xr,
-        "v_min_left": abs(plateau - yl) / plateau,
-        "v_min_right": abs(plateau - yr) / plateau,
-        "width_min_left": _half_excursion_width(x, y, il, plateau),
-        "width_min_right": _half_excursion_width(x, y, ir, plateau),
-    }
+    il, ir = sorted(dips[:2], key=lambda i: x[i])
+    picked = {"min_left": il, "min_right": ir}
     if kind == "peak_and_dips":
-        between = [(i, h) for i, h in peaks if x[il] < x[i] < x[ir]]
+        between = [i for i in peaks if x[il] < x[i] < x[ir]]
         if not between:
-            raise ExtremaError(
-                f"expected a central maximum between the dips, found {len(between)}"
-            )
-        between.sort(key=lambda item: (-item[1], abs(x[item[0]]), x[item[0]]))
-        im = between[0][0]
-        xm, ym = _refine_vertex(x, y, im)
-        report["x_max"] = xm
-        report["v_max"] = abs(plateau - ym) / plateau
-        report["width_max"] = _half_excursion_width(x, y, im, plateau)
-    if not np.all(np.isfinite([xl, xr, report.get("x_max", 0.0)])):
+            raise ExtremaError("expected a central maximum between the dips, found 0")
+        picked["max"] = between[0]
+    report = {}
+    for name, i in picked.items():
+        report[f"x_{name}"], y_vertex = _refine_vertex(x, y, i)
+        report[f"v_{name}"] = abs(plateau - y_vertex) / plateau
+        report[f"width_{name}"] = _half_excursion_width(x, y, i, plateau)
+    if not np.all(np.isfinite([report[f"x_{name}"] for name in picked])):
         raise ExtremaError("feature positions overflow at this scan step")
     return ExtremaReport(**report)
 
@@ -318,10 +316,10 @@ def run_sensing(scenario: SensingScenario, model, loss: LossParams = LossParams(
     effective offset ``dl1_0 - 2 x1``.
     """
     curve = scan_f(scenario, model, loss=loss, n=n, span=span)
-    if isinstance(model, GaussianJointSpectrum):
-        report = find_extrema(curve, "peak_and_dips")
+    kind = _source(model, loss)[3]
+    report = find_extrema(curve, kind)
+    if kind == "peak_and_dips":
         dl1, dl2 = invert_bp(report.x_max, report.x_min_right)
     else:
-        report = find_extrema(curve, "dips")
         dl1, dl2 = invert_cp(report.x_min_left, report.x_min_right)
     return SensingResult(curve, report, dl1, dl2)

@@ -174,6 +174,8 @@ def test_parse_angle_rejects_junk():
         parse_angle("two pies", "theta")
     with pytest.raises(ConfigError):
         parse_angle(None, "theta")
+    with pytest.raises(ConfigError, match="^theta: cannot parse angle 'pi2'$"):
+        parse_angle("pi2", "theta")
 
 
 @pytest.mark.parametrize("text", ["pi/inf", "pi/-inf", "pi/nan", "infpi", "-infpi", "nanpi"])
@@ -855,6 +857,8 @@ RECORD_BLOCK_ERRORS = {
                         "error: loss.chi1: expected a number"),
     "loss_rejected": ("loss_bp", "loss", {"chi1": 0.0, "chi2": 0.0},
                       "error: loss: each loss stage must keep at least one path open"),
+    "loss_amplitude_length": ("loss_bp", "loss", {"xi1": [0.5, 0.0, 0.0]},
+                              "error: loss.xi1: complex amplitude needs [re, im]"),
     "scenario_unknown": ("sense_bp", "scenario", {"dl3_0": 1.0},
                          "error: scenario: unknown field(s) 'dl3_0'"),
     "scenario_missing": ("sense_bp", "scenario", {"dl2_0": None},
@@ -1168,7 +1172,7 @@ OVERSIZED = {
     "qps_n_1e30": (dict(QPS_LARGE_R, n=10**30), "n"),
     "qps_surface_n_over": (dict(QPS_LARGE_R, surface_n=_SIDE + 1), "surface_n"),
     "qps_default_scan_over": (dict(QPS_LARGE_R, target={"r": 1e9, "gamma": 0.8,
-                                                        "vartheta": 2.2}), "target.r"),
+                                                        "vartheta": 2.2}), "target, spectrum"),
     "figure_surface_n_over": ({"version": 1, "mode": "figure", "preset": "fig3",
                                "n": _SIDE + 1}, "n"),
     "figure_curve_n_over": ({"version": 1, "mode": "figure", "preset": "fig2",
@@ -1385,6 +1389,19 @@ def test_failed_write_leaves_no_partial_set(tmp_path, monkeypatch):
     assert list(tmp_path.iterdir()) == []
 
 
+def test_failed_write_keeps_a_created_directory_another_writer_filled(tmp_path, monkeypatch):
+    # the rollback removes the directories the write created, deepest first,
+    # and stops at the first one that is not empty
+    def write_file(path, content):
+        (tmp_path / "new" / "other.txt").write_text("kept", encoding="utf-8")
+        raise OSError("disk full")
+
+    monkeypatch.setattr(cli, "_write_file", write_file)
+    with pytest.raises(OSError, match="disk full"):
+        run_scenario(HOM_BP, tmp_path / "new" / "deeper")
+    assert [p.name for p in (tmp_path / "new").iterdir()] == ["other.txt"]
+
+
 def test_failed_write_leaves_old_targets_untouched(tmp_path, monkeypatch):
     run_scenario(QPS, tmp_path)
     before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
@@ -1514,7 +1531,7 @@ def test_qps_subnormal_c_refused_as_an_oversized_scan(tmp_path, capsys, c):
     out = tmp_path / "out"
     assert main(["run", cfg, "--out", str(out)]) == 2
     assert capsys.readouterr().err == (
-        "error: target.r: the default scan for r / c = inf needs inf samples, "
+        "error: target, spectrum, c: the default scan for r / c = inf needs inf samples, "
         f"more than {_MAX_VALUES}\n"
     )
     assert not out.exists()

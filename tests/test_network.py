@@ -167,6 +167,14 @@ def test_validate_amplitude():
         validate_amplitude("bright", "a")
     with pytest.raises(TypeError):
         validate_amplitude(True, "a")
+    for bad in (complex(math.nan, 0.0), complex(0.5, math.inf)):
+        with pytest.raises(ValueError, match="^a must be finite$"):
+            validate_amplitude(bad, "a")
+
+
+def test_network_refuses_an_unsupported_element():
+    with pytest.raises(TypeError, match="^unsupported network element str$"):
+        OpticalNetwork((BalancedBS(), "mirror"))
 
 
 def test_mhom_network_element_order_with_loss():

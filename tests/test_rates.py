@@ -518,6 +518,14 @@ def test_coarse_curve_refuses_a_tabulated_curve():
         coarse_grain_curve(curve, 0.8, WINDOW, carrier=500.0, envelope=1.0)
 
 
+def test_coarse_surface_refuses_a_tabulated_surface():
+    axis = np.linspace(-1.0, 1.0, 3)
+    table = mhom_bp_analytic(axis[:, None], axis[None, :], 0.3, FAST_SPECTRUM)
+    with pytest.raises(TypeError, match=r"^rate2 must be callable on \(tau1, tau2\)$"):
+        coarse_grain_surface(table, axis[:, None], axis[None, :], WINDOW,
+                             carrier=500.0, envelope=1.0)
+
+
 def test_coarse_surface_recovers_bp_closed_form():
     taus = np.linspace(-2.4, 2.4, 7)
     got = coarse_grain_surface(
@@ -723,6 +731,14 @@ def _windowed_calls(n, window=0.1):
         lambda: box_average_surface(lambda a, b: mhom_bp_analytic(a, b, 0.3, FAST_SPECTRUM),
                                     axis[:, None], axis[None, :], window, n=n),
     ]
+
+
+@pytest.mark.parametrize("form, model", [(mhom_bp_windowed, FAST_SPECTRUM),
+                                         (mhom_cp_windowed, FAST_PULSE)], ids=["bp", "cp"])
+def test_windowed_forms_refuse_axes_that_are_not_1d(form, model):
+    axis = np.linspace(-1.0, 1.0, 3)
+    with pytest.raises(ValueError, match="^tau1 and tau2 must be 1-D axes$"):
+        form(axis[:, None], axis, 0.3, model, 0.1, n=96)
 
 
 @pytest.mark.parametrize("n", [None, 96])

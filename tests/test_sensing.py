@@ -171,6 +171,52 @@ def test_find_extrema_requires_central_peak():
         find_extrema(synthetic_double_dip(), "bumps")
 
 
+@pytest.mark.parametrize("model, kind", [(SPECTRUM, "peak_and_dips"), (PULSE, "dips")],
+                         ids=["pair", "pulse"])
+def test_find_extrema_reads_a_decreasing_axis_as_its_reversal(model, kind):
+    curve = scan_f(SensingScenario(dl1_0=4.4, dl2_0=-1.3), model)
+    assert curve.axis.size == 2001
+    flipped = RateCurve(curve.axis[::-1], curve.values[::-1], curve.plateau)
+    want, got = asdict(find_extrema(curve, kind)), asdict(find_extrema(flipped, kind))
+    assert [key for key, value in got.items() if value is None] == (
+        [] if kind == "peak_and_dips" else ["x_max", "v_max", "width_max"])
+    for key, value in want.items():
+        assert got[key] == (None if value is None else pytest.approx(value, rel=0, abs=1e-12))
+
+
+def _stamped(*dips):
+    """A plateau-1 curve on the axis ``k / 10`` for ``k`` in ``[-40, 40]``, with
+    each ``(center index, five samples)`` of ``dips`` stamped in."""
+    axis = np.arange(-40, 41) / 10.0
+    values = np.ones(axis.size)
+    for center, samples in dips:
+        values[center - 2:center + 3] = samples
+    return RateCurve(axis, values, 1.0)
+
+
+_SHALLOW = (0.9, 0.7, 0.5, 0.7, 0.9)
+_DEEP = (0.8, 0.5, 0.3, 0.5, 0.8)
+
+
+# the deep dip at x = 2.5 ranks first; of the two equal ones, the kept one
+# is nearer zero (x = 1 against -3), or at equal |x| the one at negative x
+@pytest.mark.parametrize("tied, kept", [((10, 50), 50), ((30, 50), 30)],
+                         ids=["nearer_zero", "equal_magnitude"])
+def test_find_extrema_breaks_prominence_ties_toward_zero_control(tied, kept):
+    curve = _stamped(*((i, _SHALLOW) for i in tied), (65, _DEEP))
+    report = find_extrema(curve, "dips")
+    assert report.x_min_left == pytest.approx(curve.axis[kept], rel=0, abs=1e-12)
+    assert report.x_min_right == pytest.approx(2.5, rel=0, abs=1e-12)
+    assert (report.v_min_left, report.v_min_right) == pytest.approx((0.5, 0.7))
+
+
+def test_find_extrema_refines_a_flat_bottomed_dip_to_its_middle_sample():
+    flat = (0.9, 0.5, 0.5, 0.5, 0.9)
+    report = find_extrema(_stamped((20, flat), (55, flat)), "dips")
+    assert (report.x_min_left, report.x_min_right) == (-2.0, 1.5)
+    assert report.v_min_left == report.v_min_right == 0.5
+
+
 def test_find_extrema_ignores_subprominence_wiggles():
     axis = np.linspace(-3.0, 3.0, 601)
     vals = np.ones_like(axis)
@@ -229,6 +275,8 @@ def test_extrema_report_validation_and_serialization():
             v_max=0.4,
             width_max=0.7,
         )
+    with pytest.raises(ValueError, match="^dip positions must satisfy x_min_left <= x_min_right$"):
+        ExtremaReport(1.0, -1.0, 0.2, 0.2, 0.5, 0.5)
 
 
 # ----- inversion -----

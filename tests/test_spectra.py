@@ -250,6 +250,22 @@ def test_frequency_grid_validates():
         FrequencyGrid(nodes=nodes, weights=weights)
     with pytest.raises(ValueError):
         FrequencyGrid(nodes=np.arange(16.0), weights=-np.ones(16))
+    with pytest.raises(ValueError, match="^nodes and weights must be 1-D arrays of equal length$"):
+        FrequencyGrid(nodes=np.arange(16.0), weights=np.ones(15))
+    with pytest.raises(ValueError, match="^grid needs at least 16 nodes, got 15$"):
+        FrequencyGrid(nodes=np.arange(15.0), weights=np.ones(15))
+    for bad_nodes, bad_weights in ((np.r_[np.arange(15.0), np.inf], np.ones(16)),
+                                   (np.arange(16.0), np.r_[np.ones(15), np.nan])):
+        with pytest.raises(ValueError, match="^grid nodes and weights must be finite$"):
+            FrequencyGrid(nodes=bad_nodes, weights=bad_weights)
+
+
+def test_grid_integrates_a_table_row_by_row():
+    grid = make_grid(0.0, 2.0, 64)
+    table = np.vstack([np.ones(grid.size), np.exp(-grid.nodes**2)])
+    got = grid.integrate(table)
+    assert isinstance(got, np.ndarray) and got.shape == (2,)
+    np.testing.assert_allclose(got, [grid.integrate(row) for row in table], rtol=1e-14)
 
 
 @settings(max_examples=25)
