@@ -42,7 +42,7 @@ integer 1 (not ``true`` or ``1.0``) and is checked before ``mode``. A
 then letters, digits, ``_``, ``.`` or ``-``. ``_MODES`` declares each
 mode's fields once. A run parses every field in that order, ``stem``
 included, and fills in the defaults; only then do the rules that join
-fields run (model block, grid size, plateau, ``qps`` scan length,
+fields run (model block and plateau, grid size, ``qps`` scan length,
 averaging regime), and then the rates, each divided by the model plateau.
 Each run writes a JSON sidecar or report with its mode, model, ranges,
 plateau and results. One table, ``_RECORDERS``, decides which config
@@ -452,20 +452,6 @@ def _loss_record(loss: LossParams | None) -> dict | None:
     return {**out, "eta_a": loss.eta_a, "eta_b": loss.eta_b}
 
 
-def _plateau(model, loss: LossParams = LossParams()) -> float:
-    """Plateau every rate of ``model``'s source is divided by; a model or loss
-    that makes it vanish or overflow is refused, naming the lossless model first."""
-    pair = isinstance(model, GaussianJointSpectrum)
-    for path, lo in (("pulse.total_intensity", LossParams()), ("loss", loss)):
-        try:
-            plateau = bp_plateau(lo) if pair else cp_plateau(model, lo)
-        except OverflowError:
-            plateau = math.inf
-        if not 0.0 < plateau < math.inf:
-            raise ConfigError(f"{path}: the rate plateau {plateau:.4g} cannot rescale the rates")
-    return plateau
-
-
 def _range_dict(axis: np.ndarray) -> dict:
     return {"min": float(axis[0]), "max": float(axis[-1]), "n": int(axis.size)}
 
@@ -516,23 +502,33 @@ def _write_artifacts(out_dir: Path, artifacts) -> list[Path]:
 # ----- Mode pipelines (pure: resolved fields -> artifact list) -----
 
 
-def _model_for(f: dict, kind: str):
-    """The model of a ``bp`` or pulse source: ``spectrum`` or ``pulse``."""
-    key, unused, why = (("spectrum", "pulse", "when the source is 'bp'") if kind == "bp"
+def _model(f: dict):
+    """A run's model, loss (lossless when unset) and plateau. The model is ``spectrum``
+    for a ``bp`` source and for ``qps``, ``pulse`` for a pulse source; a plateau that
+    vanishes or overflows is refused, naming the lossless model first."""
+    pair = f.get("source", "bp") == "bp"
+    key, unused, why = (("spectrum", "pulse", "when the source is 'bp'") if pair
                         else ("pulse", "spectrum", "for pulse sources"))
     if f.get(unused) is not None:
         raise ConfigError(f"{unused}: not used {why}")
-    if f[key] is None:
+    model, loss = f[key], f.get("loss") or LossParams()
+    if model is None:
         raise ConfigError(f"{key}: required field is missing")
-    return f[key]
+    for path, lo in (("pulse.total_intensity", LossParams()), ("loss", loss)):
+        try:
+            plateau = bp_plateau(lo) if pair else cp_plateau(model, lo)
+        except OverflowError:
+            plateau = math.inf
+        if not 0.0 < plateau < math.inf:
+            raise ConfigError(f"{path}: the rate plateau {plateau:.4g} cannot rescale the rates")
+    return model, loss, plateau
 
 
 def _build_hom(f: dict) -> list:
     source, stem = f["source"], f["stem"]
-    model = _model_for(f, "bp" if source == "bp" else "cp")
+    model, _, plateau = _model(f)
     form = {"bp": hom_bp_analytic, "cp": hom_cp_analytic,
             "cp_coarse": hom_cp_coarse_analytic}[source]
-    plateau = _plateau(model)
     curve = sample_curve(lambda t: form(t, model), f["tau"], plateau)
     return _with_record([(f"{stem}.csv", curve_rows(curve))], f"{stem}.json", f,
                         plateau=plateau)
@@ -541,15 +537,13 @@ def _build_hom(f: dict) -> list:
 def _build_surface(f: dict) -> list:
     """Modes ``mhom``, ``coarse`` and ``loss``: one two-delay surface and its sidecar."""
     mode, source, t1, t2, stem = f["mode"], f["source"], f["tau1"], f["tau2"], f["stem"]
-    model = _model_for(f, source)
+    model, loss, plateau = _model(f)
     if t1.size * t2.size > _MAX_VALUES:
         raise ConfigError(
             f"tau1.n x tau2.n: {t1.size} x {t2.size} values, more than {_MAX_VALUES}"
         )
-    loss = f.get("loss") or LossParams()
     theta, window = f.get("theta"), f.get("window")
     bp = source == "bp"
-    plateau = _plateau(model, loss)
     if mode == "mhom":
         form = mhom_bp_analytic if bp else mhom_cp_analytic
         surface = sample_surface(lambda a, b: form(a, b, theta, model), t1, t2, plateau)
@@ -568,9 +562,7 @@ def _build_surface(f: dict) -> list:
 
 def _build_sense(f: dict) -> list:
     scenario, stem = f["scenario"], f["stem"]
-    model = _model_for(f, f["source"])
-    loss = f["loss"] or LossParams()
-    _plateau(model, loss)
+    model, loss, _ = _model(f)
     with _scan_resolves(f, ("spectrum", "pulse", "scenario", "loss", "n", "span")):
         result = run_sensing(scenario, model, loss=loss, n=f["n"], span=f["span"])
     data = [(f"{stem}_scan.csv", curve_rows(result.curve, label="x2"))]
@@ -586,9 +578,7 @@ def _build_sense(f: dict) -> list:
 
 def _build_qps(f: dict) -> list:
     target, c, n, stem = f["target"], f["c"], f["n"], f["stem"]
-    spectrum = _model_for(f, "bp")
-    loss = f["loss"] or LossParams()
-    _plateau(spectrum, loss)
+    spectrum, loss, _ = _model(f)
     with _scan_resolves(f, ("target", "spectrum", "loss", "c", "n")) as paths:
         if n is None and (need := qps_scan_samples(target, spectrum, c)) > _MAX_VALUES:
             raise ConfigError(

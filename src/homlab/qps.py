@@ -232,12 +232,15 @@ def qps_scan_samples(target: QpsTarget, spectrum: GaussianJointSpectrum,
 
     A float, so the count for an extreme target can be compared with a
     bound before anything is allocated; it is a whole number whenever an
-    array that long could exist.
+    array that long could exist. A span that overflows is not formed.
     """
     c = positive_real(c, "c")
     width = spectrum.d_omega_minus
-    # a subnormal c underflows the step 0.05 c to zero: infinitely many samples
-    steps = _scan_span(target, width, c) * width / (0.05 * c) if 0.05 * c > 0.0 else math.inf
+    span = _scan_span(target, width, c)
+    # a subnormal c underflows the step 0.05 c to zero: infinitely many samples;
+    # the steps of an overflowing span are counted as 60 (r / c) width + 120
+    steps = (math.inf if 0.05 * c == 0.0 else span * width / (0.05 * c) if math.isfinite(span)
+             else 60.0 * (target.r / c) * width + 120.0)
     return max(2001.0, 2.0 * float(np.ceil(steps)) + 1.0)
 
 

@@ -153,10 +153,12 @@ def scan_f(scenario: SensingScenario, model, loss: LossParams = LossParams(),
     Samples the fluctuation-averaged closed form of the source ``model``
     describes (a ``GaussianJointSpectrum`` pair or a ``CoherentSpectrum``
     pulse) on ``n`` control settings (a whole number, at least 51) over
-    ``[-span, span]``. The default span covers both offsets plus several
-    feature widths. If the fixed first-stage delay is not large against
-    the inverse spectral width the features merge; the scan is still
-    produced but flagged with a ``RegimeWarning``.
+    ``[-span, span]``. A given ``span`` must be positive and finite. The
+    default span covers both offsets plus several feature widths; it is
+    scanned as computed, also where it underflows to 0 or overflows. If
+    the fixed first-stage delay is not large against the inverse spectral
+    width the features merge; the scan is still produced but flagged with
+    a ``RegimeWarning``.
     """
     width, form, plateau, _ = _source(model, loss)
     n = scan_samples(n)
@@ -168,13 +170,10 @@ def scan_f(scenario: SensingScenario, model, loss: LossParams = LossParams(),
             RegimeWarning,
             stacklevel=2,
         )
-    if span is not None:
-        span = positive_real(span, "span")
-    else:
-        span = abs(scenario.dl2_0) + 2.0 * abs(scenario.dl1_eff) + 6.0 * scenario.c / width
-        # a default span that overflows is scanned, and its rates are refused as not finite
-        if np.isfinite(span):
-            span = positive_real(span, "span")
+    # a derived span is scanned as derived: one that underflows to 0 misses the
+    # features, and one that overflows gives rates that are refused as not finite
+    span = (positive_real(span, "span") if span is not None else
+            abs(scenario.dl2_0) + 2.0 * abs(scenario.dl1_eff) + 6.0 * scenario.c / width)
     x2 = np.linspace(-span, span, n)
     return RateCurve(x2, form(tau1, scenario.tau2(x2), model, loss), plateau)
 

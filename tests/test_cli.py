@@ -33,6 +33,7 @@ from homlab.rates import (
     MAX_WINDOW_NODES,
     RateCurve,
     RateSurface,
+    RegimeWarning,
     box_average_curve,
     box_average_surface,
     coarse_grain_curve,
@@ -1533,6 +1534,32 @@ def test_qps_subnormal_c_refused_as_an_oversized_scan(tmp_path, capsys, c):
     assert capsys.readouterr().err == (
         "error: target, spectrum, c: the default scan for r / c = inf needs inf samples, "
         f"more than {_MAX_VALUES}\n"
+    )
+    assert not out.exists()
+
+
+def test_qps_overflowing_default_scan_is_refused_as_the_same_scan_with_n_is(tmp_path, capsys):
+    errs = []
+    for extra in ({}, {"n": 2001}):
+        cfg = write_config(tmp_path, {"version": 1, **RUN_CONFIGS["qps"], "c": 1e308, **extra})
+        assert main(["run", cfg, "--out", str(tmp_path / "out")]) == 2
+        errs.append(capsys.readouterr().err)
+    assert errs[0] == errs[1]
+    assert errs[0].startswith("error: target, c, spectrum: coincidence rate is not finite (nan); ")
+    assert not (tmp_path / "out").exists()
+
+
+def test_sense_default_span_that_underflows_is_scanned_and_misses_its_features(
+        tmp_path, capsys):
+    cfg = write_config(tmp_path, {
+        **SENSE_BP, "spectrum": {"omega0": 5.0, "d_omega_plus": 0.2, "d_omega_minus": 20.0},
+        "scenario": {"dl1_0": 0.0, "dl2_0": 0.0, "c": 5e-324}})
+    out = tmp_path / "out"
+    with pytest.warns(RegimeWarning, match="first-stage"):
+        assert main(["run", cfg, "--out", str(out)]) == 2
+    assert capsys.readouterr().err == (
+        "error: spectrum, scenario: the scan did not resolve the expected features "
+        "(expected 2 dips, found 0)\n"
     )
     assert not out.exists()
 

@@ -293,3 +293,13 @@ def test_scan_samples_for_a_subnormal_c_are_infinite():
     assert qps_scan_samples(target, SPECTRUM, 5e-324) == math.inf
     assert qps_scan_samples(target, SPECTRUM, 1e-320) == math.inf
     assert qps_scan_samples(target, SPECTRUM, 1.0) == 2001.0
+
+
+def test_scan_samples_count_an_overflowing_span_without_forming_it():
+    target = QpsTarget(r=2.0, gamma=0.8, vartheta=2.2)
+    narrow = GaussianJointSpectrum(omega0=5.0, d_omega_plus=0.2, d_omega_minus=5e-324)
+    assert qps_scan_samples(target, SPECTRUM, 1e308) == 2001.0
+    assert qps_scan_samples(target, narrow, 1.0) == 2001.0
+    assert qps_scan_samples(target, SPECTRUM, 5e-324) == math.inf
+    # a finite span keeps its rounding; the span-free count gives 2893 here
+    assert qps_scan_samples(QpsTarget(r=22.1, gamma=0.8, vartheta=2.2), SPECTRUM) == 2895.0

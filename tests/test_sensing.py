@@ -120,6 +120,15 @@ def test_scan_validates_inputs():
     np.testing.assert_array_equal(whole.values, scan_f(sc, SPECTRUM, n=101, span=6.0).values)
 
 
+def test_scan_keeps_a_default_span_that_underflows_to_zero():
+    pair = GaussianJointSpectrum(omega0=5.0, d_omega_plus=0.2, d_omega_minus=20.0)
+    sc = SensingScenario(dl1_0=0.0, dl2_0=0.0, c=5e-324)
+    with pytest.warns(RegimeWarning, match="first-stage"):
+        curve = scan_f(sc, pair)
+    assert curve.axis.size == 2001
+    assert not curve.axis.any()
+
+
 # ----- feature extraction on synthetic curves -----
 
 
