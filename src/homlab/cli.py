@@ -364,15 +364,138 @@ def _parse_stem(value, path: str) -> str:
 # ----- Serialization -----
 
 
-# Every number is written with ``%.12g``. A CSV is produced in chunks of at
-# most about ``_CHUNK_VALUES`` numbers, so writing it holds one chunk of text
-# at a time. The lines of a row (or column block) are formatted by one ``%``
-# call on a template that already holds their axis values, so all float
-# conversions there run inside one C-level call. Each chunk divides its own
+# Every number is written as ``'%.12g' % x`` writes it, but from digit
+# arithmetic over a whole block in numpy. For 1e-4 <= |x| < 1e9, e =
+# floor(log10|x|) lies in [-4, 8] and p = 11 - e in [3, 15], so 10**p is an
+# exact double and y = fl(|x| * 10**p) lies in [1e11, 1e12], within ulp(y) / 2
+# <= 6.2e-5 of the exact product. Rounding to an integer changes only at
+# half-integers, so where y is more than 1e-3 from one, rint(y) is the
+# correctly rounded 12-digit significand ``%.12g`` prints. A log10 that is off
+# by one near a power of ten leaves y below 1e11 or at 1e12 and over, or puts
+# it at exactly 1e11, which reads as the power of ten the true rounding
+# carries to. A significand that rounds up to 1e12 is that next power of ten,
+# 1e11 at e + 1. The decimal exponent stays in [-4, 8], so the text is
+# fixed-point with p digits after the point, less trailing zeros and a bare
+# point. Every other value (a near-tie, a carry to 1e9, 0, -0.0, values
+# outside the band, inf and nan) goes through ``_percent``, which is ``%``
+# itself.
+#
+# A value's text is six 32-bit words of ASCII, with NULs in between and after:
+# a head pair (sign, and "0." and zeros below 1), then the digits in groups of
+# three, the point inside the group it follows; a block's lines are laid out
+# as words, and deleting every NUL byte leaves their text. A CSV is produced
+# in chunks of at most about ``_CHUNK_VALUES`` numbers, so writing it holds
+# one chunk of text (and its words) at a time. Each chunk divides its own
 # slice of rates by the plateau: the same elementwise division as over the
-# whole array, so the bits do not change. The size keeps a row at the grid
-# cap (1448 lines) in one chunk and a chunk's text to a few hundred kB.
+# whole array, so the bits do not change. The size keeps a row at the grid cap
+# (1448 lines) in one chunk and a chunk's text to a few hundred kB.
 _CHUNK_VALUES = 1 << 14
+
+
+def _word_tables():
+    """The words of a text, with q = e + 4 in [0, 12].
+
+    Heads: the pair ``[sign]["0." and -1 - e zeros if e < 0]`` at ``q + 13 *
+    sign``. Groups: 000-999 (three digits, a NUL) in eight variants 1000 apart:
+    as written; trailing zeros as NUL; the point after digit 1, 2 or 3; the
+    same with the zeros after the point as NUL, and the point too if nothing
+    follows it. Then the last group, trailing zeros as NUL, with a comma, then
+    a newline. Variants: the offset of group k (0-2) at q by whether every
+    digit after it is 0."""
+    heads = b"".join((sign + (b"0." + b"0" * (3 - q) if q < 4 else b"")).ljust(8, b"\0")
+                     for sign in (b"", b"-") for q in range(13))
+    digits = (np.arange(1000)[:, None] // [100, 10, 1] % 10 + 48).astype(np.uint8)
+    kept = digits * (np.cumsum(digits[:, ::-1] != 48, axis=1)[:, ::-1] > 0)
+    nul = np.zeros((1000, 1), np.uint8)
+    pointed, pointed_kept = [], []
+    for c in (1, 2, 3):
+        pointed.append(np.insert(digits, [c], ord("."), axis=1))
+        pointed_kept.append(pointed[-1].copy())
+        pointed_kept[-1][:, c + 1:] = kept[:, c:]
+        pointed_kept[-1][:, c] *= kept[:, c:].any(axis=1)
+    groups = np.concatenate([np.c_[digits, nul], np.c_[kept, nul], *pointed, *pointed_kept,
+                             np.c_[kept, nul + ord(",")], np.c_[kept, nul + ord("\n")]])
+    variants = np.zeros((3, 13, 2), np.int64)
+    for k, q, stripped in itertools.product(range(3), range(13), range(2)):
+        c = q - 3 - 3 * k  # the point follows digit c of the group
+        variants[k, q, stripped] = 1000 * (1 + c + 3 * stripped if 1 <= c <= 3 else
+                                           0 if c > 3 else stripped)
+    return np.frombuffer(heads, np.uint64), groups.view(np.uint32).ravel(), variants.reshape(3, -1)
+
+
+_HEADS, _GROUPS, _VARIANTS = _word_tables()
+_SCALE = (10 ** np.arange(15, 2, -1)).astype(float)  # 10**p by q, exact
+
+
+def _percent(x: np.ndarray, end: str) -> np.ndarray:
+    """``'%.12g' % v + end`` for each value ``v`` of ``x``, as 24-byte strings."""
+    return np.array([("%.12g%s" % (v, end)).encode() for v in x.tolist()], dtype="S24")
+
+
+def _texts(x: np.ndarray, end: str, out: np.ndarray) -> None:
+    """Write the text of each value of the 1-D float array ``x``, then ``end``
+    (a comma or a newline), into the matching row of ``out``, a (len(x), 6)
+    uint32 array."""
+    with np.errstate(all="ignore"):  # 0, inf and nan fail the checks below
+        a = np.abs(x)
+        q = np.log10(a)
+        np.floor(q, out=q)
+        q = np.fmin(np.fmax(q, -4.0), 8.0).astype(np.int64) + 4
+        y = a * _SCALE.take(q)
+        n = np.rint(y)
+        fast = (np.abs(y - n) < 0.499) & (y >= 1e11) & (y < 1e12)
+    carry = n == 1e12
+    q += carry
+    fast &= q <= 12
+    np.minimum(q, 12, out=q)
+    np.copyto(n, 1e11, where=carry | ~fast)
+    rest = n.astype(np.int64)
+    del a, y, n
+    g1 = rest // 10**9
+    rest -= g1 * 10**9
+    g2 = rest // 10**6
+    rest -= g2 * 10**6
+    g3 = rest // 1000
+    rest -= g3 * 1000
+    zero3 = rest == 0  # whether every digit after group 3 is 0, and so on
+    zero2 = zero3 & (g3 == 0)
+    zero1 = zero2 & (g2 == 0)
+    out[:, :2].view(np.uint64)[:, 0] = _HEADS.take(q + 13 * (x < 0))
+    q *= 2
+    for k, (group, zero) in enumerate(((g1, zero1), (g2, zero2), (g3, zero3))):
+        group += _VARIANTS[k].take(q + zero)
+        out[:, 2 + k] = _GROUPS.take(group)
+    rest += 8000 if end == "," else 9000
+    out[:, 5] = _GROUPS.take(rest)
+    slow = np.flatnonzero(~fast)
+    out[slow] = _percent(x[slow], end).view(np.uint32).reshape(-1, 6)
+
+
+def _field(x: np.ndarray, packed: bool) -> np.ndarray:
+    """The texts of ``x``, each followed by a comma, as rows of uint32 words:
+    six per value, or with ``packed`` as few as the longest needs, NULs last."""
+    words = np.empty((x.size, 6), np.uint32)
+    _texts(x, ",", words)
+    if not packed:
+        return words
+    texts = [t.replace(b"\0", b"") for t in words.view("S24").ravel().tolist()]
+    width = -(-max(map(len, texts), default=1) // 4) * 4
+    return np.array(texts, dtype=f"S{width}").view(np.uint32).reshape(x.size, width // 4)
+
+
+def _lines(fields: list, values: np.ndarray) -> str:
+    """The lines of a block of ``values`` (rows by columns): each line holds its
+    ``fields`` (word arrays broadcast over the block), then its value."""
+    rows, cols = values.shape
+    words = np.empty((rows, cols, sum(f.shape[-1] for f in fields) + 6), np.uint32)
+    at = 0
+    for f in fields:
+        words[..., at:at + f.shape[-1]] = f
+        at += f.shape[-1]
+    _texts(values.ravel(), "\n", words.reshape(rows * cols, -1)[:, at:])
+    data = words.tobytes()
+    del words  # so the chunk's words are held at most twice
+    return data.translate(None, b"\0").decode("ascii")
 
 
 def _rows(header: str, axis: np.ndarray, values: np.ndarray, plateau: float, lead=None):
@@ -385,20 +508,14 @@ def _rows(header: str, axis: np.ndarray, values: np.ndarray, plateau: float, lea
     cols = _CHUNK_VALUES // (2 if lead is None else 3)
     n1, n2 = values.shape
     rows = max(1, cols // max(1, n2))
-
-    def template(j):
-        # "\0" marks where each line's lead goes; axis strings never contain it
-        t = axis[j:j + cols].tolist()
-        return ("\0%.12g,%%.12g\n" * len(t)) % tuple(t)
-
-    whole = template(0) if n2 <= cols else None
+    surface = lead is not None
+    leads = _field(lead, True)[:, None] if surface else None
+    whole = _field(axis, surface) if n2 <= cols else None
     for i in range(0, n1, rows):
-        heads = [""] if lead is None else ["%.12g," % a for a in lead[i:i + rows].tolist()]
         for j in range(0, n2, cols):
-            body = template(j) if whole is None else whole
-            scaled = values[i:i + rows, j:j + cols] / plateau
-            yield "".join(body.replace("\0", head) % tuple(row)
-                          for head, row in zip(heads, scaled.tolist()))
+            mid = _field(axis[j:j + cols], surface) if whole is None else whole
+            fields = [leads[i:i + rows], mid] if surface else [mid]
+            yield _lines(fields, values[i:i + rows, j:j + cols] / plateau)
 
 
 def curve_rows(curve: RateCurve, label: str = "delay"):

@@ -266,6 +266,51 @@ def test_csv_writers_match_reference_on_presets():
                 assert surface_csv(ds.data, ds.labels) == _reference_csv(ds.data, ds.labels)
 
 
+def _kernel_text(x, end="\n"):
+    """What the digit kernel writes for the values ``x``, its NULs deleted."""
+    words = np.empty((x.size, 6), np.uint32)
+    cli._texts(x, end, words)
+    return words.tobytes().translate(None, b"\0").decode("ascii")
+
+
+def _format_probe(rng):
+    """Over a million signed values: half over every binade from 5e-324 to
+    1e300, half over the kernel's fast band and past its edges; then exact
+    decimal ties (k + 0.5) 10**-j of 12-digit k, values that round to a power
+    of ten and +-64 ulps around each power of ten from 1e-5 to 1e9."""
+    binades = np.ldexp(rng.uniform(1.0, 2.0, 1 << 19), rng.integers(-1074, 997, 1 << 19))
+    band = 10.0 ** rng.uniform(-5.0, 9.5, 1 << 19)
+    ties = (rng.integers(10**11, 10**12, 1 << 15) + 0.5) / 10.0 ** rng.integers(3, 17, 1 << 15)
+    near = (10.0 ** np.arange(-5, 10))[:, None].view(np.int64) + np.arange(-64, 65)
+    rounding = [9.9999999999995, 9.99999999999949e-5, 0.099999999999995, 999999999999.5,
+                np.nextafter(1e-4, 0), np.nextafter(1e-4, 1), np.nextafter(10, 0), np.nextafter(10, 11)]
+    x = np.concatenate([binades, band, ties, near.ravel().view(np.float64), rounding])
+    return x * rng.choice([-1.0, 1.0], x.size)
+
+
+def _first_difference(values, got, want):
+    """None if the texts match, else the first value whose line differs, with
+    both lines (a whole-text diff of a million lines would take minutes)."""
+    if got == want:
+        return None
+    lines = zip(values, got.splitlines(), want.splitlines())
+    return next(((value, a, b) for value, a, b in lines if a != b), "line counts differ")
+
+
+def test_digit_kernel_writes_what_percent_writes():
+    x = _format_probe(np.random.default_rng(12))
+    specials = [0.0, -0.0, 5e-324, -2.2250738585072014e-308, np.inf, -np.inf, np.nan]
+    x = np.concatenate([x, specials])
+    want = ("%.12g\n" * x.size) % tuple(x.tolist())
+    assert _first_difference(x.tolist(), _kernel_text(x), want) is None
+    # through the CSV writer: signed values as a curve's axis, their sizes as its rates
+    x = x[:-3:8]
+    want = ("%.12g,%.12g\n" * x.size) % tuple(np.c_[x, np.abs(x)].ravel().tolist())
+    header, got = curve_csv(RateCurve(x, np.abs(x), 1.0)).split("\n", 1)
+    assert header == "delay,rate_rescaled"
+    assert _first_difference(x.tolist(), got, want) is None
+
+
 # SHA-256 of every CSV the figure presets write, pinned when the per-value
 # formatter was replaced; any change to these bytes must be deliberate.
 PRESET_CSV_SHA256 = {
@@ -538,6 +583,35 @@ def test_golden_hashes_hold_across_blas_threads_and_simd_dispatch():
     finally:
         for child in children:
             child.kill()
+
+
+def _on_grid(name, n):
+    grid = {"min": -3.0, "max": 3.0, "n": n}
+    return {**RUN_CONFIGS[name], "tau1": grid, "tau2": grid}
+
+
+# a 451^2 pair surface at theta = pi/2 (its Mandel zero at the origin), a
+# 451^2 pulse surface and a sensing scan
+@pytest.mark.parametrize("config", [_on_grid("mhom_bp", 451), _on_grid("mhom_cp", 451),
+                                    RUN_CONFIGS["sense_bp"]], ids=["mhom_bp", "mhom_cp", "sense_bp"])
+def test_percent_formats_under_one_percent_of_a_run(tmp_path, monkeypatch, config):
+    seen = {"all": 0, "percent": 0}
+    texts, percent = cli._texts, cli._percent
+
+    def counted_texts(x, end, out):
+        seen["all"] += x.size
+        texts(x, end, out)
+
+    def counted_percent(x, end):
+        seen["percent"] += x.size
+        return percent(x, end)
+
+    monkeypatch.setattr(cli, "_texts", counted_texts)
+    monkeypatch.setattr(cli, "_percent", counted_percent)
+    cfg = write_config(tmp_path, {"version": 1, **config})
+    assert main(["run", cfg, "--out", str(tmp_path / "out")]) == 0
+    assert seen["all"] > 800
+    assert seen["percent"] < 0.01 * seen["all"]
 
 
 # ----- figure subcommand -----
