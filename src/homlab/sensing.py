@@ -201,45 +201,40 @@ def _refine_vertex(x: np.ndarray, y: np.ndarray, i: int) -> tuple[float, float]:
 def _half_excursion_width(x: np.ndarray, y: np.ndarray, i: int, plateau: float) -> float:
     """Full width of the feature at index i, at half its excursion from the plateau."""
     half = 0.5 * (y[i] + plateau)
-    below = y[i] < plateau
+    beyond = (y < half) != (y[i] < plateau)  # samples on the plateau side of the half level
 
-    def crossing(j_from: int, step: int) -> float:
-        j = j_from
-        while 0 < j + step < y.size - 1 and ((y[j] < half) == below):
-            j += step
+    def crossing(j: int, step: int) -> float:
+        # j: the first plateau-side sample outward from i, or the one next to the scan end
         a, b = (j, j + step) if step > 0 else (j + step, j)
         if y[b] == y[a]:
             return float(x[j])
         frac = (half - y[a]) / (y[b] - y[a])
         return float(x[a] + frac * (x[b] - x[a]))
 
-    return abs(crossing(i, +1) - crossing(i, -1))
+    right = i + int(np.argmax(beyond[i:-1]))
+    left = i - int(np.argmax(beyond[i:0:-1]))
+    return abs(crossing(right if beyond[right] else y.size - 2, +1)
+               - crossing(left if beyond[left] else 1, -1))
 
 
 def _local_extrema(x: np.ndarray, y: np.ndarray, plateau: float):
     """Candidate dip and peak indices, ranked by prominence, then smaller |x|, then x."""
     # Equal neighboring samples happen when a feature vertex falls exactly
-    # between two nodes, so flat runs count as a single candidate extremum.
-    dips, peaks = [], []
-    i = 1
-    while i < y.size - 1:
-        j = i
-        while j < y.size - 1 and y[j + 1] == y[j]:
-            j += 1
-        if j >= y.size - 1:
-            break
-        k = (i + j) // 2
-        if y[i] < y[i - 1] and y[j] < y[j + 1]:
-            depth = (plateau - y[k]) / plateau
-            if depth >= _PROMINENCE:
-                dips.append((k, depth))
-        elif y[i] > y[i - 1] and y[j] > y[j + 1]:
-            height = (y[k] - plateau) / plateau
-            if height >= _PROMINENCE:
-                peaks.append((k, height))
-        i = j + 1
-    return tuple([k for k, _ in sorted(found, key=lambda kp: (-kp[1], abs(x[kp[0]]), x[kp[0]]))]
-                 for found in (dips, peaks))
+    # between two nodes, so a run of equal samples is one candidate, at its
+    # middle sample: a dip when the step into it falls and the step out
+    # rises, a peak in the reverse case. A run touching a scan end is none.
+    d = np.diff(y)  # finite, as rates are
+    steps = np.flatnonzero(d)
+    falls = d[steps] < 0.0
+    turns = np.flatnonzero(falls[:-1] != falls[1:])  # the run after steps[t] turns
+    k = (steps[turns] + 1 + steps[turns + 1]) // 2
+    rel = (y[k] - plateau) / plateau
+    dip = falls[turns]
+    ranked = []
+    for keep, sign in ((dip & (rel <= -_PROMINENCE), 1.0), (~dip & (rel >= _PROMINENCE), -1.0)):
+        xk = x[k[keep]]
+        ranked.append(k[keep][np.lexsort((xk, np.abs(xk), sign * rel[keep]))])
+    return tuple(ranked)
 
 
 def find_extrema(curve: RateCurve, kind: str) -> ExtremaReport:
@@ -263,8 +258,8 @@ def find_extrema(curve: RateCurve, kind: str) -> ExtremaReport:
     il, ir = sorted(dips[:2], key=lambda i: x[i])
     picked = {"min_left": il, "min_right": ir}
     if kind == "peak_and_dips":
-        between = [i for i in peaks if x[il] < x[i] < x[ir]]
-        if not between:
+        between = peaks[(x[il] < x[peaks]) & (x[peaks] < x[ir])]
+        if not between.size:
             raise ExtremaError("expected a central maximum between the dips, found 0")
         picked["max"] = between[0]
     report = {}

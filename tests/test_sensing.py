@@ -9,6 +9,7 @@ import pytest
 
 from homlab.rates import LossParams, RateCurve, RegimeWarning
 from homlab.sensing import (
+    _PROMINENCE,
     ExtremaError,
     ExtremaReport,
     SensingScenario,
@@ -18,6 +19,7 @@ from homlab.sensing import (
     run_sensing,
     scan_f,
 )
+from homlab.sensing import _half_excursion_width, _local_extrema
 from homlab.spectra import CoherentSpectrum, GaussianJointSpectrum
 
 SPECTRUM = GaussianJointSpectrum(omega0=5.0, d_omega_plus=0.2, d_omega_minus=1.0)
@@ -255,6 +257,110 @@ def test_find_extrema_general_rescaling_is_stable():
     assert b.x_min_right == pytest.approx(a.x_min_right, abs=1e-9)
     assert b.v_min_left == pytest.approx(a.v_min_left, abs=1e-12)
     assert b.v_min_right == pytest.approx(a.v_min_right, abs=1e-12)
+
+
+# ----- the array extraction against per-sample walks -----
+
+
+def _walked_extrema(x, y, plateau):
+    """``_local_extrema`` as a walk over the samples, one run of equal samples at a time."""
+    dips, peaks = [], []
+    i = 1
+    while i < y.size - 1:
+        j = i
+        while j < y.size - 1 and y[j + 1] == y[j]:
+            j += 1
+        if j >= y.size - 1:
+            break
+        k = (i + j) // 2
+        if y[i] < y[i - 1] and y[j] < y[j + 1]:
+            depth = (plateau - y[k]) / plateau
+            if depth >= _PROMINENCE:
+                dips.append((k, depth))
+        elif y[i] > y[i - 1] and y[j] > y[j + 1]:
+            height = (y[k] - plateau) / plateau
+            if height >= _PROMINENCE:
+                peaks.append((k, height))
+        i = j + 1
+    return tuple([k for k, _ in sorted(found, key=lambda kp: (-kp[1], abs(x[kp[0]]), x[kp[0]]))]
+                 for found in (dips, peaks))
+
+
+def _walked_width(x, y, i, plateau):
+    """``_half_excursion_width`` as a walk outward from sample ``i`` on each side."""
+    half = 0.5 * (y[i] + plateau)
+    below = y[i] < plateau
+
+    def crossing(step):
+        j = i
+        while 0 < j + step < y.size - 1 and ((y[j] < half) == below):
+            j += step
+        a, b = (j, j + step) if step > 0 else (j + step, j)
+        if y[b] == y[a]:
+            return float(x[j])
+        frac = (half - y[a]) / (y[b] - y[a])
+        return float(x[a] + frac * (x[b] - x[a]))
+
+    return abs(crossing(+1) - crossing(-1))
+
+
+def _runs_curve(rng):
+    """2 to 40 samples in runs of 1 to 4 equal values drawn from a few levels around
+    the plateau 1, on an axis of tenths centred anywhere in it, so flat runs, runs at
+    either end, tied prominences and tied |x| are all common."""
+    n = int(rng.integers(2, 41))
+    levels = rng.choice([0.2, 0.5, 0.7, 0.9, 0.999, 1.0, 1.3, 1.6], size=n)
+    y = np.repeat(levels, rng.integers(1, 5, size=n))[:n]
+    x = (np.arange(n) - rng.integers(0, n)) / 10.0
+    return x, y
+
+
+def _compare_with_walks(x, y, plateau=1.0):
+    """Check the array extraction against the walks; return the candidates."""
+    got, want = _local_extrema(x, y, plateau), _walked_extrema(x, y, plateau)
+    assert [list(kind) for kind in got] == list(want)
+    for i in want[0] + want[1]:
+        assert _half_excursion_width(x, y, i, plateau) == _walked_width(x, y, i, plateau)
+    return want[0] + want[1]
+
+
+def test_array_extraction_matches_the_walks_on_curves_with_flat_runs():
+    rng = np.random.default_rng(36)
+    seen = {"candidates": 0, "end_runs": 0, "tied": 0, "edge_pair": 0}
+    for _ in range(1500):
+        x, y = _runs_curve(rng)
+        found = _compare_with_walks(x, y)
+        seen["candidates"] += len(found)
+        seen["end_runs"] += y.size > 2 and (y[0] == y[1] or y[-1] == y[-2])
+        seen["tied"] += len({y[i] for i in found}) < len(found)
+        for i in found:
+            half = 0.5 * (y[i] + 1.0)
+            beyond = (y < half) != (y[i] < 1.0)
+            seen["edge_pair"] += not (beyond[i:].any() and beyond[:i].any())
+    assert all(seen.values()), seen
+
+
+@pytest.mark.parametrize("y", [[1.0, 0.5], [0.5, 0.2, 0.5], [0.5, 1.6, 0.5], [0.7] * 9,
+                               [0.5, 0.5, 0.2], [0.2, 0.5, 0.5]],
+                         ids=["two", "three_dip", "three_peak", "all_flat", "flat_left",
+                              "flat_right"])
+def test_array_extraction_matches_the_walks_on_short_and_flat_scans(y):
+    y = np.asarray(y)
+    found = _compare_with_walks(np.linspace(-1.0, 1.0, y.size), y)
+    assert found == ([1] if y.size == 3 and y[0] == y[2] else [])
+
+
+def test_array_extraction_keeps_features_at_exactly_the_prominence_cut():
+    y = np.array([200.0, 199.0, 200.0, 201.0, 200.0])  # excursions of 1/200 == _PROMINENCE
+    assert _compare_with_walks(np.arange(5.0), y, plateau=200.0) == [1, 3]
+
+
+def test_array_extraction_ranks_equal_prominences_as_the_walk_does():
+    # four equal dips, two of them flat-bottomed and refined to their middle
+    # samples at x = -0.2 and 0.1, the other two at x = -0.4 and 0.4
+    x = (np.arange(11) - 5) / 10.0
+    y = np.array([1.0, 0.5, 1.0, 0.5, 0.5, 1.0, 0.5, 0.5, 1.0, 0.5, 1.0])
+    assert _compare_with_walks(x, y) == [6, 3, 1, 9]
 
 
 def test_extrema_report_validation_and_serialization():
