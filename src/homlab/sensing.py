@@ -199,22 +199,28 @@ def _refine_vertex(x: np.ndarray, y: np.ndarray, i: int) -> tuple[float, float]:
 
 
 def _half_excursion_width(x: np.ndarray, y: np.ndarray, i: int, plateau: float) -> float:
-    """Full width of the feature at index i, at half its excursion from the plateau."""
+    """Full width of the feature at index i, at half its excursion from the plateau.
+
+    Each side's crossing is interpolated between the two samples that bracket
+    the half level; where the scan ends first, the two samples at that end
+    extrapolate it.
+    """
     half = 0.5 * (y[i] + plateau)
     beyond = (y < half) != (y[i] < plateau)  # samples on the plateau side of the half level
 
     def crossing(j: int, step: int) -> float:
-        # j: the first plateau-side sample outward from i, or the one next to the scan end
-        a, b = (j, j + step) if step > 0 else (j + step, j)
+        # between j, the first plateau-side sample outward from i or else the
+        # scan's end sample, and its inner neighbour
+        a, b = (j - step, j) if step > 0 else (j, j - step)
         if y[b] == y[a]:
-            return float(x[j])
+            return float(x[j - step])
         frac = (half - y[a]) / (y[b] - y[a])
         return float(x[a] + frac * (x[b] - x[a]))
 
-    right = i + int(np.argmax(beyond[i:-1]))
-    left = i - int(np.argmax(beyond[i:0:-1]))
-    return abs(crossing(right if beyond[right] else y.size - 2, +1)
-               - crossing(left if beyond[left] else 1, -1))
+    right = i + int(np.argmax(beyond[i:]))
+    left = i - int(np.argmax(beyond[i::-1]))
+    return abs(crossing(right if beyond[right] else y.size - 1, +1)
+               - crossing(left if beyond[left] else 0, -1))
 
 
 def _local_extrema(x: np.ndarray, y: np.ndarray, plateau: float):

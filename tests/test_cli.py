@@ -466,28 +466,28 @@ RUN_SHA256 = {
         "loss_cp.json": "fb72b7fe60ed3dbf53f76556b96d1f501843ac98375a82d01366295d935173d4",
     },
     "sense_bp": {
-        "sense_bp_report.json": "6f1db279f0e7af71e636c4616449543dbde4d90a9a99629bbc84a36c589461fb",
+        "sense_bp_report.json": "19f2861193f70190a71fe136265b4c95a0827c92f0080be7a26d08a91e0eafc2",
         "sense_bp_scan.csv": "7e81d733aa4603699601e8625cf336f47a5a74d8aae046bf1129d11dca022ab7",
     },
     "sense_bp_loss": {
-        "sense_bp_report.json": "02ba7f18388d732e659e6a7fd6ca8562484d5629d51aed393b7ce1b53314c8e2",
+        "sense_bp_report.json": "ae63a6f724f941bc07faab45634eaee0ce17307c11bacaf1b1ababbcbb6aab6d",
         "sense_bp_scan.csv": "06f6cd207ba38d67010a4259d27ad0d4f516c1fe96119bd08ddc6e8a40ec45a7",
     },
     "sense_cp": {
-        "sense_cp_report.json": "1cdd0a64ae3af92ca7d0274bc3708f39074aef8b1f440eac2fff8693719fcfa1",
+        "sense_cp_report.json": "8ecfefaee194dcd948683cc8823aab09a82e74e991aa77535a6aaee69a0613dc",
         "sense_cp_scan.csv": "daeb908332230a171f784e72dcc742dd48aafe644ad1f280709a74b07a13b166",
     },
     "sense_cp_loss": {
-        "sense_cp_report.json": "e8902628ea435dcdc55426c5cc5db9359b356aa3ccc0052f333f8c3ba385e91b",
+        "sense_cp_report.json": "26fa2dded303f7aa71dddf9e4f7dbf2df49de09d2c356791a0546091e38119fc",
         "sense_cp_scan.csv": "840d8442b3beb76929d7095eed69fb61bd1600a42bed9ece2e1dab13a9924f42",
     },
     "qps": {
-        "qps_report.json": "1ab16da5b4adaf93b0e79a4e5e5136cddfc0a3abd34373fa9352f1a6ef73b322",
+        "qps_report.json": "9fc3a8de972a52298102b3009d0c6dcc147fadf51569049d0c3b12fe6e64fc83",
         "qps_scan.csv": "ab46e89c9aacd700acd84d54efd4b1f21053011809bdef55c2cc5e37671667f6",
         "qps_surface.csv": "eee3c8368be6f39d68c8cfd6bb2614f257cab5ce768e57b576cc345900908e52",
     },
     "qps_loss": {
-        "qps_report.json": "5d2f9711217348d125e5c94b5bc1c0b6320ea18341a17b90c50703029f94ebdd",
+        "qps_report.json": "13ae00b8770630bffb9c230de8c820be44ea46c3fbab40eb97f58a9230cc9156",
         "qps_scan.csv": "d0259bb0ab95a9b93d6d6983bf3886a61a386a25c688b5b87ee51de710b9f425",
         "qps_surface.csv": "a05893e42d04d305224b610612bd84ce055d1b6071256bc7e52809560602ca4a",
     },

@@ -293,11 +293,12 @@ def _walked_width(x, y, i, plateau):
 
     def crossing(step):
         j = i
-        while 0 < j + step < y.size - 1 and ((y[j] < half) == below):
+        while 0 <= j + step < y.size and ((y[j] < half) == below):
             j += step
-        a, b = (j, j + step) if step > 0 else (j + step, j)
+        # j is the first sample past the half level, or else the scan's end sample
+        a, b = sorted((j - step, j))
         if y[b] == y[a]:
-            return float(x[j])
+            return float(x[j - step])
         frac = (half - y[a]) / (y[b] - y[a])
         return float(x[a] + frac * (x[b] - x[a]))
 
@@ -361,6 +362,15 @@ def test_array_extraction_ranks_equal_prominences_as_the_walk_does():
     x = (np.arange(11) - 5) / 10.0
     y = np.array([1.0, 0.5, 1.0, 0.5, 0.5, 1.0, 0.5, 0.5, 1.0, 0.5, 1.0])
     assert _compare_with_walks(x, y) == [6, 3, 1, 9]
+
+
+def test_half_excursion_width_interpolates_between_the_samples_that_bracket_the_level():
+    # y = 1 - exp(-x^2) crosses its half level at x = +-sqrt(ln 2) = +-0.8326,
+    # between the samples at 0.8 and 1.0 on each side of a symmetric axis
+    x = (np.arange(41) - 20) / 5.0
+    width = _half_excursion_width(x, 1.0 - np.exp(-x * x), 20, 1.0)
+    assert 0.8 < width / 2 < 1.0
+    assert width == pytest.approx(2.0 * math.sqrt(math.log(2.0)), abs=0.01)
 
 
 def test_extrema_report_validation_and_serialization():
