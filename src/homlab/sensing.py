@@ -199,18 +199,13 @@ def _refine_vertex(x: np.ndarray, y: np.ndarray, i: int) -> tuple[float, float]:
 
 
 def _half_excursion_width(x: np.ndarray, y: np.ndarray, i: int, plateau: float) -> float:
-    """Full width of the feature at index i, at half its excursion from the plateau.
-
-    Each side's crossing is interpolated between the two samples that bracket
-    the half level; where the scan ends first, the two samples at that end
-    extrapolate it.
-    """
+    """Full width of the feature at index i, at half its excursion from the plateau."""
     half = 0.5 * (y[i] + plateau)
     beyond = (y < half) != (y[i] < plateau)  # samples on the plateau side of the half level
 
     def crossing(j: int, step: int) -> float:
-        # between j, the first plateau-side sample outward from i or else the
-        # scan's end sample, and its inner neighbour
+        # between j, the first plateau-side sample outward from i, and its inner
+        # neighbour; where the scan ends first, j is its end sample and they extrapolate
         a, b = (j - step, j) if step > 0 else (j, j - step)
         if y[b] == y[a]:
             return float(x[j - step])
@@ -232,15 +227,13 @@ def _local_extrema(x: np.ndarray, y: np.ndarray, plateau: float):
     d = np.diff(y)  # finite, as rates are
     steps = np.flatnonzero(d)
     falls = d[steps] < 0.0
-    turns = np.flatnonzero(falls[:-1] != falls[1:])  # the run after steps[t] turns
+    turns = np.flatnonzero(falls[:-1] != falls[1:])  # runs between steps that turn
     k = (steps[turns] + 1 + steps[turns + 1]) // 2
-    rel = (y[k] - plateau) / plateau
     dip = falls[turns]
-    ranked = []
-    for keep, sign in ((dip & (rel <= -_PROMINENCE), 1.0), (~dip & (rel >= _PROMINENCE), -1.0)):
-        xk = x[k[keep]]
-        ranked.append(k[keep][np.lexsort((xk, np.abs(xk), sign * rel[keep]))])
-    return tuple(ranked)
+    prominence = np.where(dip, plateau - y[k], y[k] - plateau) / plateau
+    ranked = np.lexsort((x[k], np.abs(x[k]), -prominence))
+    ranked = ranked[prominence[ranked] >= _PROMINENCE]
+    return k[ranked[dip[ranked]]], k[ranked[~dip[ranked]]]
 
 
 def find_extrema(curve: RateCurve, kind: str) -> ExtremaReport:
@@ -251,9 +244,11 @@ def find_extrema(curve: RateCurve, kind: str) -> ExtremaReport:
     pattern). Features rank by prominence, ties broken toward the smaller
     control magnitude; the two best dips are kept, and the best peak
     strictly between them. Positions are refined by a parabola through
-    the three samples around each feature. A scan showing fewer
-    features than requested raises ``ExtremaError`` stating how many
-    were found, and so does a refined position that overflows.
+    the three samples around each feature, and a width is the full width at
+    half excursion, each side interpolated between the two samples that
+    bracket the half level. Extraction is linear-time array work. A scan
+    showing fewer features than requested raises ``ExtremaError`` stating
+    how many were found, and so does a refined position that overflows.
     """
     if kind not in ("dips", "peak_and_dips"):
         raise ValueError(f"kind must be 'dips' or 'peak_and_dips', got {kind!r}")
