@@ -56,9 +56,10 @@ the pipeline is randomized). Exit codes: 0 success, 2 validation error, 3
 averaging regime violation, 1 I/O failure. A rate that comes out nan or
 infinite is refused with exit 2, and nothing is written. So is a ``sense`` or
 ``qps`` scan that misses its features, or a default ``qps`` scan too long for
-an artifact. A scan refusal names the fields the scan reads that the config
-sets, in table order (``sense``: the model block, ``scenario``, ``loss``,
-``n``, ``span``; ``qps``: ``target``, ``spectrum``, ``loss``, ``c``, ``n``).
+an artifact. Each refusal names, in table order, the fields the config sets
+that the rates come from or the scan reads (``sense`` scans: the model block,
+``scenario``, ``loss``, ``n``, ``span``; ``qps``: ``target``, ``spectrum``,
+``loss``, ``c``, ``n``).
 """
 
 from __future__ import annotations
@@ -263,10 +264,10 @@ def _wrap_model_error(path: str):
         raise ConfigError(f"{path}: {exc}") from None
 
 
-# Config fields a run's rates are computed from, in the order a non-finite
-# refusal names them; the sample counts are bounded and cannot overflow a rate.
-_RATE_FIELDS = ("tau", "tau1", "tau2", "theta", "window", "scenario", "span", "target", "c",
-                "spectrum", "pulse", "loss")
+# Config fields a run's rates are computed from, named in table order by a non-finite
+# refusal; the sample counts are bounded and cannot overflow a rate.
+_RATE_FIELDS = {"tau", "tau1", "tau2", "theta", "window", "scenario", "span", "target", "c",
+                "spectrum", "pulse", "loss"}
 
 
 @contextmanager
@@ -833,7 +834,7 @@ def run_scenario(config: dict, out_dir) -> list[Path]:
     there removes the whole set (see ``_write_artifacts``). numpy's
     floating-point warnings are silenced for the run, since the rate
     containers refuse every nan or infinite rate; the refusal names the
-    fields of ``_RATE_FIELDS`` that the config sets.
+    fields of ``_RATE_FIELDS`` that the config sets, in table order.
     """
     config = _require_mapping(config, "")
     if "version" not in config:
@@ -846,9 +847,10 @@ def run_scenario(config: dict, out_dir) -> list[Path]:
     # a list or an object cannot be looked up in the table: refuse it first
     if not isinstance(mode, str) or mode not in _MODES:
         raise ConfigError(f"mode: expected one of {', '.join(_MODES)}, got {mode!r}")
-    _, layers, build = _MODES[mode]
+    table, layers, build = _MODES[mode]
     _load(*layers)
-    with np.errstate(all="ignore"), _rates_from([key for key in _RATE_FIELDS if key in config]):
+    rate_paths = [key for key in table if key in _RATE_FIELDS and key in config]
+    with np.errstate(all="ignore"), _rates_from(rate_paths):
         return _write_artifacts(Path(out_dir), build(_resolve(config, mode)))
 
 

@@ -981,11 +981,11 @@ def test_bad_mode_rejected(tmp_path, capsys, mode):
 # Runs whose rates overflow to nan: (base config, block or None, field, value,
 # the fields the refusal names).
 NON_FINITE_RUNS = {
-    "hom_bp_d_omega_minus": ("hom_bp", "spectrum", "d_omega_minus", 1e308, "tau, spectrum"),
-    "mhom_bp_theta": ("mhom_bp", None, "theta", 1e308, "tau1, tau2, theta, spectrum"),
+    "hom_bp_d_omega_minus": ("hom_bp", "spectrum", "d_omega_minus", 1e308, "spectrum, tau"),
+    "mhom_bp_theta": ("mhom_bp", None, "theta", 1e308, "spectrum, theta, tau1, tau2"),
     "figure_fig3_theta": (None, None, "theta", 1e308, "theta"),
     "coarse_cp_window_tau1_max": ("coarse_cp_window", "tau1", "max", 1e308,
-                                  "tau1, tau2, theta, window, pulse"),
+                                  "pulse, window, theta, tau1, tau2"),
 }
 _NON_FINITE = ("coincidence rate is not finite (nan); a parameter or delay is too large "
                "or too small to evaluate it\n")
@@ -1619,7 +1619,7 @@ def test_qps_overflowing_default_scan_is_refused_as_the_same_scan_with_n_is(tmp_
         assert main(["run", cfg, "--out", str(tmp_path / "out")]) == 2
         errs.append(capsys.readouterr().err)
     assert errs[0] == errs[1]
-    assert errs[0].startswith("error: target, c, spectrum: coincidence rate is not finite (nan); ")
+    assert errs[0].startswith("error: target, spectrum, c: coincidence rate is not finite (nan); ")
     assert not (tmp_path / "out").exists()
 
 
