@@ -2,9 +2,9 @@
 
 The package computes coincidence rates for a balanced two-port
 interferometer and its two-delay extension, for an entangled photon-pair
-input and for identical coherent pulses. Closed forms live in
-``rates`` next to a quadrature oracle that recomputes every rate from
-the transfer matrix and the tabulated spectra. ``sensing`` turns
+input and for identical coherent pulses. Closed forms live in ``rates``;
+``network`` holds the interferometer chains and a quadrature oracle that
+recomputes every rate from their transfer matrices. ``sensing`` turns
 fluctuation-averaged scan curves into recovered path-length offsets,
 ``qps`` maps two interferometric baselines into an emitter position on a
 sphere, and ``figures``/``cli`` generate the standard plot datasets.

@@ -30,7 +30,6 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .network import finite_real, whole_number
 
 # The closed forms and samplers are looked up in this module's namespace
 # when a preset is built, so wrapping them here (as the benchmark tracer
@@ -51,7 +50,7 @@ from .rates import (  # noqa: F401
     sample_curve,
     sample_surface,
 )
-from .spectra import CoherentSpectrum, GaussianJointSpectrum
+from .spectra import CoherentSpectrum, GaussianJointSpectrum, finite_real, whole_number
 
 __all__ = ["FIGURE_PRESETS", "CURVE_PRESETS", "FigureDataset", "FigureBundle", "build_figure"]
 

@@ -27,7 +27,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .network import finite_real, positive_real, store_finite, whole_number
 from .rates import (
     LossParams,
     RateCurve,
@@ -38,7 +37,7 @@ from .rates import (
     sample_surface,
 )
 from .sensing import ExtremaReport, find_extrema, invert_bp, scan_samples
-from .spectra import GaussianJointSpectrum
+from .spectra import GaussianJointSpectrum, finite_real, positive_real, store_finite, whole_number
 
 __all__ = [
     "QpsTarget",

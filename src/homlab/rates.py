@@ -1,18 +1,11 @@
-"""Coincidence-rate models for standard and two-delay interferometers.
+"""Coincidence rates of the standard and two-delay interferometers.
 
-Three layers live here and deliberately stay independent of each other:
-
-* quadrature oracles (``bp_rate_oracle``, ``cp_rate_oracle``) that compute
-  coincidence rates by direct numerical integration over tabulated
-  spectra and an arbitrary two-port network,
-* Gaussian closed forms for the photon-pair (``bp``) and coherent-pulse
-  (``cp``) inputs of the standard single-delay and the two-delay
-  interferometer,
-* coarse-graining of fast delay fluctuations by sliding-box averaging
-  (a generic rule for any rate function, and term-by-term averages of
-  the two exact two-delay forms), together with the closed forms of the
-  averaged rates under flat path losses; the lossless interferometer is
-  ``LossParams()``, every amplitude one.
+Gaussian closed forms give the photon-pair (``bp``) and coherent-pulse
+(``cp``) rates; the fluctuation-averaged two-delay rates also take flat
+path losses (``LossParams()`` is lossless). Fast delay fluctuations are
+averaged by sliding boxes: a generic rule for any rate function, and
+term-by-term averages of the two exact two-delay forms. The quadrature
+oracles that check these forms live in ``network``.
 
 The closed forms take a spectrum object, broadcast over delay arrays and
 return the raw value of their formula, as do the window averages.
@@ -26,26 +19,18 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from importlib import import_module
 
 import numpy as np
 
-from .network import (
-    OpticalNetwork,
-    finite_real,
-    mhom_network,
-    positive_real,
-    push_rows,
-    store_finite,
-    transfer_at,
-    validate_amplitude,
-    whole_number,
-)
 from .spectra import (
     CoherentSpectrum,
-    FrequencyGrid,
     GaussianJointSpectrum,
     blockwise,
-    make_grid,
+    positive_real,
+    store_finite,
+    validate_amplitude,
+    whole_number,
 )
 
 __all__ = [
@@ -66,13 +51,6 @@ __all__ = [
     "mhom_cp_coarse_analytic",
     "mhom_bp_loss_coarse",
     "mhom_cp_loss_coarse",
-    "pair_grid",
-    "pulse_grid",
-    "bp_rate_oracle",
-    "bp_rate_oracle_batch",
-    "cp_rate_oracle",
-    "cp_rate_oracle_batch",
-    "cl_s_rate",
     "box_average_curve",
     "box_average_surface",
     "coarse_grain_curve",
@@ -95,14 +73,6 @@ MAX_WINDOW_NODES = 2048
 # Rate points per temporary in every window average (generic and structured);
 # cells are taken in blocks of this many points, so memory stays flat for any grid.
 _BLOCK_POINTS = 1 << 20
-
-# Table entries per row block of the pair oracle's |psi|^2 and Q buffers
-# (256 KB for a real table). The blocks bound a call's peak memory whatever
-# the table size (test_bp_oracle_peak_memory_stays_below_the_table). Whether
-# the buffers are faulted in again on every call depends on the heap state:
-# about 95 minor faults per point in a standalone process, none in a
-# long-running one such as the benchmark harness.
-_ORACLE_BLOCK_ENTRIES = 1 << 15
 
 
 class RegimeError(ValueError):
@@ -413,232 +383,16 @@ def mhom_cp_coarse_analytic(tau1, tau2, pulse: CoherentSpectrum,
 mhom_bp_loss_coarse = mhom_bp_coarse_analytic
 mhom_cp_loss_coarse = mhom_cp_coarse_analytic
 
-
-# ----- Oracle grids -----
-
-
-def _resolved_nodes(half_width: float, tau_max: float, n: int | None) -> int:
-    """Node count resolving phases up to ``2 tau_max`` across the grid.
-
-    A given ``n`` is returned as it came, for ``make_grid`` to check.
-    """
-    if n is not None:
-        return n
-    base = 257
-    if tau_max > 0.0:
-        # keep at least 16 samples per period of exp(2 i omega tau_max)
-        need = int(math.ceil(32.0 * half_width * tau_max / math.pi)) + 1
-        if need > base:
-            base = need if need % 2 == 1 else need + 1
-    return base
+# Oracle names the benchmark still reaches through this module, served from
+# ``network`` on first use, so that importing ``rates`` does not load it.
+_NETWORK_NAMES = ("bp_rate_oracle", "cp_rate_oracle", "pair_grid", "pulse_grid", "transfer_at")
 
 
-def pair_grid(spectrum: GaussianJointSpectrum, tau_max: float = 4.0,
-              n: int | None = None) -> FrequencyGrid:
-    """Quadrature grid sized for a pair spectrum and a maximum delay.
-
-    Spans six marginal widths around the carrier, which also covers six
-    widths of the difference variable along the anti-diagonal. The node
-    count grows with ``tau_max`` so delay phases stay resolved.
-    ``tau_max`` must be a finite real number (a negative one means its
-    magnitude); a given ``n`` must be a whole number, as ``make_grid``
-    requires. Either is named when refused.
-    """
-    half_width = 6.0 * spectrum.local_spread
-    return make_grid(spectrum.omega0, half_width,
-                     _resolved_nodes(half_width, abs(finite_real(tau_max, "tau_max")), n))
-
-
-def pulse_grid(pulse: CoherentSpectrum, tau_max: float = 4.0,
-               n: int | None = None) -> FrequencyGrid:
-    """Quadrature grid sized for a pulse spectrum and a maximum delay.
-
-    Six pulse widths around the carrier; ``tau_max`` and ``n`` are checked
-    as in ``pair_grid``.
-    """
-    half_width = 6.0 * pulse.d_omega
-    return make_grid(pulse.omega0, half_width,
-                     _resolved_nodes(half_width, abs(finite_real(tau_max, "tau_max")), n))
-
-
-# ----- Quadrature oracles -----
-
-
-def _real_or_complex(values) -> np.ndarray:
-    """A tabulated table as a float array, or a complex one if it is complex."""
-    values = np.asarray(values)
-    return values.astype(complex if np.iscomplexobj(values) else float, copy=False)
-
-
-def _column_dots(x, y):
-    return np.add.reduce(x * y, axis=0)
-
-
-def _chains(networks) -> tuple:
-    """The batch as a non-empty tuple of chains; a bad entry is named by index."""
-    nets = tuple(networks)
-    if not nets:
-        raise ValueError("networks must hold at least one chain")
-    for i, net in enumerate(nets):
-        if not isinstance(net, OpticalNetwork):
-            raise TypeError(f"networks[{i}] must be an OpticalNetwork, got {type(net).__name__}")
-    return nets
-
-
-def bp_rate_oracle_batch(amplitude: np.ndarray, grid: FrequencyGrid, networks) -> np.ndarray:
-    """Pair-coincidence rate of each chain in ``networks``, by direct double quadrature.
-
-    ``amplitude`` is the joint spectral amplitude tabulated on
-    ``grid x grid`` and must be normalized to one there. The two-photon
-    component reaching distinct detectors carries the amplitude
-
-        ``amp(w, w') S11(w) S22(w') + amp(w', w) S12(w) S21(w')``
-
-    and the rate is the double integral of its squared modulus. The
-    expression needs no unitarity, so lossy chains are handled by the
-    same projection: terms with an absorbed photon cannot produce a
-    coincidence.
-
-    Expanding the square leaves two direct terms weighted by
-    ``P = |amp|^2`` and a cross term weighted by ``Q = amp * conj(amp^T)``.
-    The k chains share ``P``, ``Q`` and the normalization ``w . P . w``.
-    Each chain's transfer is weighted by ``sqrt(w)`` once, so that every
-    product of two of its entries carries the quadrature weight ``w``.
-    Neither ``P`` nor ``Q`` is formed whole: the table is read in blocks of
-    rows, and each block of ``P`` and of ``Q`` is written into one of two
-    buffers allocated once per call (about ``_ORACLE_BLOCK_ENTRIES``
-    entries each), then multiplied into an n x (1 + 2k) and an n x 2k
-    result. Besides the table, a call holds those two buffers and about
-    190 n k bytes of chain operands: a 1025-node call of one chain peaks
-    below a quarter of its table. A real table is never made complex.
-    The chain operands grow with k, so very large batches are best passed
-    in blocks. Nothing is cached between calls.
-    """
-    psi = _real_or_complex(amplitude)
-    n = grid.size
-    if psi.shape != (n, n):
-        raise ValueError(f"amplitude must be tabulated on the full grid, expected {(n, n)}, got {psi.shape}")
-    nets = _chains(networks)
-    w = grid.weights
-    k = len(nets)
-    s = np.empty((2, 2, n, k), dtype=complex)
-    for j, net in enumerate(nets):
-        s[..., j] = transfer_at(net, grid.nodes)
-    # weight every entry by sqrt(w), so that a product of two carries w
-    s *= np.sqrt(w)[:, None]
-    u = s[0, 0] * np.conj(s[0, 1])
-    v = s[1, 1] * np.conj(s[1, 0])
-    # then w |S|^2 from the squared interleaved parts, squared in place
-    sq = s.view(float)
-    np.square(sq, out=sq)
-    s2 = sq[..., ::2] + sq[..., 1::2]
-    real = not np.iscomplexobj(psi)
-    # P maps the normalization column w and the direct columns; a real Q
-    # maps the interleaved real and imaginary parts of v alike
-    p_cols = np.concatenate((w[:, None], s2[1, 1], s2[0, 1]), axis=1)
-    q_cols = v.view(float) if real else v
-    pw = np.empty((n, 1 + 2 * k))
-    qv = np.empty(q_cols.shape, dtype=psi.dtype)
-    rows = max(1, min(n, _ORACLE_BLOCK_ENTRIES // n))
-    p_buf = np.empty((rows, n))
-    q_buf = np.empty((rows, n), dtype=psi.dtype)
-    # a nan or inf entry fails the norm check below; its block products
-    # (inf * 0) must not warn before that
-    with np.errstate(invalid="ignore", over="ignore"):
-        for lo in range(0, n, rows):
-            hi = min(n, lo + rows)
-            blk, pb, qb = psi[lo:hi], p_buf[:hi - lo], q_buf[:hi - lo]
-            if real:
-                np.multiply(blk, blk, out=pb)
-                np.multiply(blk, psi[:, lo:hi].T, out=qb)
-            else:
-                # |z|^2 as re^2 + im^2, with the real part of Q's buffer as scratch
-                np.square(blk.real, out=pb)
-                pb += np.square(blk.imag, out=qb.real)
-                np.conjugate(psi[:, lo:hi].T, out=qb)
-                qb *= blk
-            np.matmul(pb, p_cols, out=pw[lo:hi])
-            np.matmul(qb, q_cols, out=qv[lo:hi])
-    norm = float(w @ pw[:, 0])
-    # written so that a nan or inf norm fails too
-    if not abs(norm - 1.0) <= 1e-6:
-        raise ValueError(f"joint amplitude must be normalized on the grid, got norm {norm:.8g}")
-    direct = _column_dots(s2[0, 0], pw[:, 1:1 + k]) + _column_dots(s2[1, 0], pw[:, 1 + k:])
-    cross = _column_dots(u, qv.view(complex) if real else qv).real
-    return direct + 2.0 * cross
-
-
-def bp_rate_oracle(amplitude: np.ndarray, grid: FrequencyGrid,
-                   network: OpticalNetwork) -> float:
-    """Pair-coincidence rate of one chain: ``bp_rate_oracle_batch`` of one."""
-    return float(bp_rate_oracle_batch(amplitude, grid, (network,))[0])
-
-
-def cp_rate_oracle_batch(alpha: np.ndarray, grid: FrequencyGrid, networks) -> np.ndarray:
-    """Coincidence rate of each chain for identical coherent amplitudes on both inputs.
-
-    The outputs stay coherent with amplitudes ``(Si1 + Si2) alpha``, so
-    the coincidence rate is the product of the two output intensities.
-    Feeding the two ports differently is outside this model, which is why
-    the signature accepts a single tabulated amplitude. Each chain pushes
-    the pre-weighted input field ``sqrt(w) alpha`` on both ports through
-    its elements, where ``w`` are the grid's positive quadrature weights.
-    The elements act linearly, frequency by frequency, so every output
-    field carries the factor ``sqrt(w)``, and each output intensity is the
-    plain sum of its field's squared real and imaginary parts. The pushed
-    fields take 32 n bytes per chain, so very large batches are best
-    passed in blocks.
-    """
-    a = _real_or_complex(alpha)
-    n = grid.size
-    if a.shape != (n,):
-        raise ValueError(f"alpha must be tabulated on the grid, expected {(n,)}, got {a.shape}")
-    if not np.isfinite(a).all():
-        raise ValueError("alpha must be finite")
-    nets = _chains(networks)
-    om = grid.nodes
-    fields = np.empty((len(nets), 2, n), dtype=complex)
-    fields[...] = np.sqrt(grid.weights) * a
-    for j, net in enumerate(nets):
-        push_rows(net, fields[j], om)
-    # each output intensity: one sum of the squared interleaved real and
-    # imaginary parts of its weighted field, squared in place
-    sq = fields.view(float)
-    n12 = np.add.reduce(np.square(sq, out=sq), axis=-1)
-    return n12[:, 0] * n12[:, 1]
-
-
-def cp_rate_oracle(alpha: np.ndarray, grid: FrequencyGrid,
-                   network: OpticalNetwork) -> float:
-    """Coherent-pulse coincidence rate of one chain: ``cp_rate_oracle_batch`` of one."""
-    return float(cp_rate_oracle_batch(alpha, grid, (network,))[0])
-
-
-def cl_s_rate(mixture, grid: FrequencyGrid, tau1: float, tau2: float,
-              theta: float) -> float:
-    """Two-delay rate for a statistical mixture of symmetric pulse pairs.
-
-    ``mixture`` is a sequence of ``(weight, alpha)`` entries with positive
-    weights summing to one, each ``alpha`` tabulated on the grid and fed
-    identically to both inputs. The rate is the weighted sum of each
-    component's ``cp_rate_oracle`` on ``mhom_network(tau1, tau2, theta)``.
-    A component's rate is its squared intensity minus a squared
-    interference overlap, so the total is strictly positive at zero delays
-    for any mixture. ``tau1``, ``tau2`` and ``theta`` must be finite real
-    numbers.
-    """
-    tau1, tau2 = finite_real(tau1, "tau1"), finite_real(tau2, "tau2")
-    theta = finite_real(theta, "theta")
-    items = list(mixture)
-    if not items:
-        raise ValueError("mixture must contain at least one component")
-    weights = np.array([float(wk) for wk, _ in items])
-    if np.any(weights <= 0.0):
-        raise ValueError("mixture weights must be positive")
-    if abs(weights.sum() - 1.0) > 1e-9:
-        raise ValueError(f"mixture weights must sum to 1, got {weights.sum():.12g}")
-    net = mhom_network(tau1, tau2, theta)
-    return float(sum(float(wk) * cp_rate_oracle(alpha, grid, net) for wk, alpha in items))
+def __getattr__(name):
+    if name not in _NETWORK_NAMES:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = globals()[name] = getattr(import_module(".network", __package__), name)
+    return value
 
 
 # ----- Coarse graining -----

@@ -32,7 +32,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .network import positive_real, store_finite, whole_number
 from .rates import (
     LossParams,
     RateCurve,
@@ -42,7 +41,8 @@ from .rates import (
     mhom_bp_coarse_analytic,
     mhom_cp_coarse_analytic,
 )
-from .spectra import CoherentSpectrum, GaussianJointSpectrum
+from .spectra import (CoherentSpectrum, GaussianJointSpectrum, positive_real, store_finite,
+                      whole_number)
 
 __all__ = [
     "ExtremaError",

@@ -1,12 +1,13 @@
-"""Spectral models for photon-pair and coherent-pulse interferometry.
+"""Source models, row-blocked tabulation and the argument rules of every layer.
 
 Two source models are provided. ``GaussianJointSpectrum`` describes a
 frequency-entangled photon pair through a Gaussian joint spectral
 amplitude, parameterized by the spreads of the frequency-sum and
 frequency-difference variables. ``CoherentSpectrum`` describes a
 transform-limited coherent pulse with a Gaussian power spectrum.
-A small uniform-grid quadrature type, ``FrequencyGrid``, backs the
-numerical rate oracles elsewhere in the package.
+``blockwise`` tabulates elementwise formulas in row blocks. The argument
+rules (``finite_real``, ``positive_real``, ``whole_number``, ``store_finite``,
+``validate_amplitude``) sit in this base module, which imports no other.
 
 All frequencies are angular. The classes are plain value types and all
 evaluation methods broadcast over numpy arrays.
@@ -14,18 +15,16 @@ evaluation methods broadcast over numpy arrays.
 
 from __future__ import annotations
 
+import cmath
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
-from .network import finite_real, positive_real, store_finite, whole_number
-
 __all__ = [
-    "FrequencyGrid",
     "GaussianJointSpectrum",
     "CoherentSpectrum",
-    "make_grid",
 ]
 
 _SQRT_2PI = float(np.sqrt(2.0 * np.pi))
@@ -34,6 +33,71 @@ _SQRT_2PI = float(np.sqrt(2.0 * np.pi))
 # each) stay in cache, while temporaries of a whole table are mapped and
 # faulted in again on every call.
 _BLOCK_ENTRIES = 1 << 14
+
+
+# ----- Argument rules -----
+
+
+def validate_amplitude(value, name: str) -> complex:
+    """Coerce a loss amplitude to complex, enforcing flat scalars and |amp| <= 1."""
+    # float and complex (numpy's float64 and complex128 among them) first:
+    # the numbers ABC checks cost more than the rest of the validation
+    if not isinstance(value, (float, complex)) and (
+            isinstance(value, bool) or not isinstance(value, numbers.Number)):
+        raise TypeError(
+            f"{name} must be a frequency-flat scalar amplitude, got {type(value).__name__}"
+        )
+    z = complex(value)
+    if not cmath.isfinite(z):
+        raise ValueError(f"{name} must be finite")
+    if abs(z) > 1.0 + 1e-12:
+        raise ValueError(f"{name} must satisfy |amp| <= 1, got |{z}| = {abs(z)}")
+    return z
+
+
+def finite_real(value, name: str) -> float:
+    """``value`` as a finite float; a bool or a value that is not real raises ``TypeError``."""
+    if not isinstance(value, float) and (
+            isinstance(value, bool) or not isinstance(value, numbers.Real)):
+        raise TypeError(f"{name} must be a real number, got {type(value).__name__}")
+    try:
+        value = float(value)
+    except OverflowError:  # an int too large for a float
+        value = math.inf
+    if not math.isfinite(value):
+        raise ValueError(f"{name} must be finite")
+    return value
+
+
+def positive_real(value, name: str) -> float:
+    """``value`` as a positive finite float: ``finite_real``'s refusals, then any value <= 0."""
+    value = finite_real(value, name)
+    if value <= 0.0:
+        raise ValueError(f"{name} must be positive and finite, got {value!r}")
+    return value
+
+
+def whole_number(value, name: str, unit: str, least: int) -> int:
+    """``value`` as an ``int`` count of at least ``least`` ``unit``.
+
+    A bool or a value that is not real raises ``TypeError``; a fraction,
+    nan, an infinity or a count below ``least`` raises ``ValueError``. Both
+    name the argument. Upper caps stay with callers.
+    """
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise TypeError(f"{name} must be a whole number of {unit}, got {type(value).__name__}")
+    if not isinstance(value, numbers.Integral) and not float(value).is_integer():
+        raise ValueError(f"{name} must be a whole number of {unit}, got {value!r}")
+    n = int(value)
+    if n < least:
+        raise ValueError(f"need at least {least} {unit}, got {name} = {n}")
+    return n
+
+
+def store_finite(record, *names: str, rule=finite_real) -> None:
+    """Store each named field of a frozen record as the value ``rule`` returns for it."""
+    for name in names:
+        object.__setattr__(record, name, rule(getattr(record, name), name))
 
 
 def blockwise(f, *arrays, entries: int = _BLOCK_ENTRIES):
@@ -59,65 +123,6 @@ def blockwise(f, *arrays, entries: int = _BLOCK_ENTRIES):
             out = np.empty(shape, dtype=np.result_type(block))
         out[lo:lo + rows] = block
     return out
-
-
-# ----- Quadrature grid -----
-
-
-@dataclass(frozen=True)
-class FrequencyGrid:
-    """Uniform frequency grid with trapezoid quadrature weights.
-
-    The weights sum to the grid span, so ``integrate`` approximates the
-    integral of a tabulated function over ``[nodes[0], nodes[-1]]``.
-    """
-
-    nodes: np.ndarray
-    weights: np.ndarray
-
-    def __post_init__(self) -> None:
-        nodes = np.asarray(self.nodes, dtype=float)
-        weights = np.asarray(self.weights, dtype=float)
-        if nodes.ndim != 1 or weights.shape != nodes.shape:
-            raise ValueError("nodes and weights must be 1-D arrays of equal length")
-        if nodes.size < 16:
-            raise ValueError(f"grid needs at least 16 nodes, got {nodes.size}")
-        if not (np.all(np.isfinite(nodes)) and np.all(np.isfinite(weights))):
-            raise ValueError("grid nodes and weights must be finite")
-        if np.any(np.diff(nodes) <= 0.0):
-            raise ValueError("grid nodes must be strictly increasing")
-        if np.any(weights <= 0.0):
-            raise ValueError("grid weights must be positive")
-        object.__setattr__(self, "nodes", nodes)
-        object.__setattr__(self, "weights", weights)
-
-    @property
-    def size(self) -> int:
-        return self.nodes.size
-
-    def integrate(self, values: np.ndarray) -> float | complex:
-        """Quadrature sum of values tabulated on the nodes (last axis)."""
-        out = np.tensordot(np.asarray(values), self.weights, axes=([-1], [0]))
-        if np.ndim(out):
-            return out
-        return complex(out) if np.iscomplexobj(out) else float(out)
-
-
-def make_grid(center: float, half_width: float, n: int = 257) -> FrequencyGrid:
-    """Build a uniform trapezoid grid over ``center +- half_width``.
-
-    ``n`` is the node count; at least 16 nodes are required. For smooth
-    integrands that decay inside the window (Gaussians sampled out to
-    several standard deviations) the trapezoid rule on this grid is
-    accurate to the truncated tail mass.
-    """
-    center, half_width = finite_real(center, "center"), positive_real(half_width, "half_width")
-    n = whole_number(n, "n", "grid nodes", 16)
-    nodes = np.linspace(center - half_width, center + half_width, n)
-    step = 2.0 * half_width / (n - 1)
-    weights = np.full(n, step)
-    weights[0] = weights[-1] = 0.5 * step
-    return FrequencyGrid(nodes, weights)
 
 
 # ----- Photon-pair joint spectrum -----

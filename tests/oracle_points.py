@@ -48,12 +48,12 @@ def _table(source: str, nodes: int):
     """Grid, tabulated amplitude, scalar oracle and largest delay of one class."""
     if source == "bp":
         tau_max = _tau_max(6.0 * SPECTRUM.local_spread, nodes)
-        grid = rates.pair_grid(SPECTRUM, tau_max=tau_max)
+        grid = network.pair_grid(SPECTRUM, tau_max=tau_max)
         amp = SPECTRUM.joint_amplitude(grid.nodes[:, None], grid.nodes[None, :])
-        return grid, amp, rates.bp_rate_oracle, tau_max
+        return grid, amp, network.bp_rate_oracle, tau_max
     tau_max = _tau_max(6.0 * PULSE.d_omega, nodes)
-    grid = rates.pulse_grid(PULSE, tau_max=tau_max)
-    return grid, PULSE.amplitude(grid.nodes), rates.cp_rate_oracle, tau_max
+    grid = network.pulse_grid(PULSE, tau_max=tau_max)
+    return grid, PULSE.amplitude(grid.nodes), network.cp_rate_oracle, tau_max
 
 
 def measure(table, chain: str, points: int, rng) -> tuple:

@@ -13,21 +13,26 @@ import pytest
 
 from homlab.cli import run_figure
 from homlab.figures import chi2_for_eta_b
-from homlab.network import hom_network, mhom_network
+from homlab.network import (
+    bp_rate_oracle,
+    bp_rate_oracle_batch,
+    cl_s_rate,
+    cp_rate_oracle_batch,
+    hom_network,
+    mhom_network,
+    pair_grid,
+    pulse_grid,
+)
 from homlab.qps import QpsTarget, qps_forward, qps_invert, qps_scan
 from homlab.rates import (
     LossParams,
     RegimeError,
     bp_plateau,
-    bp_rate_oracle,
-    bp_rate_oracle_batch,
     box_average_curve,
     box_average_surface,
-    cl_s_rate,
     coarse_grain_curve,
     coarse_grain_surface,
     cp_plateau,
-    cp_rate_oracle_batch,
     hom_bp_analytic,
     hom_cp_analytic,
     hom_cp_coarse_analytic,
@@ -37,8 +42,6 @@ from homlab.rates import (
     mhom_cp_analytic,
     mhom_cp_coarse_analytic,
     mhom_cp_loss_coarse,
-    pair_grid,
-    pulse_grid,
 )
 from homlab.sensing import SensingScenario, run_sensing
 from homlab.spectra import CoherentSpectrum, GaussianJointSpectrum

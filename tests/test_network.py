@@ -16,13 +16,13 @@ from homlab.network import (
     ScalarLoss,
     hom_network,
     mhom_network,
+    make_grid,
     transfer_at,
-    validate_amplitude,
 )
 from homlab.qps import QpsTarget, qps_invert, qps_scan, qps_scan_samples
 from homlab.rates import RegimeError, box_average_curve, window_nodes
 from homlab.sensing import SensingScenario, scan_f
-from homlab.spectra import CoherentSpectrum, GaussianJointSpectrum, make_grid
+from homlab.spectra import CoherentSpectrum, GaussianJointSpectrum, validate_amplitude
 
 INV_SQRT2 = 1.0 / math.sqrt(2.0)
 

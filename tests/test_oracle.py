@@ -13,31 +13,32 @@ import pytest
 from homlab.network import (
     AchromaticPhase,
     BalancedBS,
+    FrequencyGrid,
     OpticalNetwork,
     RelativeDelay,
     ScalarLoss,
+    bp_rate_oracle,
+    bp_rate_oracle_batch,
+    cl_s_rate,
+    cp_rate_oracle,
+    cp_rate_oracle_batch,
     hom_network,
     mhom_network,
+    pair_grid,
+    pulse_grid,
     transfer_at,
 )
 from homlab.rates import (
     LossParams,
-    bp_rate_oracle,
-    bp_rate_oracle_batch,
     box_average_surface,
-    cl_s_rate,
     cp_plateau,
-    cp_rate_oracle,
-    cp_rate_oracle_batch,
     hom_bp_analytic,
     hom_cp_analytic,
     mhom_bp_analytic,
     mhom_cp_analytic,
     mhom_cp_loss_coarse,
-    pair_grid,
-    pulse_grid,
 )
-from homlab.spectra import CoherentSpectrum, FrequencyGrid, GaussianJointSpectrum
+from homlab.spectra import CoherentSpectrum, GaussianJointSpectrum
 
 SPECTRUM = GaussianJointSpectrum(omega0=5.0, d_omega_plus=0.2, d_omega_minus=1.0)
 PULSE = CoherentSpectrum(omega0=5.0, d_omega=0.5, total_intensity=1.0)
@@ -108,7 +109,7 @@ def test_bp_oracle_validates_input():
 def test_one_delay_reduction_consistency():
     """The standard-chain pair rate collapses to a single integral over the
     frequency-difference density; 1-D and 2-D quadratures must agree."""
-    from homlab.spectra import make_grid
+    from homlab.network import make_grid
 
     grid2 = pair_grid(SPECTRUM, tau_max=2.2)
     psi = tabulated_pair(SPECTRUM, grid2)
@@ -557,6 +558,17 @@ def test_cl_s_refuses_bad_delays_and_phase(name, bad, error):
     args = {"tau1": 0.3, "tau2": -0.2, "theta": 0.4, name: bad}
     with pytest.raises(error, match=rf"^{name} must be"):
         cl_s_rate([(1.0, PULSE.amplitude(grid.nodes))], grid, **args)
+
+
+@pytest.mark.parametrize("bad, error", BAD_NUMBERS)
+def test_cl_s_refuses_a_weight_that_is_not_a_positive_real(bad, error):
+    grid = pulse_grid(PULSE, tau_max=1.0)
+    alpha = PULSE.amplitude(grid.nodes)
+    # a nan weight once passed both the sign and the sum check, and True counted as 1
+    with pytest.raises(error, match=r"^mixture\[1\] weight must be"):
+        cl_s_rate([(0.5, alpha), (bad, alpha)], grid, 0.0, 0.0, 0.0)
+    with pytest.raises(error, match=r"^mixture\[0\] weight must be"):
+        cl_s_rate([(bad, alpha)], grid, 0.0, 0.0, 0.0)
 
 
 # ----- lossy pulse rate against a numerically averaged oracle -----

@@ -37,9 +37,10 @@ from homlab.rates import (
     window_nodes,
 )
 from homlab.figures import build_figure
+from homlab.network import make_grid
 from homlab.qps import QpsTarget, qps_scan
 from homlab.sensing import SensingScenario, scan_f
-from homlab.spectra import CoherentSpectrum, GaussianJointSpectrum, make_grid
+from homlab.spectra import CoherentSpectrum, GaussianJointSpectrum
 
 SPECTRUM = GaussianJointSpectrum(omega0=5.0, d_omega_plus=0.2, d_omega_minus=1.0)
 PULSE = CoherentSpectrum(omega0=5.0, d_omega=0.5, total_intensity=1.0)
@@ -840,3 +841,19 @@ def test_window_node_count_takes_whole_numbers_of_any_type(n):
     assert type(got) is int and got == n
     for call, want in zip(_windowed_calls(n), _windowed_calls(int(n))):
         np.testing.assert_array_equal(call(), want())
+
+
+# ----- oracle names served from the network layer -----
+
+
+def test_rates_serves_only_the_benchmark_oracle_names_from_network():
+    from homlab import network, rates
+
+    served = ("bp_rate_oracle", "cp_rate_oracle", "pair_grid", "pulse_grid", "transfer_at")
+    assert rates._NETWORK_NAMES == served
+    for name in served:
+        assert getattr(rates, name) is getattr(network, name)
+    # the moved names the benchmark does not reach are not served
+    for name in ("cl_s_rate", "bp_rate_oracle_batch", "make_grid", "no_such_name"):
+        with pytest.raises(AttributeError, match=rf"^module 'homlab\.rates' has no attribute '{name}'$"):
+            getattr(rates, name)

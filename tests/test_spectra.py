@@ -8,12 +8,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from homlab.spectra import (
-    CoherentSpectrum,
-    FrequencyGrid,
-    GaussianJointSpectrum,
-    make_grid,
-)
+from homlab.network import FrequencyGrid, make_grid
+from homlab.spectra import CoherentSpectrum, GaussianJointSpectrum
 
 W0 = 5.0
 DP = 0.2

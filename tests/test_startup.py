@@ -1,9 +1,10 @@
 """What a ``homlab`` process loads and how it exits, each checked in a fresh child.
 
-A CLI run imports only the layers its mode uses, a bare ``import homlab``
-imports no submodule, and the process entry points (``python -m
-homlab.cli`` and the ``[project.scripts]`` entry) answer exactly as an
-in-process ``main`` does.
+A CLI run imports only the layers its mode uses, never the chains and
+quadrature oracles of ``network``; a bare ``import homlab`` imports no
+submodule, ``import homlab.rates`` only ``spectra`` besides; and the process
+entry points (``python -m homlab.cli`` and the ``[project.scripts]`` entry)
+answer exactly as an in-process ``main`` does.
 """
 
 import gc
@@ -38,7 +39,7 @@ with contextlib.redirect_stdout(io.StringIO()):
 print(json.dumps([code, sorted(m for m in sys.modules if m.split(".")[0] == "homlab"),
                   "fractions" in sys.modules]))
 """
-_BASE = ["homlab", "homlab.cli", "homlab.network", "homlab.rates", "homlab.spectra"]
+_BASE = ["homlab", "homlab.cli", "homlab.rates", "homlab.spectra"]
 # run (a RUN_CONFIGS name, or a figure preset) -> the layers it adds to _BASE
 FOOTPRINTS = {
     "mhom_bp": [], "loss_cp": [], "coarse_bp": [], "coarse_cp_window": [],
@@ -79,6 +80,13 @@ def test_bare_import_loads_no_submodule_and_no_numpy():
     child = _child(_IMPORT_CHILD)
     assert child.returncode == 0, child.stderr
     assert json.loads(child.stdout) == [["homlab"], _BASE]
+
+
+def test_rates_loads_no_chain_or_oracle_layer():
+    child = _child("import json, sys\nimport homlab.rates\n"
+                   "print(json.dumps(sorted(m for m in sys.modules if m.startswith('homlab'))))")
+    assert child.returncode == 0, child.stderr
+    assert json.loads(child.stdout) == ["homlab", "homlab.rates", "homlab.spectra"]
 
 
 # The package API from a fresh start: the star import first, then the rest.
