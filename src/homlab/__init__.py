@@ -2,12 +2,12 @@
 
 The package computes coincidence rates for a balanced two-port
 interferometer and its two-delay extension, for an entangled photon-pair
-input and for identical coherent pulses. Closed forms live in ``rates``;
-``network`` holds the interferometer chains and a quadrature oracle that
-recomputes every rate from their transfer matrices. ``sensing`` turns
-fluctuation-averaged scan curves into recovered path-length offsets,
-``qps`` maps two interferometric baselines into an emitter position on a
-sphere, and ``figures``/``cli`` generate the standard plot datasets.
+input and for identical coherent pulses. Closed forms and window averages
+live in ``rates``; ``network`` holds the interferometer chains and the
+references: a quadrature oracle on their transfer matrices and a generic
+window average. ``sensing`` turns averaged scan curves into recovered
+path-length offsets, ``qps`` maps two interferometric baselines into an
+emitter position on a sphere, and ``figures``/``cli`` generate plot datasets.
 
 Submodules load on first use: ``import homlab`` imports neither numpy nor
 any of them, and a name of ``__all__`` loads the modules up to the one that
@@ -21,8 +21,8 @@ __version__ = "0.1.0"
 # module -> the names the package exports from it (None: all of its __all__)
 _EXPORTS = {
     "spectra": None,
-    "network": None,
     "rates": None,
+    "network": None,
     "sensing": None,
     "qps": None,
     "figures": ("FIGURE_PRESETS", "build_figure"),

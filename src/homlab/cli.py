@@ -80,8 +80,6 @@ from pathlib import Path
 
 import numpy as np
 
-# coarse_grain_surface is not called here any more, but perfbench/tracing.py
-# wraps it under the name cli.coarse_grain_surface, so it stays imported.
 from .rates import (
     MAX_WINDOW_NODES,
     LossParams,
@@ -90,7 +88,6 @@ from .rates import (
     RateSurface,
     RegimeError,
     bp_plateau,
-    coarse_grain_surface,
     cp_plateau,
     hom_bp_analytic,
     hom_cp_analytic,
@@ -135,13 +132,14 @@ class ConfigError(ValueError):
     """Configuration rejected; the message names the offending field."""
 
 
-# The names taken from the layers only some modes use. A mode binds its
-# layers' names as module globals before it calls them (``_load``), and so
-# does reading one as an attribute of this module, so a run imports only the
-# layers its mode needs. A name bound earlier, such as a wrapper the
-# benchmark tracer sets, is kept, and the mode calls it.
+# The names taken from the layers only some modes use, and the reference the
+# benchmark tracer wraps, which no mode calls. A mode binds its layers' names
+# as module globals before it calls them (``_load``), and so does reading one
+# as an attribute of this module, so a run imports only the layers its mode
+# needs. A name bound earlier, such as a tracer's wrapper, is kept and called.
 _LAYER_NAMES = {
     "figures": ("CURVE_PRESETS", "FIGURE_PRESETS", "PHASE_PRESETS", "build_figure"),
+    "network": ("coarse_grain_surface",),
     "qps": ("QpsTarget", "qps_scan", "qps_scan_samples"),
     "sensing": ("ExtremaError", "SensingScenario", "run_sensing"),
 }

@@ -16,8 +16,9 @@ loss model where each path attenuation is evaluated at the carrier;
 frequency-dependent loss profiles are rejected at construction.
 
 The quadrature oracles integrate tabulated spectra on a ``FrequencyGrid``
-through any chain, an independent check of the closed forms in ``rates``.
-No CLI mode loads this module.
+through any chain, an independent check of the closed forms in ``rates``;
+the generic window average of any rate function (``box_average_*``,
+``coarse_grain_*``) checks its structured ones. No CLI mode loads this module.
 """
 
 from __future__ import annotations
@@ -25,15 +26,12 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .spectra import finite_real, positive_real, store_finite, validate_amplitude, whole_number
-
-if TYPE_CHECKING:  # pragma: no cover
-    from .rates import LossParams
-    from .spectra import CoherentSpectrum, GaussianJointSpectrum
+from .rates import LossParams, _rule_average, _window_rules, window_nodes
+from .spectra import (CoherentSpectrum, GaussianJointSpectrum, finite_real, positive_real,
+                      store_finite, validate_amplitude, whole_number)
 
 __all__ = [
     "BalancedBS",
@@ -53,6 +51,10 @@ __all__ = [
     "cp_rate_oracle",
     "cp_rate_oracle_batch",
     "cl_s_rate",
+    "box_average_curve",
+    "box_average_surface",
+    "coarse_grain_curve",
+    "coarse_grain_surface",
 ]
 
 _INV_SQRT2 = 1.0 / np.sqrt(2.0)
@@ -184,7 +186,7 @@ def hom_network(tau: float) -> OpticalNetwork:
 
 
 def mhom_network(tau1: float, tau2: float, theta: float,
-                 loss: "LossParams | None" = None) -> OpticalNetwork:
+                 loss: LossParams | None = None) -> OpticalNetwork:
     """Two-delay interferometer: delay, splitter, delay, achromatic phase, splitter.
 
     With ``loss`` given, flat attenuations are inserted before each delay
@@ -484,3 +486,67 @@ def cl_s_rate(mixture, grid: FrequencyGrid, tau1: float, tau2: float,
         raise ValueError(f"mixture weights must sum to 1, got {weights.sum():.12g}")
     net = mhom_network(tau1, tau2, theta)
     return float(sum(float(wk) * cp_rate_oracle(alpha, grid, net) for wk, alpha in items))
+
+
+# ----- Generic window average -----
+
+
+def _box_average(f, points, window: float, n: int):
+    """Mean of ``f`` over a box of width ``window`` around each point, per axis."""
+    ((x,), w), _ = _window_rules(window, n)
+    # the tensor product of the 1-D rule, one factor per axis
+    nodes = np.meshgrid(*[x] * len(points), indexing="ij")
+    weights = np.prod(np.meshgrid(*[w] * len(points), indexing="ij"), axis=0)
+    out = _rule_average(f, points, [g.ravel() for g in nodes], weights.ravel())
+    return out if out.ndim else float(out)
+
+
+def box_average_curve(rate, tau, window: float, n: int = 129):
+    """Plain sliding-box average of a rate function, no regime policy.
+
+    Averages ``rate`` over ``[tau - window/2, tau + window/2]`` with an
+    ``n``-point Gauss-Legendre rule; ``n`` above half the phase swept by
+    the fastest fringe across the window gives near-exact averages.
+    ``window`` must be a positive finite real and ``n`` a whole number
+    from 2 to ``MAX_WINDOW_NODES``; other values raise an error naming
+    the argument.
+    """
+    return _box_average(rate, (tau,), window, n)
+
+
+def box_average_surface(rate2, tau1, tau2, window: float, n: int = 129):
+    """Two-axis sliding-box average of a two-delay rate function.
+
+    Same rule and same argument checks as ``box_average_curve``, on both axes.
+    """
+    return _box_average(rate2, (tau1, tau2), window, n)
+
+
+def coarse_grain_curve(rate, tau, window: float, *, carrier: float,
+                       envelope: float, n: int | None = None):
+    """Average a rate function of one delay over its fluctuations of width ``window``.
+
+    Outside the regime ``window_nodes`` guards, the average would either
+    keep carrier fringes or wash out the envelope, so the call is rejected
+    with a ``RegimeError`` naming the violated bound. ``n`` (at least 2)
+    overrides the automatic Gauss-Legendre node count.
+    """
+    n = window_nodes(n, window, carrier, envelope)
+    if not callable(rate):
+        raise TypeError("rate must be callable on tau")
+    return box_average_curve(rate, tau, window, n=n)
+
+
+def coarse_grain_surface(rate2, tau1, tau2, window: float, *, carrier: float,
+                         envelope: float, n: int | None = None):
+    """Average a two-delay rate over independent fluctuations of both delays.
+
+    Both delays jitter with the same window. Averaging over the pair is
+    what removes every cross fringe; a single-axis average would leave
+    carrier terms in the other delay untouched. Same regime bounds as
+    ``coarse_grain_curve``.
+    """
+    n = window_nodes(n, window, carrier, envelope)
+    if not callable(rate2):
+        raise TypeError("rate2 must be callable on (tau1, tau2)")
+    return box_average_surface(rate2, tau1, tau2, window, n=n)

@@ -3,9 +3,9 @@
 Gaussian closed forms give the photon-pair (``bp``) and coherent-pulse
 (``cp``) rates; the fluctuation-averaged two-delay rates also take flat
 path losses (``LossParams()`` is lossless). Fast delay fluctuations are
-averaged by sliding boxes: a generic rule for any rate function, and
-term-by-term averages of the two exact two-delay forms. The quadrature
-oracles that check these forms live in ``network``.
+averaged over sliding boxes, term by term, in the two exact two-delay
+forms. The generic window average and the quadrature oracles that check
+these forms live in ``network``.
 
 The closed forms take a spectrum object, broadcast over delay arrays and
 return the raw value of their formula, as do the window averages.
@@ -51,10 +51,6 @@ __all__ = [
     "mhom_cp_coarse_analytic",
     "mhom_bp_loss_coarse",
     "mhom_cp_loss_coarse",
-    "box_average_curve",
-    "box_average_surface",
-    "coarse_grain_curve",
-    "coarse_grain_surface",
     "mhom_bp_windowed",
     "mhom_cp_windowed",
     "MAX_WINDOW_NODES",
@@ -383,9 +379,10 @@ def mhom_cp_coarse_analytic(tau1, tau2, pulse: CoherentSpectrum,
 mhom_bp_loss_coarse = mhom_bp_coarse_analytic
 mhom_cp_loss_coarse = mhom_cp_coarse_analytic
 
-# Oracle names the benchmark still reaches through this module, served from
+# Names the benchmark still reaches through this module, served from
 # ``network`` on first use, so that importing ``rates`` does not load it.
-_NETWORK_NAMES = ("bp_rate_oracle", "cp_rate_oracle", "pair_grid", "pulse_grid", "transfer_at")
+_NETWORK_NAMES = ("bp_rate_oracle", "cp_rate_oracle", "pair_grid", "pulse_grid", "transfer_at",
+                  "coarse_grain_surface")
 
 
 def __getattr__(name):
@@ -395,7 +392,7 @@ def __getattr__(name):
     return value
 
 
-# ----- Coarse graining -----
+# ----- Window rules and the regime guard -----
 
 
 def _node_count(n) -> int:
@@ -446,37 +443,6 @@ def _rule_average(f, points, offsets, weights):
     return (out if gather is None else out[gather]).reshape(points[0].shape)
 
 
-def _box_average(f, points, window: float, n: int):
-    """Mean of ``f`` over a box of width ``window`` around each point, per axis."""
-    ((x,), w), _ = _window_rules(window, n)
-    # the tensor product of the 1-D rule, one factor per axis
-    nodes = np.meshgrid(*[x] * len(points), indexing="ij")
-    weights = np.prod(np.meshgrid(*[w] * len(points), indexing="ij"), axis=0)
-    out = _rule_average(f, points, [g.ravel() for g in nodes], weights.ravel())
-    return out if out.ndim else float(out)
-
-
-def box_average_curve(rate, tau, window: float, n: int = 129):
-    """Plain sliding-box average of a rate function, no regime policy.
-
-    Averages ``rate`` over ``[tau - window/2, tau + window/2]`` with an
-    ``n``-point Gauss-Legendre rule; ``n`` above half the phase swept by
-    the fastest fringe across the window gives near-exact averages.
-    ``window`` must be a positive finite real and ``n`` a whole number
-    from 2 to ``MAX_WINDOW_NODES``; other values raise an error naming
-    the argument.
-    """
-    return _box_average(rate, (tau,), window, n)
-
-
-def box_average_surface(rate2, tau1, tau2, window: float, n: int = 129):
-    """Two-axis sliding-box average of a two-delay rate function.
-
-    Same rule and same argument checks as ``box_average_curve``, on both axes.
-    """
-    return _box_average(rate2, (tau1, tau2), window, n)
-
-
 def window_nodes(n: int | None, window: float, carrier: float, envelope: float) -> int:
     """Averaging nodes for a window, after guarding its regime.
 
@@ -514,36 +480,6 @@ def window_nodes(n: int | None, window: float, carrier: float, envelope: float) 
     return _node_count(n)
 
 
-def coarse_grain_curve(rate, tau, window: float, *, carrier: float,
-                       envelope: float, n: int | None = None):
-    """Average a rate function of one delay over its fluctuations of width ``window``.
-
-    Outside the regime ``window_nodes`` guards, the average would either
-    keep carrier fringes or wash out the envelope, so the call is rejected
-    with a ``RegimeError`` naming the violated bound. ``n`` (at least 2)
-    overrides the automatic Gauss-Legendre node count.
-    """
-    n = window_nodes(n, window, carrier, envelope)
-    if not callable(rate):
-        raise TypeError("rate must be callable on tau")
-    return box_average_curve(rate, tau, window, n=n)
-
-
-def coarse_grain_surface(rate2, tau1, tau2, window: float, *, carrier: float,
-                         envelope: float, n: int | None = None):
-    """Average a two-delay rate over independent fluctuations of both delays.
-
-    Both delays jitter with the same window. Averaging over the pair is
-    what removes every cross fringe; a single-axis average would leave
-    carrier terms in the other delay untouched. Same regime bounds as
-    ``coarse_grain_curve``.
-    """
-    n = window_nodes(n, window, carrier, envelope)
-    if not callable(rate2):
-        raise TypeError("rate2 must be callable on (tau1, tau2)")
-    return box_average_surface(rate2, tau1, tau2, window, n=n)
-
-
 # ----- Structured window averages of the two-delay closed forms -----
 
 
@@ -561,7 +497,7 @@ def mhom_bp_windowed(tau1, tau2, theta: float, spectrum: GaussianJointSpectrum,
                      window: float, *, n: int | None = None) -> np.ndarray:
     """Pair rate of the two-delay interferometer averaged over delay fluctuations.
 
-    The same average as ``coarse_grain_surface`` of ``mhom_bp_analytic``
+    The same average as ``network.coarse_grain_surface`` of ``mhom_bp_analytic``
     with carrier ``omega0`` and envelope ``spectrum.window_envelope``: same
     regime guard, same ``RegimeError`` messages, same node count ``n``.
     The rate is averaged term by term, with ``g(x) = exp(-2
@@ -597,7 +533,7 @@ def mhom_cp_windowed(tau1, tau2, theta: float, pulse: CoherentSpectrum,
                      window: float, *, n: int | None = None) -> np.ndarray:
     """Coherent-pulse rate of the two-delay interferometer averaged over delay fluctuations.
 
-    The same average as ``coarse_grain_surface`` of ``mhom_cp_analytic``
+    The same average as ``network.coarse_grain_surface`` of ``mhom_cp_analytic``
     with carrier ``omega0`` and envelope ``pulse.window_envelope``: same
     regime guard, same ``RegimeError`` messages, same node count ``n``. It
     averages ``1 - b**2 / 4`` term by term, using

@@ -14,9 +14,13 @@ import pytest
 from homlab.cli import run_figure
 from homlab.figures import chi2_for_eta_b
 from homlab.network import (
+    box_average_curve,
+    box_average_surface,
     bp_rate_oracle,
     bp_rate_oracle_batch,
     cl_s_rate,
+    coarse_grain_curve,
+    coarse_grain_surface,
     cp_rate_oracle_batch,
     hom_network,
     mhom_network,
@@ -28,10 +32,6 @@ from homlab.rates import (
     LossParams,
     RegimeError,
     bp_plateau,
-    box_average_curve,
-    box_average_surface,
-    coarse_grain_curve,
-    coarse_grain_surface,
     cp_plateau,
     hom_bp_analytic,
     hom_cp_analytic,

@@ -29,15 +29,17 @@ from homlab.cli import (
     surface_rows,
 )
 from homlab.figures import FIGURE_PRESETS, build_figure, chi2_for_eta_b, theta_tag
+from homlab.network import (
+    box_average_curve,
+    box_average_surface,
+    coarse_grain_curve,
+    coarse_grain_surface,
+)
 from homlab.rates import (
     MAX_WINDOW_NODES,
     RateCurve,
     RateSurface,
     RegimeWarning,
-    box_average_curve,
-    box_average_surface,
-    coarse_grain_curve,
-    coarse_grain_surface,
     mhom_bp_analytic,
     mhom_cp_analytic,
     mhom_cp_coarse_analytic,

@@ -14,13 +14,14 @@ from homlab.network import (
     OpticalNetwork,
     RelativeDelay,
     ScalarLoss,
+    box_average_curve,
     hom_network,
     mhom_network,
     make_grid,
     transfer_at,
 )
 from homlab.qps import QpsTarget, qps_invert, qps_scan, qps_scan_samples
-from homlab.rates import RegimeError, box_average_curve, window_nodes
+from homlab.rates import RegimeError, window_nodes
 from homlab.sensing import SensingScenario, scan_f
 from homlab.spectra import CoherentSpectrum, GaussianJointSpectrum, validate_amplitude
 

@@ -17,6 +17,7 @@ from homlab.network import (
     OpticalNetwork,
     RelativeDelay,
     ScalarLoss,
+    box_average_surface,
     bp_rate_oracle,
     bp_rate_oracle_batch,
     cl_s_rate,
@@ -30,7 +31,6 @@ from homlab.network import (
 )
 from homlab.rates import (
     LossParams,
-    box_average_surface,
     cp_plateau,
     hom_bp_analytic,
     hom_cp_analytic,

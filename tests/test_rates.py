@@ -16,10 +16,6 @@ from homlab.rates import (
     RateSurface,
     RegimeError,
     bp_plateau,
-    box_average_curve,
-    box_average_surface,
-    coarse_grain_curve,
-    coarse_grain_surface,
     cp_plateau,
     hom_bp_analytic,
     hom_cp_analytic,
@@ -37,7 +33,18 @@ from homlab.rates import (
     window_nodes,
 )
 from homlab.figures import build_figure
-from homlab.network import make_grid
+from homlab.network import (
+    box_average_curve,
+    box_average_surface,
+    bp_rate_oracle_batch,
+    coarse_grain_curve,
+    coarse_grain_surface,
+    cp_rate_oracle_batch,
+    make_grid,
+    mhom_network,
+    pair_grid,
+    pulse_grid,
+)
 from homlab.qps import QpsTarget, qps_scan
 from homlab.sensing import SensingScenario, scan_f
 from homlab.spectra import CoherentSpectrum, GaussianJointSpectrum
@@ -849,7 +856,8 @@ def test_window_node_count_takes_whole_numbers_of_any_type(n):
 def test_rates_serves_only_the_benchmark_oracle_names_from_network():
     from homlab import network, rates
 
-    served = ("bp_rate_oracle", "cp_rate_oracle", "pair_grid", "pulse_grid", "transfer_at")
+    served = ("bp_rate_oracle", "cp_rate_oracle", "pair_grid", "pulse_grid", "transfer_at",
+              "coarse_grain_surface")
     assert rates._NETWORK_NAMES == served
     for name in served:
         assert getattr(rates, name) is getattr(network, name)
@@ -857,3 +865,71 @@ def test_rates_serves_only_the_benchmark_oracle_names_from_network():
     for name in ("cl_s_rate", "bp_rate_oracle_batch", "make_grid", "no_such_name"):
         with pytest.raises(AttributeError, match=rf"^module 'homlab\.rates' has no attribute '{name}'$"):
             getattr(rates, name)
+
+
+# ----- the lossless symmetry group -----
+
+
+SYMMETRY_WINDOW = 0.08
+
+
+def _closed_rate(form, model):
+    return lambda t1, t2, theta: form(t1[:, None], t2[None, :], theta, model)
+
+
+def _windowed_rate(form, model):
+    return lambda t1, t2, theta: form(t1, t2, theta, model, SYMMETRY_WINDOW)
+
+
+def _generic_rate(form, model):
+    def rate(t1, t2, theta):
+        return coarse_grain_surface(lambda a, b: form(a, b, theta, model),
+                                    t1[:, None], t2[None, :], SYMMETRY_WINDOW,
+                                    carrier=model.omega0, envelope=model.window_envelope)
+    return rate
+
+
+def _oracle_rate(source):
+    if source == "bp":
+        grid = pair_grid(SPECTRUM, tau_max=3.0)
+        table = SPECTRUM.joint_amplitude(grid.nodes[:, None], grid.nodes[None, :])
+        batch = bp_rate_oracle_batch
+    else:
+        grid = pulse_grid(PULSE, tau_max=3.0)
+        table, batch = PULSE.amplitude(grid.nodes), cp_rate_oracle_batch
+
+    def rate(t1, t2, theta):
+        nets = [mhom_network(a, b, theta) for a in t1 for b in t2]
+        return batch(table, grid, nets).reshape(t1.size, t2.size)
+    return rate
+
+
+# case -> (rate builder, plateau). The window averages take carrier 500 and
+# window 0.08; the closed forms and oracles take carrier 5, as at carrier 500
+# the rounding of a 6000-radian phase alone comes within 1e-13 of plateau.
+SYMMETRY_CASES = {
+    "bp_closed": (lambda: _closed_rate(mhom_bp_analytic, SPECTRUM), bp_plateau()),
+    "cp_closed": (lambda: _closed_rate(mhom_cp_analytic, PULSE), cp_plateau(PULSE)),
+    "bp_windowed": (lambda: _windowed_rate(mhom_bp_windowed, FAST_SPECTRUM), bp_plateau()),
+    "cp_windowed": (lambda: _windowed_rate(mhom_cp_windowed, FAST_PULSE),
+                    cp_plateau(FAST_PULSE)),
+    "bp_generic": (lambda: _generic_rate(mhom_bp_analytic, FAST_SPECTRUM), bp_plateau()),
+    "cp_generic": (lambda: _generic_rate(mhom_cp_analytic, FAST_PULSE), cp_plateau(FAST_PULSE)),
+    "bp_oracle": (lambda: _oracle_rate("bp"), bp_plateau()),
+    "cp_oracle": (lambda: _oracle_rate("cp"), cp_plateau(PULSE)),
+}
+
+
+@pytest.mark.parametrize("case", SYMMETRY_CASES)
+def test_lossless_rates_keep_the_symmetry_group(case):
+    """R(-tau1, tau2, theta), R(tau1, tau2, theta + pi) and R(tau1, -tau2, -theta)
+    equal R(tau1, tau2, theta) for every lossless two-delay rate, whatever
+    formula computes it, so each form is checked against itself."""
+    make, plateau = SYMMETRY_CASES[case]
+    rate = make()
+    rng = np.random.default_rng(12)
+    t1, t2 = rng.uniform(-3.0, 3.0, 6), rng.uniform(-3.0, 3.0, 5)
+    for theta in (0.0, 0.3, 1.1):
+        want = rate(t1, t2, theta)
+        for got in (rate(-t1, t2, theta), rate(t1, t2, theta + math.pi), rate(t1, -t2, -theta)):
+            assert np.max(np.abs(got - want)) <= 1e-13 * plateau

@@ -1,10 +1,11 @@
 """What a ``homlab`` process loads and how it exits, each checked in a fresh child.
 
-A CLI run imports only the layers its mode uses, never the chains and
-quadrature oracles of ``network``; a bare ``import homlab`` imports no
-submodule, ``import homlab.rates`` only ``spectra`` besides; and the process
-entry points (``python -m homlab.cli`` and the ``[project.scripts]`` entry)
-answer exactly as an in-process ``main`` does.
+A CLI run imports only the layers its mode uses, never the chains, the
+quadrature oracles and the generic window average of ``network``; a bare
+``import homlab`` imports no submodule, ``import homlab.rates`` (or a
+``rates`` name read off the package) only ``spectra`` besides; and the
+process entry points (``python -m homlab.cli`` and the ``[project.scripts]``
+entry) answer exactly as an in-process ``main`` does.
 """
 
 import gc
@@ -83,10 +84,29 @@ def test_bare_import_loads_no_submodule_and_no_numpy():
 
 
 def test_rates_loads_no_chain_or_oracle_layer():
-    child = _child("import json, sys\nimport homlab.rates\n"
-                   "print(json.dumps(sorted(m for m in sys.modules if m.startswith('homlab'))))")
+    for load in ("import homlab.rates", "import homlab; homlab.LossParams"):
+        child = _child(f"import json, sys\n{load}\nprint(json.dumps("
+                       "sorted(m for m in sys.modules if m.startswith('homlab'))))")
+        assert child.returncode == 0, child.stderr
+        assert json.loads(child.stdout) == ["homlab", "homlab.rates", "homlab.spectra"], load
+
+
+# Whether ``network`` is loaded after ``import homlab.cli``, then after reading
+# the name the benchmark tracer wraps, and whether that name is ``network``'s.
+_TRACED_NAME_CHILD = """
+import json, sys
+import homlab.cli as cli
+before = "homlab.network" in sys.modules
+value = cli.coarse_grain_surface
+after = "homlab.network" in sys.modules
+print(json.dumps([before, after, value is sys.modules["homlab.network"].coarse_grain_surface]))
+"""
+
+
+def test_cli_serves_the_traced_reference_without_loading_network():
+    child = _child(_TRACED_NAME_CHILD)
     assert child.returncode == 0, child.stderr
-    assert json.loads(child.stdout) == ["homlab", "homlab.rates", "homlab.spectra"]
+    assert json.loads(child.stdout) == [False, True, True]
 
 
 # The package API from a fresh start: the star import first, then the rest.
@@ -96,7 +116,7 @@ namespace = {}
 exec("from homlab import *", namespace)
 import homlab
 from homlab import figures, network, qps, rates, sensing, spectra
-modules = (spectra, network, rates, sensing, qps)
+modules = (spectra, rates, network, sensing, qps)
 expected = [*(name for module in modules for name in module.__all__),
             "FIGURE_PRESETS", "build_figure"]
 star = sorted(name for name in namespace if name != "__builtins__")
