@@ -50,16 +50,15 @@ fields every mode records and how; it records neither ``version`` nor
 ``stem``, nor the ``n``, ``span`` and ``surface_n`` of a scan or an
 automatic ``window_n``. Every rate of a run is computed before its
 first byte is written; each CSV is then streamed into a temp file in chunks
-of rows, and the files are renamed into place only after all of them are
-written. Files are byte-identical for identical configurations (nothing in
-the pipeline is randomized). Exit codes: 0 success, 2 validation error, 3
+of rows, as ASCII bytes with ``\n`` line ends on every platform, and the
+files are renamed into place only after all of them are written. Files are
+byte-identical for identical configurations (nothing in the pipeline is
+randomized). Exit codes: 0 success, 2 validation error, 3
 averaging regime violation, 1 I/O failure. A rate that comes out nan or
 infinite is refused with exit 2, and nothing is written. So is a ``sense`` or
 ``qps`` scan that misses its features, or a default ``qps`` scan too long for
 an artifact. Each refusal names, in table order, the fields the config sets
-that the rates come from or the scan reads (``sense`` scans: the model block,
-``scenario``, ``loss``, ``n``, ``span``; ``qps``: ``target``, ``spectrum``,
-``loss``, ``c``, ``n``).
+that the rates come from (``_RATE_FIELDS``), and a scan refusal also ``n``.
 """
 
 from __future__ import annotations
@@ -278,10 +277,11 @@ def _rates_from(paths):
 
 
 @contextmanager
-def _scan_resolves(f: dict, reads: tuple):
-    """Yield the names of the fields of ``reads`` the config sets, in table order,
-    for a scan refusal, and name them when a valid scan misses its features."""
-    paths = ", ".join(key for key in f["given"] if key in reads)
+def _scan_resolves(f: dict):
+    """Yield the names of the fields a scan reads (``_RATE_FIELDS`` and ``n``) that
+    the config sets, in table order, for a scan refusal, and name them when a valid
+    scan misses its features."""
+    paths = ", ".join(key for key in f["given"] if key in _RATE_FIELDS or key == "n")
     try:
         yield paths
     except ExtremaError as exc:
@@ -482,7 +482,7 @@ def _field(x: np.ndarray, packed: bool) -> np.ndarray:
     return np.array(texts, dtype=f"S{width}").view(np.uint32).reshape(x.size, width // 4)
 
 
-def _lines(fields: list, values: np.ndarray) -> str:
+def _lines(fields: list, values: np.ndarray) -> bytes:
     """The lines of a block of ``values`` (rows by columns): each line holds its
     ``fields`` (word arrays broadcast over the block), then its value."""
     rows, cols = values.shape
@@ -494,14 +494,15 @@ def _lines(fields: list, values: np.ndarray) -> str:
     _texts(values.ravel(), "\n", words.reshape(rows * cols, -1)[:, at:])
     data = words.tobytes()
     del words  # so the chunk's words are held at most twice
-    return data.translate(None, b"\0").decode("ascii")
+    return data.translate(None, b"\0")
 
 
 def _rows(header: str, axis: np.ndarray, values: np.ndarray, plateau: float, lead=None):
-    """The CSV text of ``values / plateau`` in chunks: ``header``, then blocks of
-    whole rows, or of columns of one row where a row holds more than a chunk. Row
-    ``i`` has a line per ``axis`` value led by ``lead[i]``; a curve has no ``lead``."""
-    yield header
+    """The CSV bytes of ``values / plateau`` in chunks: ``header`` in UTF-8, then
+    blocks of whole rows, or of columns of one row where a row holds more than a
+    chunk. Row ``i`` has a line per ``axis`` value led by ``lead[i]``; a curve has
+    no ``lead``."""
+    yield header.encode()
     if lead is None:
         values = values[None]
     cols = _CHUNK_VALUES // (2 if lead is None else 3)
@@ -518,22 +519,22 @@ def _rows(header: str, axis: np.ndarray, values: np.ndarray, plateau: float, lea
 
 
 def curve_rows(curve: RateCurve, label: str = "delay"):
-    """The CSV text of ``curve`` in chunks: the header, then blocks of lines."""
+    """The CSV bytes of ``curve`` in chunks: the header, then blocks of lines."""
     return _rows(f"{label},rate_rescaled\n", curve.axis, curve.values, curve.plateau)
 
 
 def surface_rows(surface: RateSurface, labels=("tau1", "tau2")):
-    """The CSV text of ``surface`` in chunks: the header, then blocks of lines."""
+    """The CSV bytes of ``surface`` in chunks: the header, then blocks of lines."""
     return _rows(f"{labels[0]},{labels[1]},rate_rescaled\n", surface.tau2_axis,
                  surface.values, surface.plateau, surface.tau1_axis)
 
 
 def curve_csv(curve: RateCurve, label: str = "delay") -> str:
-    return "".join(curve_rows(curve, label))
+    return b"".join(curve_rows(curve, label)).decode()
 
 
 def surface_csv(surface: RateSurface, labels=("tau1", "tau2")) -> str:
-    return "".join(surface_rows(surface, labels))
+    return b"".join(surface_rows(surface, labels)).decode()
 
 
 def _json_text(obj) -> str:
@@ -556,7 +557,7 @@ def _with_record(data: list, name: str, f: dict | None, **results) -> list:
                   and all(f[need] is not None for need in table[key][2:])}
         record.update(mode=f["mode"], units=_UNITS)
     record.update(results, files=[file for file, _ in data])
-    return [*data, (name, _json_text(record))]
+    return [*data, (name, [_json_text(record).encode("ascii")])]
 
 
 def _loss_record(loss: LossParams | None) -> dict | None:
@@ -575,18 +576,17 @@ def _range_dict(axis: np.ndarray) -> dict:
 _TMP_SERIAL = itertools.count()
 
 
-def _write_file(path: Path, content) -> None:
-    """Write ``content``, a ``str`` or an iterable of ``str`` chunks, to
-    ``path`` as ``Path.write_text`` would (UTF-8, default newline)."""
-    with path.open("w", encoding="utf-8") as fh:
-        fh.writelines([content] if isinstance(content, str) else content)
+def _write_file(path: Path, chunks) -> None:
+    """Write ``chunks``, an iterable of ``bytes``, to ``path`` one after another."""
+    with path.open("wb") as fh:
+        fh.writelines(chunks)
 
 
 def _write_artifacts(out_dir: Path, artifacts) -> list[Path]:
     """Write a set of files: every temp file first, then rename them all.
 
-    Each artifact is a ``(name, content)`` pair, its content a ``str`` or an
-    iterable of ``str`` chunks written one after another. Temp names carry
+    Each artifact is a ``(name, chunks)`` pair, its chunks an iterable of
+    ``bytes`` written one after another. Temp names carry
     the process id and a per-process serial, so runs writing into one
     directory at the same time never share a temp file. A failure while
     writing, in the file system or in a chunk generator, removes every temp
@@ -597,10 +597,10 @@ def _write_artifacts(out_dir: Path, artifacts) -> list[Path]:
     out_dir.mkdir(parents=True, exist_ok=True)
     staged = []
     try:
-        for name, content in artifacts:
+        for name, chunks in artifacts:
             tmp = out_dir / f".{name}.{os.getpid()}.{next(_TMP_SERIAL)}.tmp"
             staged.append((tmp, out_dir / name))
-            _write_file(tmp, content)
+            _write_file(tmp, chunks)
         for tmp, target in staged:
             os.replace(tmp, target)
     except BaseException:
@@ -679,7 +679,7 @@ def _build_surface(f: dict) -> list:
 def _build_sense(f: dict) -> list:
     scenario, stem = f["scenario"], f["stem"]
     model, loss, _ = _model(f)
-    with _scan_resolves(f, ("spectrum", "pulse", "scenario", "loss", "n", "span")):
+    with _scan_resolves(f):
         result = run_sensing(scenario, model, loss=loss, n=f["n"], span=f["span"])
     data = [(f"{stem}_scan.csv", curve_rows(result.curve, label="x2"))]
     return _with_record(
@@ -695,7 +695,7 @@ def _build_sense(f: dict) -> list:
 def _build_qps(f: dict) -> list:
     target, c, n, stem = f["target"], f["c"], f["n"], f["stem"]
     spectrum, loss, _ = _model(f)
-    with _scan_resolves(f, ("target", "spectrum", "loss", "c", "n")) as paths:
+    with _scan_resolves(f) as paths:
         if n is None and (need := qps_scan_samples(target, spectrum, c)) > _MAX_VALUES:
             raise ConfigError(
                 f"{paths}: the default scan for r / c = {target.r / c:.4g} needs "

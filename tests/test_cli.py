@@ -254,8 +254,9 @@ def test_csv_chunks_are_bounded_and_join_to_the_reference(monkeypatch, chunk):
     for chunks, obj, labels in (
             (list(surface_rows(surface)), surface, ("tau1", "tau2")),
             (list(curve_rows(curve)), curve, ("delay", "tau2"))):
-        assert "".join(chunks) == _reference_csv(obj, labels)
-        numbers = [chunk_text.count(",") + chunk_text.count("\n") for chunk_text in chunks[1:]]
+        assert all(type(piece) is bytes for piece in chunks)
+        assert b"".join(chunks) == _reference_csv(obj, labels).encode()
+        numbers = [piece.count(b",") + piece.count(b"\n") for piece in chunks[1:]]
         assert max(numbers) <= chunk
 
 
@@ -1558,7 +1559,8 @@ def test_write_failure_after_the_first_chunk_leaves_no_trace(tmp_path, capsys, m
             temp_existed.append(path.exists())
             raise OSError("disk full")
 
-        return real(path, content if isinstance(content, str)
+        # the sidecar is a one-chunk list, each CSV a generator of chunks
+        return real(path, content if isinstance(content, list)
                     else header_and_first_chunk_then_fail())
 
     monkeypatch.setattr(cli, "_write_file", write_file)
