@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 from importlib import import_module
 
 import numpy as np
@@ -227,6 +228,11 @@ def cp_plateau(pulse: CoherentSpectrum, loss: LossParams | None = None) -> float
 # ----- Closed forms, standard interferometer -----
 
 
+def _gauss(k: float, width: float, x):
+    """The Gaussian factor ``exp(-k width**2 x**2)`` every closed form is built from."""
+    return np.exp(-k * width * width * x * x)
+
+
 def hom_bp_analytic(tau, spectrum: GaussianJointSpectrum):
     """Pair-coincidence rate of the standard interferometer.
 
@@ -235,8 +241,7 @@ def hom_bp_analytic(tau, spectrum: GaussianJointSpectrum):
     and the sum spread drop out entirely.
     """
     t = np.asarray(tau, dtype=float)
-    dm = spectrum.d_omega_minus
-    return 0.5 * (1.0 - np.exp(-2.0 * dm * dm * t * t))
+    return 0.5 * (1.0 - _gauss(2.0, spectrum.d_omega_minus, t))
 
 
 def hom_cp_analytic(tau, pulse: CoherentSpectrum):
@@ -247,17 +252,15 @@ def hom_cp_analytic(tau, pulse: CoherentSpectrum):
     pulse intensity.
     """
     t = np.asarray(tau, dtype=float)
-    w0, dw = pulse.omega0, pulse.d_omega
     a2 = pulse.total_intensity**2
-    return a2 * (1.0 - np.cos(2.0 * w0 * t) ** 2 * np.exp(-4.0 * dw * dw * t * t))
+    return a2 * (1.0 - np.cos(2.0 * pulse.omega0 * t) ** 2 * _gauss(4.0, pulse.d_omega, t))
 
 
 def hom_cp_coarse_analytic(tau, pulse: CoherentSpectrum):
     """Fluctuation-averaged coherent-pulse rate: a dip to half the plateau."""
     t = np.asarray(tau, dtype=float)
-    dw = pulse.d_omega
     a2 = pulse.total_intensity**2
-    return a2 * (1.0 - 0.5 * np.exp(-4.0 * dw * dw * t * t))
+    return a2 * (1.0 - 0.5 * _gauss(4.0, pulse.d_omega, t))
 
 
 # ----- Closed forms, two-delay interferometer -----
@@ -274,20 +277,16 @@ def mhom_bp_analytic(tau1, tau2, theta: float, spectrum: GaussianJointSpectrum):
     """
     t1 = np.asarray(tau1, dtype=float)
     t2 = np.asarray(tau2, dtype=float)
-    dm, dp, w0 = spectrum.d_omega_minus, spectrum.d_omega_plus, spectrum.omega0
-
-    def g(x):
-        return np.exp(-2.0 * dm * dm * x * x)
-
+    g = partial(_gauss, 2.0, spectrum.d_omega_minus)
     bracket = (
         4.0
         + 2.0 * g(t2)
         - g(t1 + t2)
         - g(t1 - t2)
         + 2.0
-        * np.exp(-8.0 * dp * dp * t2 * t2)
+        * _gauss(8.0, spectrum.d_omega_plus, t2)
         * (1.0 + g(t1))
-        * np.cos(4.0 * t2 * w0 + 2.0 * theta)
+        * np.cos(4.0 * t2 * spectrum.omega0 + 2.0 * theta)
     )
     return bracket / 8.0
 
@@ -302,12 +301,9 @@ def mhom_cp_analytic(tau1, tau2, theta: float, pulse: CoherentSpectrum):
     """
     t1 = np.asarray(tau1, dtype=float)
     t2 = np.asarray(tau2, dtype=float)
-    w0, dw = pulse.omega0, pulse.d_omega
+    w0 = pulse.omega0
     a2 = pulse.total_intensity**2
-
-    def e(x):
-        return np.exp(-2.0 * dw * dw * x * x)
-
+    e = partial(_gauss, 2.0, pulse.d_omega)
     b = np.cos(theta + 2.0 * w0 * (t2 + t1)) * e(t1 + t2) - np.cos(
         theta + 2.0 * w0 * (t2 - t1)
     ) * e(t1 - t2)
@@ -328,11 +324,7 @@ def mhom_bp_coarse_analytic(tau1, tau2, spectrum: GaussianJointSpectrum,
     """
     t1 = np.asarray(tau1, dtype=float)
     t2 = np.asarray(tau2, dtype=float)
-    dm = spectrum.d_omega_minus
-
-    def g(x):
-        return np.exp(-2.0 * dm * dm * x * x)
-
+    g = partial(_gauss, 2.0, spectrum.d_omega_minus)
     g2, g_sum, g_diff = g(t2), g(t1 + t2), g(t1 - t2)
     bracket = (
         4.0
@@ -357,12 +349,8 @@ def mhom_cp_coarse_analytic(tau1, tau2, pulse: CoherentSpectrum,
     """
     t1 = np.asarray(tau1, dtype=float)
     t2 = np.asarray(tau2, dtype=float)
-    dw = pulse.d_omega
     eta_a, eta_b = loss.eta_a, loss.eta_b
-
-    def e(x):
-        return np.exp(-4.0 * dw * dw * x * x)
-
+    e = partial(_gauss, 4.0, pulse.d_omega)
     e1, e2 = e(t1), e(t2)
     d = (e(t1 - t2) + e(t1 + t2)) / 8.0
     bracket = (
@@ -510,14 +498,12 @@ def mhom_bp_windowed(tau1, tau2, theta: float, spectrum: GaussianJointSpectrum,
     than cells x n**2. Returns the averaged rate on the grid of the 1-D
     axes ``tau1`` x ``tau2``.
     """
-    dm, dp, w0 = spectrum.d_omega_minus, spectrum.d_omega_plus, spectrum.omega0
+    dp, w0 = spectrum.d_omega_plus, spectrum.omega0
     t1, t2, box, triangle = _windowed_setup(tau1, tau2, window, spectrum, n)
-
-    def g(x):
-        return np.exp(-2.0 * dm * dm * x * x)
+    g = partial(_gauss, 2.0, spectrum.d_omega_minus)
 
     def h(x):
-        return np.exp(-8.0 * dp * dp * x * x) * np.cos(4.0 * w0 * x + 2.0 * theta)
+        return _gauss(8.0, dp, x) * np.cos(4.0 * w0 * x + 2.0 * theta)
 
     bracket = (
         4.0
@@ -549,12 +535,10 @@ def mhom_cp_windowed(tau1, tau2, theta: float, pulse: CoherentSpectrum,
     they cost distinct arguments x 2n rather than cells x n**2. Returns
     the averaged rate on the grid of the 1-D axes ``tau1`` x ``tau2``.
     """
-    w0, dw = pulse.omega0, pulse.d_omega
+    w0 = pulse.omega0
     a2 = pulse.total_intensity**2
     t1, t2, box, triangle = _windowed_setup(tau1, tau2, window, pulse, n)
-
-    def env(x):
-        return np.exp(-4.0 * dw * dw * x * x)
+    env = partial(_gauss, 4.0, pulse.d_omega)
 
     def squared_fringe(x):
         # cos(A)**2 E(tau1 + tau2) at x = tau1 + tau2, cos(B)**2 E(tau1 - tau2) at x = tau2 - tau1

@@ -889,7 +889,7 @@ def _generic_rate(form, model):
     return rate
 
 
-def _oracle_rate(source):
+def _oracle_rate(source, loss=None):
     if source == "bp":
         grid = pair_grid(SPECTRUM, tau_max=3.0)
         table = SPECTRUM.joint_amplitude(grid.nodes[:, None], grid.nodes[None, :])
@@ -899,10 +899,17 @@ def _oracle_rate(source):
         table, batch = PULSE.amplitude(grid.nodes), cp_rate_oracle_batch
 
     def rate(t1, t2, theta):
-        nets = [mhom_network(a, b, theta) for a in t1 for b in t2]
+        nets = [mhom_network(a, b, theta, loss) for a in t1 for b in t2]
         return batch(table, grid, nets).reshape(t1.size, t2.size)
     return rate
 
+
+# name -> the point (tau1, tau2, theta) a symmetry maps (tau1, tau2, theta) to
+SYMMETRIES = {
+    "-tau1": lambda t1, t2, theta: (-t1, t2, theta),
+    "theta + pi": lambda t1, t2, theta: (t1, t2, theta + math.pi),
+    "-tau2, -theta": lambda t1, t2, theta: (t1, -t2, -theta),
+}
 
 # case -> (rate builder, plateau). The window averages take carrier 500 and
 # window 0.08; the closed forms and oracles take carrier 5, as at carrier 500
@@ -931,5 +938,91 @@ def test_lossless_rates_keep_the_symmetry_group(case):
     t1, t2 = rng.uniform(-3.0, 3.0, 6), rng.uniform(-3.0, 3.0, 5)
     for theta in (0.0, 0.3, 1.1):
         want = rate(t1, t2, theta)
-        for got in (rate(-t1, t2, theta), rate(t1, t2, theta + math.pi), rate(t1, -t2, -theta)):
-            assert np.max(np.abs(got - want)) <= 1e-13 * plateau
+        for move in SYMMETRIES.values():
+            assert np.max(np.abs(rate(*move(t1, t2, theta)) - want)) <= 1e-13 * plateau
+
+
+# ----- the lossy symmetry subgroups and the rescaled bounds -----
+
+
+def _coarse_rate(form, model, loss):
+    return lambda t1, t2, theta: form(t1[:, None], t2[None, :], model, loss)
+
+
+# case -> (rate builder of a loss, plateau of a loss, the symmetries kept);
+# the oracles take carrier 5, as in the lossless cases
+LOSSY_CASES = {
+    "bp_oracle": (lambda loss: _oracle_rate("bp", loss), bp_plateau, {"-tau1", "theta + pi"}),
+    "cp_oracle": (lambda loss: _oracle_rate("cp", loss), lambda loss: cp_plateau(PULSE, loss),
+                  {"theta + pi"}),
+    "bp_coarse": (lambda loss: _coarse_rate(mhom_bp_coarse_analytic, SPECTRUM, loss), bp_plateau,
+                  set(SYMMETRIES)),
+    "cp_coarse": (lambda loss: _coarse_rate(mhom_cp_coarse_analytic, PULSE, loss),
+                  lambda loss: cp_plateau(PULSE, loss), set(SYMMETRIES)),
+}
+
+
+@pytest.mark.parametrize("case", LOSSY_CASES)
+def test_lossy_rates_keep_their_symmetry_subgroup(case):
+    """Complex path losses keep a subgroup of the lossless symmetries.
+
+    The chain is T = B P(theta) D(tau2) C B D(tau1) X, with the splitter B =
+    [[1, 1], [1, -1]] / sqrt(2), D(tau) = diag(exp(-i w tau), exp(i w tau)),
+    P(theta) = diag(1, exp(i theta)), and the losses X = diag(xi1, xi2) and
+    C = diag(chi1, chi2). With the port swap S and Z = diag(1, -1):
+
+    * theta + pi: P(theta + pi) = P(theta) Z and B Z = S B, so T becomes S T,
+      the same chain with its detectors swapped. Every rate keeps it.
+    * -tau1: D(-tau) = S D(tau) S and B S = Z B, so T becomes S T' S, where T'
+      has xi1 and xi2 swapped. For the pair the input loss only multiplies
+      the two-photon amplitude by xi1 xi2 and the input swap exchanges the
+      arguments of a symmetric amplitude, so bp keeps it; for pulses it
+      exchanges unequal input fields, so cp loses it.
+    * (-tau2, -theta): with -tau1 this conjugates every delay and the phase,
+      which leaves a real input spectrum's rate alone only if xi and chi are
+      conjugated too; complex losses break it for both oracles.
+
+    The averaged forms depend on the losses only through eta_a and eta_b
+    and on the delays through Gaussians of tau1, tau2 and the pair tau1 +-
+    tau2 taken symmetrically, with no theta, so they are even in each delay.
+    Each broken relation is pinned as broken, so a change in which
+    symmetries hold is caught.
+    """
+    make, plateau_of, kept = LOSSY_CASES[case]
+    rng = np.random.default_rng(40)
+    gaps = dict.fromkeys(SYMMETRIES, 0.0)
+    for _ in range(4):
+        amps = rng.uniform(0.3, 1.0, 4) * np.exp(1j * rng.uniform(-math.pi, math.pi, 4))
+        loss = LossParams(*amps)
+        rate, plateau = make(loss), plateau_of(loss)
+        t1, t2 = rng.uniform(-3.0, 3.0, 6), rng.uniform(-3.0, 3.0, 5)
+        theta = rng.uniform(-math.pi, math.pi)
+        want = rate(t1, t2, theta)
+        for name, move in SYMMETRIES.items():
+            gap = np.max(np.abs(rate(*move(t1, t2, theta)) - want)) / plateau
+            gaps[name] = max(gaps[name], gap)
+    for name, gap in gaps.items():
+        assert gap <= 1e-13 if name in kept else gap > 1e-3, (name, gap)
+
+
+def test_rescaled_closed_forms_stay_within_their_bounds():
+    """The rescaled pair rate lies in [0, 2] and the pulse rate in [0, 1].
+
+    The pair rate is the probability that the two photons reach different
+    detectors, at most 1, over the plateau 1/2; it reaches 2 wherever tau2 =
+    0 and theta = 0, as the bracket is then 8 - 2 g(tau1) + 2 g(tau1) = 8.
+    The pulse rate over its plateau is 1 - b**2 / 4 with b real and |b| <= 2.
+    """
+    rng = np.random.default_rng(41)
+    for _ in range(20):
+        omega0 = rng.uniform(1.0, 50.0)
+        spectrum = GaussianJointSpectrum(omega0, rng.uniform(0.05, 2.0), rng.uniform(0.05, 2.0))
+        pulse = CoherentSpectrum(omega0, rng.uniform(0.05, 2.0), rng.uniform(0.1, 3.0))
+        t1, t2 = rng.uniform(-4.0, 4.0, (2, 2000))
+        theta = rng.uniform(-math.pi, math.pi, 2000)
+        bp = mhom_bp_analytic(t1, t2, theta, spectrum) / bp_plateau()
+        cp = mhom_cp_analytic(t1, t2, theta, pulse) / cp_plateau(pulse)
+        assert -1e-13 <= bp.min() and bp.max() <= 2.0 + 1e-13
+        assert -1e-13 <= cp.min() and cp.max() <= 1.0 + 1e-13
+        peak = mhom_bp_analytic(t1, 0.0, 0.0, spectrum) / bp_plateau()
+        assert np.max(np.abs(peak - 2.0)) <= 1e-13
