@@ -53,8 +53,8 @@ first byte is written; each CSV is then streamed into a temp file in chunks
 of rows, as ASCII bytes with ``\n`` line ends on every platform, and the
 files are renamed into place only after all of them are written. Files are
 byte-identical for identical configurations (nothing in the pipeline is
-randomized). Exit codes: 0 success, 2 validation error, 3
-averaging regime violation, 1 I/O failure. A rate that comes out nan or
+randomized). Exit codes: 0 success, 2 validation error, 3 averaging regime
+violation, 1 I/O failure. A rate that comes out nan or
 infinite is refused with exit 2, and nothing is written. So is a ``sense`` or
 ``qps`` scan that misses its features, or a default ``qps`` scan too long for
 an artifact. Each refusal names, in table order, the fields the config sets
@@ -586,9 +586,9 @@ def _write_artifacts(out_dir: Path, artifacts) -> list[Path]:
     """Write a set of files: every temp file first, then rename them all.
 
     Each artifact is a ``(name, chunks)`` pair, its chunks an iterable of
-    ``bytes`` written one after another. Temp names carry
-    the process id and a per-process serial, so runs writing into one
-    directory at the same time never share a temp file. A failure while
+    ``bytes`` written one after another. Temp names carry the process id
+    and a per-process serial, so runs writing into one directory at the
+    same time never share a temp file. A failure while
     writing, in the file system or in a chunk generator, removes every temp
     file of the set and every directory this call created, and leaves every
     target as it was.
