@@ -36,14 +36,17 @@ records they build (``GaussianJointSpectrum``, ``CoherentSpectrum``,
 * ``figure``: same as the figure subcommand. Fields: ``preset``,
   optional ``theta``, ``n``.
 
-Ranges are ``{"min": a, "max": b, "n": k}``. ``version`` must be the
-integer 1 (not ``true`` or ``1.0``) and is checked before ``mode``. A
-``stem`` is a whole name of at most 200 characters: a letter or digit,
-then letters, digits, ``_``, ``.`` or ``-``. ``_MODES`` declares each
+A config document is read as at most 1 MiB (``_MAX_CONFIG_BYTES``) of strict
+UTF-8 JSON: a longer document is refused unparsed, and an object that
+repeats a key is refused with the key's block path (``spectrum.omega0:
+repeated key``). Ranges are ``{"min": a, "max": b, "n": k}``. ``version``
+must be the integer 1 (not ``true`` or ``1.0``) and is checked before
+``mode``. A ``stem`` is a whole name of at most 200 characters: a letter or
+digit, then letters, digits, ``_``, ``.`` or ``-``. ``_MODES`` declares each
 mode's fields once. A run parses every field in that order, ``stem``
-included, and fills in the defaults; only then do the rules that join
-fields run (model block and plateau, grid size, ``qps`` scan length,
-averaging regime), and then the rates, each divided by the model plateau.
+included, and fills in the defaults; only then do the rules that join fields
+run (model block and plateau, grid size, ``qps`` scan length, averaging
+regime), and then the rates, each divided by the model plateau.
 Each run writes a JSON sidecar or report with its mode, model, ranges,
 plateau and results. One table, ``_RECORDERS``, decides which config
 fields every mode records and how; it records neither ``version`` nor
@@ -72,6 +75,7 @@ import numbers
 import os
 import re
 import sys
+from collections import Counter
 from contextlib import contextmanager
 from dataclasses import MISSING, asdict, fields
 from importlib import import_module
@@ -125,6 +129,8 @@ _STEM_RE = re.compile(r"[A-Za-z0-9][A-Za-z0-9_.-]{0,199}")
 # sets is checked against it before anything that size is allocated.
 _MAX_VALUES = 1 << 21
 _MAX_SIDE = math.isqrt(_MAX_VALUES)
+# Bytes a config document may hold; a run reads one byte more and no further.
+_MAX_CONFIG_BYTES = 1 << 20
 
 
 class ConfigError(ValueError):
@@ -171,6 +177,17 @@ def _join(path: str, key: str) -> str:
     return f"{path}.{key}" if path else key
 
 
+class _Object(dict):
+    """A JSON object as read; ``repeated`` names the keys it sets more than once."""
+
+    repeated = ()
+
+    def __init__(self, pairs):
+        super().__init__(pairs)
+        if len(self) < len(pairs):
+            self.repeated = [key for key, k in Counter(key for key, _ in pairs).items() if k > 1]
+
+
 def _require_mapping(value, path: str) -> dict:
     if not isinstance(value, dict):
         raise ConfigError(f"{path or 'config'}: expected a JSON object")
@@ -182,6 +199,9 @@ def _check_keys(cfg: dict, path: str, required: tuple, optional: tuple) -> None:
     if unknown:
         where = path or "config"
         raise ConfigError(f"{where}: unknown field(s) {', '.join(map(repr, unknown))}")
+    # json keeps the last value of a repeated key; each one here is a known field
+    if repeated := getattr(cfg, "repeated", ()):
+        raise ConfigError(f"{_join(path, repeated[0])}: repeated key")
     for key in required:
         if key not in cfg:
             raise ConfigError(f"{_join(path, key)}: required field is missing")
@@ -854,13 +874,19 @@ def run_scenario(config: dict, out_dir) -> list[Path]:
 
 def _load_config(path: str) -> dict:
     try:
-        text = Path(path).read_text(encoding="utf-8")
+        with open(path, "rb") as handle:
+            data = handle.read(_MAX_CONFIG_BYTES + 1)
     except OSError as exc:
         raise OSError(f"cannot read configuration {path}: {exc}") from exc
+    if len(data) > _MAX_CONFIG_BYTES:
+        raise ConfigError(f"{path}: document longer than {_MAX_CONFIG_BYTES} bytes")
+    try:
+        # with the universal newlines of a text-mode read
+        text = data.decode("utf-8").replace("\r\n", "\n").replace("\r", "\n")
     except UnicodeDecodeError as exc:
         raise ConfigError(f"{path}: not UTF-8 text: {exc}") from None
     try:
-        return json.loads(text)
+        return json.loads(text, object_pairs_hook=_Object)
     except RecursionError:
         raise ConfigError(f"{path}: malformed JSON: nested too deeply") from None
     except ValueError as exc:

@@ -145,9 +145,13 @@ class RateSurface:
 
 
 def sample_curve(func, axis, plateau: float) -> RateCurve:
-    """Tabulate a broadcasting rate function along one axis."""
+    """Tabulate a one-delay rate function along an axis, as ``sample_surface`` does.
+
+    ``func`` must be elementwise. It is called once per block of samples,
+    as ``func(axis[lo:hi])``, and the blocks fill one preallocated curve.
+    """
     axis = np.asarray(axis, dtype=float)
-    return RateCurve(axis, func(axis), plateau)
+    return RateCurve(axis, blockwise(func, axis), plateau)
 
 
 def sample_surface(func, tau1_axis, tau2_axis, plateau: float) -> RateSurface:

@@ -40,6 +40,7 @@ from .rates import (
     cp_plateau,
     mhom_bp_coarse_analytic,
     mhom_cp_coarse_analytic,
+    sample_curve,
 )
 from .spectra import (CoherentSpectrum, GaussianJointSpectrum, positive_real, store_finite,
                       whole_number)
@@ -153,12 +154,12 @@ def scan_f(scenario: SensingScenario, model, loss: LossParams = LossParams(),
     Samples the fluctuation-averaged closed form of the source ``model``
     describes (a ``GaussianJointSpectrum`` pair or a ``CoherentSpectrum``
     pulse) on ``n`` control settings (a whole number, at least 51) over
-    ``[-span, span]``. A given ``span`` must be positive and finite. The
-    default span covers both offsets plus several feature widths; it is
-    scanned as computed, also where it underflows to 0 or overflows. If
-    the fixed first-stage delay is not large against the inverse spectral
-    width the features merge; the scan is still produced but flagged with
-    a ``RegimeWarning``.
+    ``[-span, span]``, in blocks of samples through ``sample_curve``. A
+    given ``span`` must be positive and finite. The default span covers
+    both offsets plus several feature widths; it is scanned as computed,
+    also where it underflows to 0 or overflows. If the fixed first-stage
+    delay is not large against the inverse spectral width the features
+    merge; the scan is still produced but flagged with a ``RegimeWarning``.
     """
     width, form, plateau, _ = _source(model, loss)
     n = scan_samples(n)
@@ -174,8 +175,8 @@ def scan_f(scenario: SensingScenario, model, loss: LossParams = LossParams(),
     # features, and one that overflows gives rates that are refused as not finite
     span = (positive_real(span, "span") if span is not None else
             abs(scenario.dl2_0) + 2.0 * abs(scenario.dl1_eff) + 6.0 * scenario.c / width)
-    x2 = np.linspace(-span, span, n)
-    return RateCurve(x2, form(tau1, scenario.tau2(x2), model, loss), plateau)
+    return sample_curve(lambda x2: form(tau1, scenario.tau2(x2), model, loss),
+                        np.linspace(-span, span, n), plateau)
 
 
 # ----- Feature extraction -----

@@ -8,20 +8,23 @@ to each of ``VALUES`` or deleted, and every block gets one unknown key. The
 optional fields a base config leaves out (``_OPTIONAL`` at the top level, the
 record fields of ``_RECORDS`` in a block) are set to each value too. The
 ``figure`` subcommand runs too: ``homlab figure PRESET --theta V`` and
-``--n V`` for every preset and each of ``FIGURE_FLAGS``. Each config or
-command line runs through ``homlab.cli.main`` in a scratch directory, and
-OUT.json maps its id to its exit code (or the exception that escaped
-``main``, argparse's ``SystemExit`` included), its stderr, the warnings it
-raised and the SHA-256 of every file it wrote. Run it on two trees and
-compare the two outputs to see what a change did to error handling: with
-``--against OLD.json`` (the output of the other tree) it prints the id of
-every run whose record differs or is in only one of the files, under it the
-old (``-``) and new (``+``) stderr of a run that kept its exit code but
-changed its stderr, then one line per change of exit code with its count
-(``0 -> 2: 36``) and the number of runs that kept their exit code but changed
-their stderr, and exits 1 if any run differs. It is not collected by pytest;
-``test_fault_corpus.py`` runs the same corpus and checks the rules every run
-must keep.
+``--n V`` for every preset and each of ``FIGURE_FLAGS``. Beside the field
+mutations, ``documents()`` varies the document as a whole (its shape, its
+size, a repeated key) and ``document_runs`` also reads a directory and
+``/dev/zero``, the last in a child whose address space is capped. Each other
+config or command line runs through ``homlab.cli.main`` in a scratch
+directory, and OUT.json maps its id to its exit code (or the exception that
+escaped ``main``, argparse's ``SystemExit`` included), its stderr, the
+warnings it raised and the SHA-256 of every file it wrote. Run it on two
+trees and compare the two outputs to see what a change did to error
+handling: with ``--against OLD.json`` (the output of the other tree) it
+prints the id of every run whose record differs or is in only one of the
+files, under it the old (``-``) and new (``+``) stderr of a run that kept
+its exit code but changed its stderr, then one line per change of exit code
+with its count (``0 -> 2: 36``) and the number of runs that kept their exit
+code but changed their stderr, and exits 1 if any run differs. It is not
+collected by pytest; ``test_fault_corpus.py`` runs the same corpus and
+checks the rules every run must keep.
 """
 
 import argparse
@@ -32,13 +35,15 @@ import io
 import json
 import os
 import shutil
+import subprocess
 import sys
 import tempfile
 import warnings
 from collections import Counter
 from pathlib import Path
 
-from homlab.cli import _MODES, _REQUIRED, main
+import homlab
+from homlab.cli import _MAX_CONFIG_BYTES, _MODES, _REQUIRED, main
 from homlab.figures import FIGURE_PRESETS
 from homlab.qps import QpsTarget
 from homlab.rates import LossParams
@@ -61,6 +66,14 @@ _OPTIONAL = {mode: tuple(key for key, (_, default, *_) in table.items()
 # the library record each config block is built from
 _RECORDS = {"spectrum": GaussianJointSpectrum, "pulse": CoherentSpectrum,
             "loss": LossParams, "scenario": SensingScenario, "target": QpsTarget}
+# address space of the child that reads /dev/zero: five times what a refusal
+# needs with one BLAS thread, far below what an unbounded read would take
+_CHILD_BYTES = 512 << 20
+# ``python -m homlab.cli`` that first caps its own address space at argv[1] bytes
+_CAPPED_CLI = ("import resource, runpy, sys\n"
+               "resource.setrlimit(resource.RLIMIT_AS, (int(sys.argv[1]),) * 2)\n"
+               "sys.argv[:2] = ['homlab']\n"
+               "runpy.run_module('homlab.cli', run_name='__main__')\n")
 
 
 def _bases() -> dict:
@@ -113,6 +126,61 @@ def figure_runs() -> dict:
             for preset in FIGURE_PRESETS for flag in ("--theta", "--n") for value in FIGURE_FLAGS}
 
 
+def documents() -> dict:
+    """Run id -> whole config document, as bytes: the shapes of the document
+    itself that no field mutation makes, beside the ``hom_bp`` base."""
+    text = json.dumps(_bases()["hom_bp"])
+    pad = _MAX_CONFIG_BYTES - len(text)
+    return {
+        "document/[]": b"[]",
+        "document/null": b"null",
+        "document/empty": b"",
+        "document/UTF-8 BOM": b"\xef\xbb\xbf" + text.encode(),
+        "document/5001-digit integer": b"9" * 5001,
+        "document/NaN literal": b"NaN",
+        "document/200000-deep nesting": b"[" * 200_000 + b"]" * 200_000,
+        "document/at the limit": (text + " " * pad).encode(),
+        "document/one byte over the limit": (text + " " * (pad + 1)).encode(),
+        "document/repeated key": (text[:-1] + ', "source": "bp"}').encode(),
+        "document/repeated key in spectrum": text.replace(
+            '"omega0": 5.0', '"omega0": 5.0, "omega0": 7.0', 1).encode(),
+    }
+
+
+def document_runs(config: str) -> dict:
+    """Run id -> outcome of ``homlab run`` on each of ``documents()``, written to
+    ``config`` in turn, on the current directory and on ``/dev/zero``."""
+    records = {}
+    for rid, document in documents().items():
+        Path(config).write_bytes(document)
+        records[rid] = run_one(["run", config])
+    records["document/directory"] = run_one(["run", "."])
+    records["document//dev/zero"] = run_capped(["run", "/dev/zero"])
+    return records
+
+
+def _written() -> dict:
+    if not os.path.isdir("out"):
+        return {}
+    return {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
+            for p in sorted(Path("out").iterdir())}
+
+
+def run_capped(argv: list) -> dict:
+    """Outcome of ``python -m homlab.cli ARGV --out out`` as ``run_one`` records
+    it, in a child whose address space is capped at ``_CHILD_BYTES``: a run
+    that reads its input without bound fails there, not on the machine."""
+    shutil.rmtree("out", ignore_errors=True)
+    src = str(Path(homlab.__file__).resolve().parent.parent)
+    extra = os.environ.get("PYTHONPATH")
+    env = {**os.environ, "OPENBLAS_NUM_THREADS": "1",
+           "PYTHONPATH": src + (os.pathsep + extra if extra else "")}
+    proc = subprocess.run(
+        [sys.executable, "-c", _CAPPED_CLI, str(_CHILD_BYTES), *argv, "--out", "out"],
+        env=env, capture_output=True, text=True, timeout=120)
+    return {"exit": proc.returncode, "stderr": proc.stderr, "warnings": [], "files": _written()}
+
+
 def run_one(argv: list) -> dict:
     """Outcome of ``homlab ARGV --out out``, run in the current directory."""
     shutil.rmtree("out", ignore_errors=True)
@@ -126,15 +194,11 @@ def run_one(argv: list) -> dict:
             result = f"SystemExit: {exc.code}"
         except Exception as exc:  # a bug escaping main is part of the record
             result = f"{type(exc).__name__}: {exc}"
-    files = {}
-    if os.path.isdir("out"):
-        files = {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
-                 for p in sorted(Path("out").iterdir())}
     return {
         "exit": result,
         "stderr": err.getvalue(),
         "warnings": [f"{w.category.__name__}: {w.message}" for w in caught],
-        "files": files,
+        "files": _written(),
     }
 
 
@@ -151,6 +215,7 @@ def main_corpus(out_path: str) -> None:
                 records[cid] = run_one(["run", "config.json"])
             for rid, argv in figure_runs().items():
                 records[rid] = run_one(argv)
+            records.update(document_runs("config.json"))
         finally:
             os.chdir(here)
     with open(out_path, "w", encoding="utf-8") as fh:

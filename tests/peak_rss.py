@@ -1,6 +1,7 @@
 """Own peak memory, wall time and CPU time of one ``homlab`` run, from a small launcher.
 
-Usage: ``python tests/peak_rss.py {CONFIG | figure PRESET} [--repeat k] [--against OTHER/src]``
+Usage: ``python tests/peak_rss.py {CONFIG | figure PRESET} [--repeat k]
+[--against OTHER/src] [--ceiling MB]``
 
 Spawns ``python -m homlab.cli run CONFIG --out DIR`` (or ``figure PRESET``)
 ``k`` times (default 1), each into a fresh temporary directory, with this
@@ -15,8 +16,10 @@ With ``--against OTHER/src`` each of the ``k`` rounds runs this tree and the
 other one, alternating which goes first, labels every line ``this`` or
 ``other`` and ends with each side's median and quartiles of wall and CPU
 time: start-up changes can be sized this way on a machine whose speed drifts
-between runs. It exits with the first failing run's exit code. It is not
-collected by pytest.
+between runs. With ``--ceiling MB`` every run whose own peak is above MB is
+printed again with the ceiling. It exits with the first failing run's exit
+code, else 1 if a run went above the ceiling. It is not collected by pytest;
+``test_startup.py`` runs it as a child to hold large runs under their ceilings.
 """
 
 import argparse
@@ -40,9 +43,9 @@ def _sha256(path: Path) -> str:
     return digest.hexdigest()
 
 
-def run_once(command: list, src: Path, label: str = "") -> tuple[int, float, float]:
+def run_once(command: list, src: Path, label: str = "") -> tuple[int, float, float, float]:
     """Spawn one run from ``src``, print its peak, times and CSV hashes;
-    return its exit code, wall time and CPU time."""
+    return its exit code, peak in MB, wall time and CPU time."""
     extra = os.environ.get("PYTHONPATH")
     env = {**os.environ, "PYTHONPATH": str(src) + (os.pathsep + extra if extra else "")}
     with tempfile.TemporaryDirectory(prefix="peak_rss_") as tmp:
@@ -55,11 +58,12 @@ def run_once(command: list, src: Path, label: str = "") -> tuple[int, float, flo
         seconds = time.monotonic() - t0
         cpu = usage.ru_utime + usage.ru_stime
         proc.returncode = code = os.waitstatus_to_exitcode(status)
-        print(f"{label}peak_rss_mb {usage.ru_maxrss / 1024.0:.1f}  wall_s {seconds:.3f}"
+        peak = usage.ru_maxrss / 1024.0
+        print(f"{label}peak_rss_mb {peak:.1f}  wall_s {seconds:.3f}"
               f"  cpu_s {cpu:.3f}  exit {code}")
         for path in sorted(out.glob("*.csv")) if out.is_dir() else ():
             print(f"  {_sha256(path)}  {path.name}")
-    return code, seconds, cpu
+    return code, peak, seconds, cpu
 
 
 def main() -> int:
@@ -68,6 +72,8 @@ def main() -> int:
     parser.add_argument("--repeat", type=int, default=1)
     parser.add_argument("--against", type=Path, metavar="OTHER/src",
                         help="another tree's src directory, run in turn with this one")
+    parser.add_argument("--ceiling", type=float, metavar="MB",
+                        help="exit 1 if a run's own peak is above MB")
     args = parser.parse_args()
     if args.repeat < 1:
         parser.error("--repeat must be at least 1")
@@ -81,18 +87,21 @@ def main() -> int:
         parser.error("expected CONFIG or figure PRESET")
     trees = [("", SRC)] if args.against is None else [("this  ", SRC),
                                                        ("other ", args.against.resolve())]
-    codes, times = [], {label: [] for label, _ in trees}
+    codes, above, times = [], False, {label: [] for label, _ in trees}
     for i in range(args.repeat):
         for label, src in trees if i % 2 == 0 else trees[::-1]:
-            code, *wall_cpu = run_once(command, src, label)
+            code, peak, *wall_cpu = run_once(command, src, label)
             codes.append(code)
             times[label].append(wall_cpu)
+            if args.ceiling is not None and peak > args.ceiling:
+                above = True
+                print(f"{label}peak_rss_mb {peak:.1f} is above the ceiling {args.ceiling:.1f}")
     if args.against is not None:
         for label, runs in times.items():
             for name, values in zip(("wall_s", "cpu_s"), zip(*runs)):
                 q1, median, q3 = statistics.quantiles(values, n=4)
                 print(f"{label}{name} median {median:.3f}  quartiles {q1:.3f} {q3:.3f}")
-    return next((code for code in codes if code), 0)
+    return next((code for code in codes if code), int(above))
 
 
 if __name__ == "__main__":

@@ -5,7 +5,8 @@ Each broken config and ``homlab figure`` command line runs through
 be refused by argparse), with no exception escaping ``main``; a run that
 fails leaves nothing behind; every exit-2 line names schema paths; and a run
 that exits 0 raises no warning, except the out-of-regime ``sense`` scans
-listed below.
+listed below. Each whole document of the corpus (``document_runs``) ends
+with its own exit code and names the file or the path it refuses.
 """
 
 import json
@@ -13,8 +14,8 @@ import os
 import re
 from dataclasses import fields
 
-from fault_corpus import _RECORDS, corpus, figure_runs, run_one
-from homlab.cli import _MODES, _parse_range
+from fault_corpus import _RECORDS, corpus, document_runs, figure_runs, run_one
+from homlab.cli import _MAX_CONFIG_BYTES, _MODES, _parse_range
 
 # ``sense`` scans outside their regime (|tau1| * width <= 1) exit 0 with a
 # RegimeWarning as the only sign; a new warning, or one of these mended,
@@ -65,3 +66,30 @@ def test_every_corpus_run_keeps_the_cli_rules(tmp_path, monkeypatch):
             warned.add(rid)
     assert not problems, f"{len(problems)} runs break a rule, first: " + "; ".join(problems[:10])
     assert warned == WARNING_RUNS
+
+
+def test_every_whole_document_ends_with_its_exit_code(tmp_path, monkeypatch):
+    config = str(tmp_path / "config.json")
+    work = tmp_path / "work"
+    work.mkdir()
+    monkeypatch.chdir(work)
+    outcomes = document_runs(config)
+    # run id -> exit code and the path its error line names; the file's by default
+    special = {"document/[]": (2, "config"), "document/null": (2, "config"),
+               "document/NaN literal": (2, "config"), "document/at the limit": (0, None),
+               "document/repeated key": (2, "source"),
+               "document/repeated key in spectrum": (2, "spectrum.omega0"),
+               "document/directory": (1, None), "document//dev/zero": (2, "/dev/zero")}
+    assert len(outcomes) == 13 and set(special) <= set(outcomes)
+    for rid, outcome in outcomes.items():
+        code, named = special.get(rid, (2, config))
+        stderr = outcome["stderr"]
+        assert outcome["exit"] == code and not outcome["warnings"], (rid, outcome)
+        if code == 2:
+            line = _ERROR_LINE.fullmatch(stderr)
+            assert line is not None and line.group(1) == named, (rid, stderr)
+        elif code == 1:
+            assert stderr.startswith("i/o error: cannot read configuration ."), stderr
+        assert bool(outcome["files"]) == (code == 0), (rid, outcome["files"])
+    for rid in ("document/one byte over the limit", "document//dev/zero"):
+        assert f"longer than {_MAX_CONFIG_BYTES} bytes" in outcomes[rid]["stderr"]

@@ -279,10 +279,31 @@ def test_sample_surface_blocks_match_whole_grid_evaluation(form):
     assert peak <= 2.25 * got.nbytes, (peak, got.nbytes)
 
 
+CURVE_FORMS = {
+    "hom_bp_analytic": lambda t: hom_bp_analytic(t, SPECTRUM),
+    "hom_cp_analytic": lambda t: hom_cp_analytic(t, PULSE),
+    "hom_cp_coarse_analytic": lambda t: hom_cp_coarse_analytic(t, PULSE),
+    "mhom_bp_coarse_analytic_lossy_cut": lambda t: mhom_bp_coarse_analytic(
+        1.3, t, SPECTRUM, LOSSY),
+    "mhom_cp_coarse_analytic_lossy_cut": lambda t: mhom_cp_coarse_analytic(
+        1.3, t, BRIGHT, LOSSY),
+}
+
+
 def test_sample_curve_matches_direct_evaluation():
-    axis = np.linspace(-2, 2, 9)
-    curve = sample_curve(lambda t: hom_bp_analytic(t, SPECTRUM), axis, 0.5)
-    np.testing.assert_array_equal(curve.values, hom_bp_analytic(axis, SPECTRUM))
+    axis = np.linspace(-3.0, 3.5, (1 << 20) + 1)  # the last block is partial
+    for form, func in CURVE_FORMS.items():
+        want = RateCurve(axis, func(axis), 0.5).values
+        sample_curve(func, axis[:8], 0.5)
+        tracemalloc.start()
+        try:
+            got = sample_curve(func, axis, 0.5).values
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), form
+        # the values plus the clamp's copy and mask, as for a surface
+        assert peak <= 2.25 * got.nbytes, (form, peak, got.nbytes)
 
 
 # ----- losses -----

@@ -2,12 +2,14 @@
 
 import json
 import math
+import tracemalloc
 from dataclasses import asdict
 
 import numpy as np
 import pytest
 
-from homlab.rates import LossParams, RateCurve, RegimeWarning
+from homlab.rates import (LossParams, RateCurve, RegimeWarning, mhom_bp_coarse_analytic,
+                          mhom_cp_coarse_analytic)
 from homlab.sensing import (
     _PROMINENCE,
     ExtremaError,
@@ -129,6 +131,32 @@ def test_scan_keeps_a_default_span_that_underflows_to_zero():
         curve = scan_f(sc, pair)
     assert curve.axis.size == 2001
     assert not curve.axis.any()
+
+
+SCAN_SOURCES = {
+    "bp": (SPECTRUM, LossParams(), mhom_bp_coarse_analytic),
+    "cp_lossy": (PULSE, LossParams(xi1=0.9, xi2=0.6, chi1=0.8, chi2=0.5), mhom_cp_coarse_analytic),
+}
+
+
+@pytest.mark.parametrize("source", sorted(SCAN_SOURCES))
+def test_scan_fills_in_blocks_what_the_averaged_form_gives_on_the_whole_axis(source):
+    model, loss, form = SCAN_SOURCES[source]
+    sc = SensingScenario(dl1_0=4.4, dl2_0=-1.3)
+    n = 1 << 21
+    scan_f(sc, model, loss, n=51)
+    tracemalloc.start()
+    try:
+        curve = scan_f(sc, model, loss, n=n)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    span = curve.axis[-1]
+    np.testing.assert_array_equal(curve.axis, np.linspace(-span, span, n))
+    want = RateCurve(curve.axis, form(sc.tau1, sc.tau2(curve.axis), model, loss), curve.plateau)
+    assert curve.values.tobytes() == want.values.tobytes()
+    # the axis, the values and the clamp's copy, not the form's whole-axis temporaries
+    assert peak <= 3.25 * curve.values.nbytes, (peak, curve.values.nbytes)
 
 
 # ----- feature extraction on synthetic curves -----

@@ -5,7 +5,8 @@ quadrature oracles and the generic window average of ``network``; a bare
 ``import homlab`` imports no submodule, ``import homlab.rates`` (or a
 ``rates`` name read off the package) only ``spectra`` besides; and the
 process entry points (``python -m homlab.cli`` and the ``[project.scripts]``
-entry) answer exactly as an in-process ``main`` does.
+entry) answer exactly as an in-process ``main`` does; and the largest runs
+keep their own peak memory under a ceiling.
 """
 
 import gc
@@ -18,7 +19,7 @@ from pathlib import Path
 import pytest
 
 import homlab.cli as cli
-from test_cli import RUN_CONFIGS
+from test_cli import _PAIR, RUN_CONFIGS
 
 ROOT = Path(__file__).resolve().parent.parent
 ENV = {**os.environ, "PYTHONPATH": os.pathsep.join(
@@ -177,3 +178,30 @@ def test_process_entry_points_answer_as_main_does(tmp_path, monkeypatch, capsys,
                   _child(script, *argv, cwd=tmp_path)):
         assert (child.returncode, child.stdout, child.stderr) == (
             code, captured.out, captured.err)
+
+
+# The largest run of each tabulation path, and the ceiling on its own peak in
+# MB: its peak with every closed form filled in row blocks, plus 5 %.
+CEILINGS = {
+    "coarse_cp_window_1448": (154.0, {
+        "mode": "coarse", "source": "cp", "pulse": {"omega0": 500.0, "d_omega": 0.5},
+        "window": 0.08, "theta": 0.3, "tau1": {"min": -3.0, "max": 3.0, "n": 1448},
+        "tau2": {"min": -3.0, "max": 3.0, "n": 1448}}),
+    "sense_bp_2097152": (96.0, {**RUN_CONFIGS["sense_bp"], "n": 1 << 21}),
+    "qps_2097152": (87.0, {
+        "mode": "qps", "target": {"r": 30.0, "gamma": 0.6, "vartheta": 1.1},
+        "spectrum": _PAIR, "n": 1 << 21}),
+}
+
+
+@pytest.mark.parametrize("name", sorted(CEILINGS))
+def test_largest_runs_keep_their_own_peak_under_a_ceiling(tmp_path, name):
+    ceiling, config = CEILINGS[name]
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({"version": 1, **config}), encoding="utf-8")
+    # a child's peak includes its parent's RSS at the spawn, so the run is spawned
+    # by the standard-library launcher, never from this process
+    child = subprocess.run([sys.executable, str(ROOT / "tests" / "peak_rss.py"), str(path),
+                            "--ceiling", str(ceiling)],
+                           env=ENV, capture_output=True, text=True, timeout=300)
+    assert child.returncode == 0, child.stdout + child.stderr
